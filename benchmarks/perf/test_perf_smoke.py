@@ -30,8 +30,6 @@ def test_case_grid_is_wellformed():
         "incast_compiled",
         "websearch_compiled",
         "permutation_compiled",
-        "storm",
-        "storm_calendar",
         "fluid_grid",
     ]
     for case in PERF_CASES.values():
@@ -50,7 +48,6 @@ def test_case_grid_is_wellformed():
         ("incast_compiled", "incast"),
         ("websearch_compiled", "websearch_fct"),
         ("permutation_compiled", "permutation"),
-        ("storm_calendar", "storm"),
     ):
         assert PERF_CASES[variant].scenario == PERF_CASES[base].scenario
         assert PERF_CASES[variant].overrides == PERF_CASES[base].overrides
@@ -118,18 +115,6 @@ def test_batched_event_count_matches_unbatched():
     assert abs(a - b) / a < 0.02, (a, b)
 
 
-def test_calendar_variant_is_bit_identical():
-    # The calendar queue preserves (time, seq) order exactly: metrics
-    # and event counts must equal the heap run bit-for-bit.
-    base = run_perf(cases=["storm"], tiny=True, repeats=1)
-    calendar = run_perf(cases=["storm_calendar"], tiny=True, repeats=1)
-    assert base["cases"][0]["metrics"] == calendar["cases"][0]["metrics"]
-    assert (
-        base["cases"][0]["events_processed"]
-        == calendar["cases"][0]["events_processed"]
-    )
-
-
 def test_compiled_variant_is_bit_identical_or_skips():
     # The compiled drain preserves (time, seq) order exactly; without
     # the extension the case must skip with a reason, not pass silently.
@@ -142,16 +127,6 @@ def test_compiled_variant_is_bit_identical_or_skips():
     # same workload, batching on in both: only the drain loop differs
     assert entry["metrics"] == base["cases"][0]["metrics"]
     assert entry["events_processed"] == base["cases"][0]["events_processed"]
-
-
-def test_storm_depth_exceeds_auto_crossover():
-    # The deep-pending case must actually sit past the documented
-    # calendar crossover at full scale (that is its reason to exist) and
-    # stay tiny in CI smoke runs.
-    from repro.sim.engine import AUTO_CALENDAR_DEPTH
-
-    assert PERF_CASES["storm"].overrides["depth"] >= AUTO_CALENDAR_DEPTH
-    assert PERF_CASES["storm"].tiny["depth"] < AUTO_CALENDAR_DEPTH
 
 
 def test_history_accumulates_snapshots(tmp_path):

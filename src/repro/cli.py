@@ -643,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
     perf_p.add_argument(
         "--engines", action="store_true",
         help="report which engine variants are live (compiled core "
-             "loaded or not, and what best/auto resolve to), then exit",
+             "loaded or not, and what best resolves to), then exit",
     )
     return parser
 

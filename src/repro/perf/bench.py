@@ -24,12 +24,6 @@ not built).  When comparing against a reference document that predates a
 variant, the variant borrows the reference entry with the same
 ``(scenario, overrides)`` workload and *default* engine config — so the
 recorded speedup is engine-on vs engine-off over the identical workload.
-``storm`` / ``storm_calendar`` run the deep-pending ``event_storm``
-churn (~128k pending events, past the calendar crossover — see
-``AUTO_CALENDAR_DEPTH``) under the heap and calendar schedulers; the
-macro packet workloads never reach that depth, which is why no packet
-case runs on the calendar (the retired ``incast_calendar`` case measured
-exactly that mismatch, as a 0.61x regression).
 ``fluid_grid`` benchmarks the numpy-vectorized fluid integrator against
 the scalar loop on a phase-portrait-sized grid (its ``events`` are
 integration cell-steps, and its speedup is measured in-run against the
@@ -271,24 +265,6 @@ PERF_CASES: Dict[str, PerfCase] = {
                 seed=1,
             ),
             engine=dict(scheduler="compiled", tx_batch_limit=8),
-        ),
-        # Deep-pending scheduler stress: ~128k pending events, past the
-        # calendar crossover (AUTO_CALENDAR_DEPTH) that the packet
-        # workloads never approach.  storm_calendar's speedup against
-        # storm's workload-matched baseline is the calendar queue's win
-        # in its design regime.
-        PerfCase(
-            name="storm",
-            scenario="event_storm",
-            overrides=dict(depth=131_072, duration_ns=100_000, seed=7),
-            tiny=dict(depth=4096, duration_ns=60_000, seed=7),
-        ),
-        PerfCase(
-            name="storm_calendar",
-            scenario="event_storm",
-            overrides=dict(depth=131_072, duration_ns=100_000, seed=7),
-            tiny=dict(depth=4096, duration_ns=60_000, seed=7),
-            engine=dict(scheduler="calendar"),
         ),
         # Vectorized fluid integration: n_w x n_q initial states, one
         # simulate_grid call, compared in-run against the scalar loop
@@ -631,17 +607,16 @@ def engine_report() -> List[str]:
     """Which engine variants are live in this interpreter (one line each).
 
     The doctor surface behind ``repro perf --engines``: reports the
-    always-available pure-Python schedulers, whether the optional
+    always-available pure-Python heap loop, whether the optional
     compiled core loaded (with the failure reason when it did not), and
-    what the selection modes would resolve to right now.
+    what ``best`` would resolve to right now.
     """
-    from repro.sim import AUTO_CALENDAR_DEPTH, compiled_available, compiled_error
+    from repro.sim import compiled_available, compiled_error
     from repro.sim._compiled import load_compiled
 
     lines = [
         f"{'engine':>10s}  status",
         f"{'heap':>10s}  built-in (default; the behavioral reference)",
-        f"{'calendar':>10s}  built-in (deep pending sets)",
     ]
     if compiled_available():
         module = load_compiled()
@@ -651,10 +626,6 @@ def engine_report() -> List[str]:
     else:
         lines.append(f"{'compiled':>10s}  unavailable: {compiled_error()}")
         lines.append(f"{'best':>10s}  -> heap (compiled core unavailable)")
-    lines.append(
-        f"{'auto':>10s}  -> heap or calendar at first run "
-        f"(calendar at >= {AUTO_CALENDAR_DEPTH} pending events)"
-    )
     return lines
 
 

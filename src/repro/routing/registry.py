@@ -27,9 +27,9 @@ registry edits::
 Topology builders consume the registry through their ``routing`` /
 ``routing_params`` knobs: ``build_topology(sim, "fattree",
 routing="least-loaded")`` gives every switch its own policy instance.
-The default ``ecmp`` with no parameters is special-cased by
-:class:`repro.sim.switch.Switch` into an inline fast path (class swap),
-so the 26 committed figure series are byte-identical by construction.
+The default ``ecmp`` with no parameters is ``policy=None`` to
+:class:`repro.sim.switch.Switch`, whose ``receive`` inlines the hash, so
+the 26 committed figure series are byte-identical by construction.
 """
 
 from __future__ import annotations
@@ -243,7 +243,7 @@ class PolicySpec:
         """True for parameterless ECMP — the byte-identical inline path.
 
         Builders pass ``policy=None`` to :class:`repro.sim.switch.Switch`
-        in this case, which class-swaps to the inlined fast path; any
+        in this case, which takes the inlined hash in ``receive``; any
         parameterized or non-default policy gets a real instance.
         """
         return self.name == DEFAULT_POLICY and not self.params

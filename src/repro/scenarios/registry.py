@@ -34,7 +34,6 @@ BUILTIN_MODULES = (
     "repro.experiments.permutation",
     "repro.experiments.multibottleneck",
     "repro.experiments.lbmatrix",
-    "repro.experiments.storm",
 )
 
 

@@ -6,10 +6,8 @@ telemetry PowerTCP consumes.  The public surface is re-exported here.
 """
 
 from repro.sim.engine import (
-    AUTO_CALENDAR_DEPTH,
     SCHEDULER_MODES,
     SCHEDULERS,
-    CalendarQueue,
     Event,
     Simulator,
     engine_defaults,
@@ -33,9 +31,7 @@ from repro.sim.circuit import CircuitPort, CircuitSchedule
 
 __all__ = [
     "ACK",
-    "AUTO_CALENDAR_DEPTH",
     "CNP",
-    "CalendarQueue",
     "CircuitPort",
     "CircuitSchedule",
     "DATA",

@@ -123,6 +123,10 @@ class CircuitPort(EgressPort):
     Only the VOQ of the currently matched destination drains.  INT records
     report the length of the packet's *own* VOQ, which is the queue a flow
     crossing this port actually waits in.
+
+    VOQ ports are circuit-scheduled (day/night), not work-conserving
+    FIFOs, so packet-train batching does not apply: they transmit per
+    packet whatever the simulator-wide ``tx_batch_limit``.
     """
 
     __slots__ = ("tor_id", "dst_tor_of", "voqs", "voq_bytes", "active_dst")
@@ -138,10 +142,6 @@ class CircuitPort(EgressPort):
         **kwargs,
     ):
         super().__init__(sim, rate_bps, prop_delay_ns, **kwargs)
-        # VOQ ports are circuit-scheduled (day/night), not work-conserving
-        # FIFOs — packet-train batching does not apply; force the exact
-        # per-packet path regardless of the simulator-wide batch limit.
-        self._batch_limit = 1
         self.tor_id = tor_id
         self.dst_tor_of = dst_tor_of
         self.voqs: Dict[int, deque] = {}

@@ -1,4 +1,4 @@
-"""Discrete-event simulation engine with pluggable event schedulers.
+"""Discrete-event simulation engine: one binary heap, two drain loops.
 
 Events are ``(time, seq, fn, args)`` tuples.  The sequence number breaks
 ties in insertion order, which makes runs fully deterministic: two events
@@ -9,41 +9,27 @@ packet deliveries, probe ticks) cost **zero object allocations** — this
 is the engine's fast path (:meth:`Simulator.at` / :meth:`Simulator.after`),
 and it returns no handle.
 
-Three schedulers store those entries (``Simulator(scheduler=...)``),
-plus two selection modes:
+There is exactly one event store — the ``_heap`` list, a binary heap
+ordered by ``heapq`` — and the ports' inlined pushes go straight at it.
+``Simulator(scheduler=...)`` only chooses what *drains* it:
 
-* ``"heap"`` (default) — a single binary heap drained by ``heapq``.  The
-  run loop and the ports' inlined pushes go straight at the raw list, so
-  the default path is exactly the PR-3 hot path.
-* ``"calendar"`` — a :class:`CalendarQueue`: a two-level calendar with
-  O(1) appends into fixed-width time buckets and one C-speed ``sort``
-  per bucket on activation.  It reproduces the heap's ``(time, seq)``
-  order *exactly* (asserted by the determinism suite), and targets very
-  deep pending sets (beyond roughly :data:`AUTO_CALENDAR_DEPTH` pending
-  events) where heap sift depth grows with log(pending).  See
-  ``benchmarks/perf/test_scheduler_microbench.py`` for the measured
-  crossover.
-* ``"compiled"`` — the same binary heap, drained by the optional C
-  extension (``repro._ckernel.corekernel`` via the gated loader
-  :mod:`repro.sim._compiled`).  The drain loop operates on the *same*
-  ``_heap`` list the ports' inlined pushes target, and ``(time, seq)``
-  is a total order, so the pop sequence — and therefore every
-  simulation result — is byte-identical to the pure-Python heap
+* ``"heap"`` (default) — the pure-Python run loop; the behavioural
+  reference.
+* ``"compiled"`` — the same list, drained by the optional C extension
+  (``repro._ckernel.corekernel`` via the gated loader
+  :mod:`repro.sim._compiled`).  ``(time, seq)`` is a total order, so the
+  pop sequence — and therefore every simulation result — is
+  byte-identical to the pure-Python loop
   (``docs/INVARIANTS.md#compiled-parity``).  Raises at construction
   when the extension is not built.
 * ``"best"`` — resolves to ``"compiled"`` when the extension loaded,
-  else falls back to ``"heap"``.  The right default for perf-sensitive
+  else falls back to ``"heap"``.  The right choice for perf-sensitive
   callers that must still run on boxes without a C compiler.
-* ``"auto"`` — resolves to ``"heap"`` or ``"calendar"`` at the first
-  :meth:`Simulator.run` call, from the live pending depth against
-  :data:`AUTO_CALENDAR_DEPTH` (the documented calendar crossover).
-  Shallow workloads keep the heap; only genuinely deep pending sets pay
-  the calendar's activation sorts.
 
 Cancellable events — retransmission timers, pacing timers, DCQCN's rate
 timers — go through the explicit :meth:`Simulator.at_cancellable` /
 :meth:`Simulator.after_cancellable` API, which allocates an :class:`Event`
-handle.  Cancellation only marks the handle; its stored entry is skipped
+handle.  Cancellation only marks the handle; its heap entry is skipped
 lazily when popped, keeping both operations O(log n) / O(1).  The live
 count (:attr:`Simulator.pending`) is maintained eagerly, so diagnostics
 never over-report cancelled entries awaiting compaction.
@@ -72,21 +58,11 @@ from typing import Any, Callable, Optional
 _FOREVER = 1 << 63
 
 #: concrete scheduler names a ``Simulator`` can resolve to
-SCHEDULERS = ("heap", "calendar", "compiled")
+SCHEDULERS = ("heap", "compiled")
 
-#: everything ``Simulator(scheduler=...)`` accepts: concrete schedulers
-#: plus the selection modes ("best" -> compiled-when-available, "auto"
-#: -> heap/calendar by pending depth at first run)
-SCHEDULER_MODES = SCHEDULERS + ("best", "auto")
-
-#: pending-depth crossover for ``scheduler="auto"``: below this many
-#: live events the binary heap wins (sift depth is shallow and pushes
-#: are one C call); at or above it the calendar queue's O(1) bucket
-#: appends beat log(pending) sifts.  Measured by
-#: ``benchmarks/perf/test_scheduler_microbench.py`` (crossover ~64k on
-#: the hold-model churn); chosen conservatively so shallow macro
-#: workloads (incast included) never migrate.
-AUTO_CALENDAR_DEPTH = 65536
+#: everything ``Simulator(scheduler=...)`` accepts: the concrete
+#: schedulers plus "best" (compiled when available, else heap)
+SCHEDULER_MODES = SCHEDULERS + ("best",)
 
 #: process-wide defaults picked up by ``Simulator()`` when the
 #: corresponding constructor argument is omitted (see
@@ -122,137 +98,6 @@ def engine_defaults(
         yield
     finally:
         _ENGINE_DEFAULTS.update(previous)
-
-
-class CalendarQueue:
-    """Calendar-queue event store preserving exact ``(time, seq)`` order.
-
-    A two-level structure: entries land in fixed-width time buckets via
-    an O(1) ``list.append`` keyed by ``time // width_ns``; a small heap
-    of active bucket epochs finds the next bucket, which is sorted once
-    (C-speed Timsort) when activated and then drained by index.  Entries
-    that arrive for the *currently draining* (or an earlier) epoch go to
-    a side heap that is merged entry-by-entry during :meth:`pop`, so the
-    global ``(time, seq)`` order is identical to a binary heap's — the
-    scheduler swap can never change simulation results.
-
-    Compared to one big heap, pushes touch O(1) list memory instead of
-    sifting log(pending) tuples, which is the win on very deep pending
-    sets; the cost is the per-bucket activation sort and the epoch heap
-    (tiny: one entry per distinct non-empty bucket).
-    """
-
-    __slots__ = (
-        "width_ns",
-        "_buckets",
-        "_epochs",
-        "_cur_epoch",
-        "_cur",
-        "_cur_idx",
-        "_side",
-        "_count",
-    )
-
-    def __init__(self, width_ns: int = 4096):
-        if width_ns <= 0:
-            raise ValueError(f"bucket width must be positive, got {width_ns}")
-        self.width_ns = width_ns
-        self._buckets = {}  # epoch -> unsorted list of entries
-        self._epochs: list = []  # heap of not-yet-activated epochs
-        self._cur_epoch = -1
-        self._cur: list = []  # activated (sorted) bucket, drained by index
-        self._cur_idx = 0
-        self._side: list = []  # heap: entries at or before the current epoch
-        self._count = 0
-
-    def push(self, entry) -> None:
-        """Store one ``(time, seq, fn, args)`` entry."""
-        epoch = entry[0] // self.width_ns
-        if epoch <= self._cur_epoch:
-            heapq.heappush(self._side, entry)
-        else:
-            bucket = self._buckets.get(epoch)
-            if bucket is None:
-                self._buckets[epoch] = [entry]
-                heapq.heappush(self._epochs, epoch)
-            else:
-                bucket.append(entry)
-        self._count += 1
-
-    def pop(self):
-        """Remove and return the next entry, or None when empty."""
-        while True:
-            cur = self._cur
-            idx = self._cur_idx
-            side = self._side
-            if idx < len(cur):
-                entry = cur[idx]
-                if side and side[0] < entry:
-                    self._count -= 1
-                    return heapq.heappop(side)
-                idx += 1
-                if idx == len(cur):  # bucket drained: drop the refs early
-                    self._cur = []
-                    self._cur_idx = 0
-                else:
-                    self._cur_idx = idx
-                self._count -= 1
-                return entry
-            if side:
-                # Entries at or before the current epoch always precede
-                # anything in a later bucket (time < (epoch+1) * width).
-                self._count -= 1
-                return heapq.heappop(side)
-            if not self._epochs:
-                return None
-            epoch = heapq.heappop(self._epochs)
-            self._cur = self._buckets.pop(epoch)
-            self._cur.sort()
-            self._cur_idx = 0
-            self._cur_epoch = epoch
-
-    def peek(self):
-        """The next entry without removing it (None when empty).
-
-        Implemented as pop + re-push: the re-pushed entry keeps its
-        sequence number, so ordering is unaffected.
-        """
-        entry = self.pop()
-        if entry is not None:
-            self.push(entry)
-        return entry
-
-    def remove(self, entry) -> None:
-        """Remove one specific scheduled entry (raises ValueError if absent).
-
-        Rare path — PFC train truncation un-schedules the deliveries of
-        packets returned to the queue.  The entry may sit in a future
-        bucket, the active run, or the side heap; cost is O(size of that
-        store).  An emptied future bucket is left in place (its epoch
-        stays in the heap); :meth:`pop` activates it, finds it drained,
-        and moves on.
-        """
-        bucket = self._buckets.get(entry[0] // self.width_ns)
-        if bucket is not None:
-            try:
-                bucket.remove(entry)
-            except ValueError:
-                pass
-            else:
-                self._count -= 1
-                return
-        cur = self._cur
-        for i in range(self._cur_idx, len(cur)):
-            if cur[i] == entry:
-                del cur[i]
-                self._count -= 1
-                return
-        self._side.remove(entry)  # ValueError when truly absent
-        heapq.heapify(self._side)
-        self._count -= 1
-
-    def __len__(self) -> int:
-        return self._count
 
 
 class Event:
@@ -322,9 +167,7 @@ class Simulator:
         "pause_gc",
         "pool",
         "scheduler",
-        "_sched",
         "_drain",
-        "_auto_pending",
         "tx_batch_limit",
         "events_coalesced",
         "pause_tracking",
@@ -365,9 +208,6 @@ class Simulator:
         #: compiled drain loop (corekernel.drain) when the compiled
         #: engine is active, else None
         self._drain = None
-        #: "auto" mode not yet resolved — the first :meth:`run` picks
-        #: heap vs calendar from the live pending depth
-        self._auto_pending = False
         if scheduler == "best":
             from repro.sim._compiled import compiled_available
 
@@ -384,18 +224,10 @@ class Simulator:
                     "scheduler='best' for automatic fallback"
                 )
             self._drain = module.drain
-        elif scheduler == "auto":
-            self._auto_pending = True
-        #: name of the active event scheduler ("heap", "calendar", or
-        #: "compiled"; "auto" until the first run resolves it)
+        #: name of the active event scheduler ("heap" or "compiled")
         self.scheduler = scheduler
-        #: non-heap event store, or None on the default heap path (ports
-        #: check this before inlining pushes into ``_heap`` directly)
-        self._sched: Optional[CalendarQueue] = (
-            CalendarQueue() if scheduler == "calendar" else None
-        )
         #: max packets an egress port may serialize under one finish
-        #: event (1 = batching off; see ``repro.sim.port.EgressPort``)
+        #: event (1 = batching off; see ``repro.sim.port.TrainPort``)
         self.tx_batch_limit = int(tx_batch_limit)
         #: per-packet completions folded into train-finish events; these
         #: are *added into* :attr:`events_processed` so the count stays
@@ -423,22 +255,16 @@ class Simulator:
             raise ValueError(
                 f"cannot schedule in the past: {time_ns} < now={self.now}"
             )
-        entry = (time_ns, next(self._seq), fn, args)
-        if self._sched is None:
-            heapq.heappush(self._heap, entry)
-        else:
-            self._sched.push(entry)
+        heapq.heappush(self._heap, (time_ns, next(self._seq), fn, args))
         self._live += 1
 
     def after(self, delay_ns: int, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule ``fn(*args)`` ``delay_ns`` nanoseconds from now (fast path)."""
         if delay_ns < 0:
             raise ValueError(f"negative delay: {delay_ns}")
-        entry = (self.now + delay_ns, next(self._seq), fn, args)
-        if self._sched is None:
-            heapq.heappush(self._heap, entry)
-        else:
-            self._sched.push(entry)
+        heapq.heappush(
+            self._heap, (self.now + delay_ns, next(self._seq), fn, args)
+        )
         self._live += 1
 
     def at_cancellable(
@@ -454,11 +280,7 @@ class Simulator:
                 f"cannot schedule in the past: {time_ns} < now={self.now}"
             )
         event = Event(self, time_ns, next(self._seq), fn, args)
-        entry = (time_ns, event.seq, None, event)
-        if self._sched is None:
-            heapq.heappush(self._heap, entry)
-        else:
-            self._sched.push(entry)
+        heapq.heappush(self._heap, (time_ns, event.seq, None, event))
         self._live += 1
         return event
 
@@ -487,10 +309,6 @@ class Simulator:
         counted here — they accrue to :attr:`events_processed` via
         :attr:`events_coalesced`).
         """
-        if self._auto_pending:
-            self._resolve_auto()
-        if self._sched is not None:
-            return self._run_sched(until, max_events)
         if self._drain is not None:
             return self._run_compiled(until, max_events)
         heap = self._heap
@@ -570,59 +388,6 @@ class Simulator:
             self.now = until
         return processed
 
-    def _run_sched(
-        self, until: Optional[int], max_events: Optional[int]
-    ) -> int:
-        """:meth:`run` over the pluggable scheduler — identical semantics."""
-        sched = self._sched
-        horizon = _FOREVER if until is None else until
-        limit = -1 if max_events is None else max_events
-        processed = 0
-        budget_hit = False
-        pause = self.pause_gc and gc.isenabled()
-        if pause:
-            gc.disable()
-        try:
-            while True:
-                entry = sched.pop()
-                if entry is None:
-                    break
-                time_, seq, fn, args = entry
-                if fn is None:
-                    event = args
-                    if event.cancelled:
-                        continue
-                    if time_ > horizon:
-                        sched.push(entry)
-                        break
-                    if processed == limit:
-                        sched.push(entry)
-                        budget_hit = True
-                        break
-                    event._fired = True
-                    self.now = time_
-                    processed += 1
-                    event.fn(*event.args)
-                else:
-                    if time_ > horizon:
-                        sched.push(entry)
-                        break
-                    if processed == limit:
-                        sched.push(entry)
-                        budget_hit = True
-                        break
-                    self.now = time_
-                    processed += 1
-                    fn(*args)
-        finally:
-            if pause:
-                gc.enable()
-            self._events_processed += processed
-            self._live -= processed
-        if until is not None and not budget_hit and self.now < until:
-            self.now = until
-        return processed
-
     def _run_compiled(
         self, until: Optional[int], max_events: Optional[int]
     ) -> int:
@@ -650,71 +415,22 @@ class Simulator:
             self.now = until
         return processed
 
-    def _resolve_auto(self) -> None:
-        """Pick heap vs calendar from the pending depth (``"auto"`` mode).
-
-        Runs once, at the first :meth:`run` call: by then the workload
-        has seeded its initial event population, which is the best
-        available signal for eventual depth.  At or above
-        :data:`AUTO_CALENDAR_DEPTH` live events the existing heap
-        entries migrate into a :class:`CalendarQueue`; otherwise the
-        simulator stays on the heap path.  Either store preserves the
-        exact ``(time, seq)`` order, so resolution never changes
-        results — only the constant factors.
-        """
-        self._auto_pending = False
-        if self._live >= AUTO_CALENDAR_DEPTH:
-            sched = CalendarQueue()
-            heap = self._heap
-            for entry in heap:
-                sched.push(entry)
-            del heap[:]
-            self._sched = sched
-            self.scheduler = "calendar"
-        else:
-            self.scheduler = "heap"
-
     def _remove_entries(self, entries) -> None:
         """Un-schedule plain fast-path entries (rare path).
 
         Used by PFC train truncation to cancel the delivery events of
-        packets returned to the queue.  O(heap) on the default scheduler
-        (one heapify), O(store) per entry on the calendar queue —
-        acceptable because pauses are rare relative to transmissions.
-        Every entry must currently be scheduled.
+        packets returned to the queue.  O(heap) — one scan per entry plus
+        one heapify — acceptable because pauses are rare relative to
+        transmissions.  Every entry must currently be scheduled.
         """
-        sched = self._sched
-        if sched is None:
-            heap = self._heap
-            for entry in entries:
-                heap.remove(entry)
-            heapq.heapify(heap)
-        else:
-            for entry in entries:
-                sched.remove(entry)
+        heap = self._heap
+        for entry in entries:
+            heap.remove(entry)
+        heapq.heapify(heap)
         self._live -= len(entries)
 
     def step(self) -> bool:
         """Process exactly one pending event.  Returns False if none left."""
-        if self._sched is not None:
-            sched = self._sched
-            while True:
-                entry = sched.pop()
-                if entry is None:
-                    return False
-                time_, _seq, fn, args = entry
-                if fn is None:
-                    event = args
-                    if event.cancelled:
-                        continue
-                    event._fired = True
-                    fn = event.fn
-                    args = event.args
-                self.now = time_
-                self._events_processed += 1
-                self._live -= 1
-                fn(*args)
-                return True
         heap = self._heap
         while heap:
             time_, _seq, fn, args = heapq.heappop(heap)
@@ -740,11 +456,9 @@ class Simulator:
 
     @property
     def heap_entries(self) -> int:
-        """Raw event-store length, including cancelled entries awaiting
-        lazy compaction (diagnostics only — see :attr:`pending` for the
-        live count)."""
-        if self._sched is not None:
-            return len(self._sched)
+        """Raw heap length, including cancelled entries awaiting lazy
+        compaction (diagnostics only — see :attr:`pending` for the live
+        count)."""
         return len(self._heap)
 
     @property
@@ -767,16 +481,6 @@ class Simulator:
         the run loop performs); the live count is unaffected because
         cancellation already discounted those entries.
         """
-        if self._sched is not None:
-            sched = self._sched
-            while True:
-                entry = sched.pop()
-                if entry is None:
-                    return None
-                if entry[2] is None and entry[3].cancelled:
-                    continue
-                sched.push(entry)
-                return entry[0]
         heap = self._heap
         while heap:
             head = heap[0]

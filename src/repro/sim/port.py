@@ -11,39 +11,11 @@ the egress queue length, timestamp, cumulative transmitted bytes, and
 bandwidth, all taken *when the packet is scheduled for transmission*
 (i.e. at the moment it starts serializing).
 
-Packet-train batching (opt-in, ``Simulator(tx_batch_limit=n)`` with
-``n > 1``): when the transmitter is free, up to ``n`` back-to-back
-same-priority packets are committed as one *train* — per-packet finish
-events are elided entirely.  Each packet keeps its own serialization
-start time for INT/queuing-delay stamps, its own Dynamic-Thresholds
-buffer release (deferred to its individual finish time and flushed at
-every admission decision point), and its own delivery event at
-``finish_i + prop_delay`` — all committed up front at train start.  The
-port's transmitter state is a ``_free_at`` timestamp instead of a finish
-event.  An arrival during serialization with empty queues, matching
-priority, and train budget left *extends* the in-flight train in place —
-committed immediately with its serialization start at the train's
-current end, no queueing and no extra event (same-priority FIFO
-extension keeps departure order exact; only timing granularity is
-approximated, bounded by the train length like every other batching
-effect).  Arrivals that cannot extend (backlog, other priority, or
-budget exhausted) queue up and arm a single *wake* event at the train
-end, so work conservation is preserved with at most one event per train
-where the unbatched path pays one per packet.  A PFC pause arriving mid-train
-truncates it: packets whose serialization had not started by the pause
-instant are returned to the queue front with qlen/tx/buffer/INT
-accounting undone and their delivery events un-scheduled
-(``Simulator._remove_entries`` — O(heap), acceptable because pauses are
-rare).  The per-packet train entries truncation needs are kept only
-when ``Simulator.pause_tracking`` is on (the PFC controller enables it;
-nothing else in the paper's scenarios pauses ports mid-run).  The approximation relative to ``n == 1`` is only in
-*interleaving*: mid-train arrivals cannot preempt at packet boundaries
-and see the port's post-train queue length, so results are
-deterministic per configuration but not bit-identical across batching
-settings.  Elided per-packet completions are added back into
-``Simulator.events_processed`` (see ``Simulator.events_coalesced``), so
-event counts stay comparable across configurations (up to the wake
-events, a few percent).
+The per-packet transmit pipeline — ``enqueue`` / ``_start_tx`` /
+``_finish_tx``, pushing straight onto the simulator's one event heap —
+is defined once, on :class:`EgressPort`.  Packet-train batching
+(opt-in, ``Simulator(tx_batch_limit=n)`` with ``n > 1``) is the
+:class:`TrainPort` subclass, which holds all train state and logic.
 """
 
 from __future__ import annotations
@@ -170,36 +142,14 @@ class EgressPort:
         "_ser_cache",
         "_deliver",
         "_finish_cb",
-        "_batch_limit",
-        "_train",
-        "_train_prio",
-        "_train_n",
-        "_free_at",
-        "_wake_armed",
-        "_wake_cb",
     )
 
     def __new__(cls, sim: Simulator, *args, **kwargs):
-        # Class-swap specialization: the overwhelmingly common engine
-        # configuration (binary-heap scheduler, batching off) gets a
-        # subclass whose hot methods are the seed-exact bodies with no
-        # scheduler or batching branches at all — the alternative-path
-        # checks cost a few percent when multiplied by millions of
-        # events.  Subclasses (CircuitPort) are never swapped, and the
-        # engine configuration is fixed at Simulator construction, so
-        # the choice is safe to make once here.  The compiled engine
-        # qualifies too (its drain pops from the same ``_heap`` list the
-        # specialized pushes target), but an unresolved ``"auto"``
-        # simulator must NOT: its first run may migrate the heap into a
-        # calendar queue, which a ``_HeapPort``'s raw-list pushes would
-        # bypass.
-        if (
-            cls is EgressPort
-            and getattr(sim, "_sched", None) is None
-            and not getattr(sim, "_auto_pending", False)
-            and getattr(sim, "tx_batch_limit", 1) == 1
-        ):
-            return object.__new__(_HeapPort)
+        # Packet-train batching is fixed per simulator, so a plain port
+        # built on a batching simulator is a TrainPort.  Subclasses
+        # (CircuitPort) keep the per-packet bodies below.
+        if cls is EgressPort and getattr(sim, "tx_batch_limit", 1) > 1:
+            cls = TrainPort
         return object.__new__(cls)
 
     def __init__(
@@ -255,22 +205,6 @@ class EgressPort:
         #: hot path
         self._deliver = peer.receive if peer is not None else None
         self._finish_cb = self._finish_tx
-        #: packets per train (1 = batching off, the byte-exact default);
-        #: fixed per simulator so every port of a run agrees
-        self._batch_limit = getattr(sim, "tx_batch_limit", 1)
-        #: last committed train: list of (pkt, start_ns, finish_ns, hop,
-        #: qdelay, delivery_entry) tuples, kept only so a PFC pause
-        #: before ``_free_at`` can truncate it (stale afterwards)
-        self._train = None
-        self._train_prio = 0
-        #: packets committed to the in-flight train (extension budget)
-        self._train_n = 0
-        #: transmitter-free timestamp — the batched path's substitute
-        #: for the ``busy`` flag + finish event
-        self._free_at = 0
-        #: whether a wake event is pending at ``_free_at``
-        self._wake_armed = False
-        self._wake_cb = self._wake
 
     # ------------------------------------------------------------------
     def connect(self, peer, prop_delay_ns: Optional[int] = None) -> None:
@@ -291,26 +225,8 @@ class EgressPort:
         mirroring how RDMA deployments protect control traffic.
         """
         size = pkt.size
-        sim = self.sim
-        now = sim.now
         buffer = self.buffer
         if buffer is not None:
-            # Train batching defers releases; flush the due ones so the
-            # DT admission below sees the exact occupancy.  The sentinel
-            # keeps this to one compare whenever batching is off or no
-            # release has come due; the flush itself is inlined from
-            # SharedBuffer.release_due (packed-int entries) — it fires
-            # on a large fraction of enqueues under sustained load.
-            if now >= buffer._next_release:
-                deferred = buffer._deferred
-                used = buffer.used
-                release_limit = ((now + 1) << 20) - 1
-                while deferred and deferred[0] <= release_limit:
-                    used -= heappop(deferred) & 0xFFFFF
-                buffer.used = used
-                buffer._next_release = (
-                    (deferred[0] >> 20) if deferred else _NEVER
-                )
             # Inlined SharedBuffer.admits / on_enqueue / on_drop — one
             # call per enqueue on every switch port.
             if pkt.kind == DATA:
@@ -336,8 +252,263 @@ class EgressPort:
                 pkt.ecn_marked = True
                 self.marks += 1
 
-        if self._batch_limit != 1 and not self._nonempty and not self.paused:
-            # Batched hot paths, both skipping the deque append/pop
+        pkt.enqueue_ts = self.sim.now
+        priority = pkt.priority
+        self.queues[priority].append(pkt)
+        self._nonempty |= 1 << priority
+        qlen = self.qlen_bytes + size
+        self.qlen_bytes = qlen
+        if qlen > self.max_qlen_bytes:
+            self.max_qlen_bytes = qlen
+        if not self.busy and not self.paused:
+            self._start_tx()
+        return True
+
+    # ------------------------------------------------------------------
+    # Dequeue path
+    # ------------------------------------------------------------------
+    def _pop_next(self) -> Optional[Packet]:
+        # Strict priority without scanning empty queues: the lowest set
+        # bit of the nonempty mask is the highest-priority backlogged queue.
+        mask = self._nonempty
+        if not mask:
+            return None
+        priority = (mask & -mask).bit_length() - 1
+        queue = self.queues[priority]
+        pkt = queue.popleft()
+        if not queue:
+            self._nonempty = mask & (mask - 1)  # clear the lowest set bit
+        return pkt
+
+    def _stamp_qlen(self, pkt: Packet) -> int:
+        """Queue length reported in INT records.
+
+        A subclass hook: the base-class hot path inlines the plain
+        ``qlen_bytes`` read, so VOQ ports (``CircuitPort``) override
+        :meth:`_start_tx` wholesale and route through this hook there.
+        """
+        return self.qlen_bytes
+
+    def _start_tx(self) -> None:
+        # The per-packet hot path: the strict-priority pop, the INT stamp,
+        # and the finish-event push are all inlined (no _pop_next /
+        # _stamp_qlen / sim.at indirection) — this method and _finish_tx
+        # execute once per packet per hop, millions of times per run.
+        mask = self._nonempty
+        if not mask:
+            return
+        priority = (mask & -mask).bit_length() - 1
+        queue = self.queues[priority]
+        pkt = queue.popleft()
+        if not queue:
+            self._nonempty = mask & (mask - 1)  # clear the lowest set bit
+        self.busy = True
+        size = pkt.size
+        qlen = self.qlen_bytes - size
+        self.qlen_bytes = qlen
+        sim = self.sim
+        now = sim.now
+        tx_bytes = self.tx_bytes + size
+        self.tx_bytes = tx_bytes
+        if self.int_stamping and pkt.int_enabled:
+            hops = pkt.int_hops
+            if hops is None:
+                hops = pkt.int_hops = []
+            # inlined PacketPool.hop (one call per data packet per
+            # stamping hop adds up)
+            free = self._pool._hops
+            if free:
+                hop = free.pop()
+                hop.qlen = qlen
+                hop.ts_ns = now
+                hop.tx_bytes = tx_bytes
+                hop.bandwidth_bps = self.rate_bps
+                hop.port_id = self.port_id
+            else:
+                hop = HopRecord(qlen, now, tx_bytes, self.rate_bps, self.port_id)
+            hops.append(hop)
+        if self.record_queuing and pkt.kind == DATA:
+            self.queuing_delays_ns.append(now - pkt.enqueue_ts)
+        cache = self._ser_cache
+        try:
+            ser = cache[size]
+        except KeyError:
+            ser = cache[size] = tx_time_ns(size, self.rate_bps)
+        # Two heap events per hop, both on the engine's allocation-free
+        # tuple fast path: _finish_tx frees the transmitter at the end of
+        # serialization, then schedules the delivery at the peer.  The
+        # delivery is deliberately *not* scheduled here at _start_tx time:
+        # its heap sequence number would shift by one serialization time,
+        # flipping same-nanosecond tie-breaks between ports with unequal
+        # packet sizes/rates — and the fig4/6/7 series are bit-exact
+        # regression guardrails.
+        heappush(sim._heap, (now + ser, next(sim._seq), self._finish_cb, (pkt,)))
+        sim._live += 1
+
+    def _finish_tx(self, pkt: Packet) -> None:
+        buffer = self.buffer
+        if buffer is not None:
+            buffer.used -= pkt.size  # inlined SharedBuffer.on_dequeue
+            assert buffer.used >= 0, "shared buffer underflow"
+        deliver = self._deliver
+        if deliver is not None:
+            sim = self.sim
+            heappush(
+                sim._heap,
+                (sim.now + self.prop_delay_ns, next(sim._seq), deliver, (pkt,)),
+            )
+            sim._live += 1
+        self.busy = False
+        if not self.paused and self.qlen_bytes > 0:
+            self._start_tx()
+
+    # ------------------------------------------------------------------
+    # Pause / resume (used by the circuit port during "nights")
+    # ------------------------------------------------------------------
+    def pause(self) -> None:
+        """Stop starting new transmissions (the in-flight one completes)."""
+        self.paused = True
+
+    def resume(self) -> None:
+        """Resume draining the queues."""
+        self.paused = False
+        if not self.busy and self.qlen_bytes > 0:
+            self._start_tx()
+
+    # ------------------------------------------------------------------
+    @property
+    def utilization_bytes(self) -> int:
+        """Cumulative bytes transmitted (basis of throughput sampling)."""
+        return self.tx_bytes
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"EgressPort({self.name or self.port_id}, "
+            f"{self.rate_bps/1e9:g}Gbps, qlen={self.qlen_bytes}B)"
+        )
+
+
+class TrainPort(EgressPort):
+    """An :class:`EgressPort` that serializes packet trains.
+
+    ``EgressPort.__new__`` builds this class for every plain port of a
+    ``Simulator(tx_batch_limit=n)`` with ``n > 1``.  When the transmitter
+    is free, up to ``n`` back-to-back same-priority packets are committed
+    as one *train* — per-packet finish events are elided entirely.  Each
+    packet keeps its own serialization start time for INT/queuing-delay
+    stamps, its own Dynamic-Thresholds buffer release (deferred to its
+    individual finish time and flushed at every admission decision
+    point), and its own delivery event at ``finish_i + prop_delay`` — all
+    committed up front at train start.  The transmitter state is a
+    ``_free_at`` timestamp instead of the ``busy`` flag + finish event
+    (``busy`` stays False).  :meth:`_start_tx` keeps its meaning — "the
+    transmitter may have work" — and checks ``_free_at`` itself, so the
+    inherited :meth:`EgressPort.resume` serves both classes.
+
+    An arrival during serialization with empty queues, matching priority,
+    and train budget left *extends* the in-flight train in place —
+    committed immediately with its serialization start at the train's
+    current end, no queueing and no extra event (same-priority FIFO
+    extension keeps departure order exact; only timing granularity is
+    approximated, bounded by the train length like every other batching
+    effect).  Arrivals that cannot extend (backlog, other priority, or
+    budget exhausted) queue up and arm a single *wake* event at the train
+    end, so work conservation is preserved with at most one event per
+    train where the unbatched path pays one per packet.
+
+    A PFC pause arriving mid-train truncates it: packets whose
+    serialization had not started by the pause instant are returned to
+    the queue front with qlen/tx/buffer/INT accounting undone and their
+    delivery events un-scheduled (``Simulator._remove_entries`` —
+    O(heap), acceptable because pauses are rare).  The per-packet train
+    entries truncation needs are kept only when
+    ``Simulator.pause_tracking`` is on (the PFC controller enables it;
+    nothing else in the paper's scenarios pauses ports mid-run).
+
+    The approximation relative to ``n == 1`` is only in *interleaving*:
+    mid-train arrivals cannot preempt at packet boundaries and see the
+    port's post-train queue length, so results are deterministic per
+    configuration but not bit-identical across batching settings.  Elided
+    per-packet completions are added back into
+    ``Simulator.events_processed`` (see ``Simulator.events_coalesced``),
+    so event counts stay comparable across configurations (up to the
+    wake events, a few percent).
+    """
+
+    __slots__ = (
+        "_batch_limit",
+        "_train",
+        "_train_prio",
+        "_train_n",
+        "_free_at",
+        "_wake_armed",
+        "_wake_cb",
+    )
+
+    def __init__(self, sim: Simulator, *args, **kwargs):
+        super().__init__(sim, *args, **kwargs)
+        #: packets per train; fixed per simulator so every port of a run
+        #: agrees
+        self._batch_limit = sim.tx_batch_limit
+        #: last committed train: list of (pkt, start_ns, finish_ns, hop,
+        #: qdelay, delivery_entry) tuples, kept only so a PFC pause
+        #: before ``_free_at`` can truncate it (stale afterwards)
+        self._train = None
+        self._train_prio = 0
+        #: packets committed to the in-flight train (extension budget)
+        self._train_n = 0
+        #: transmitter-free timestamp — the substitute for the ``busy``
+        #: flag + finish event
+        self._free_at = 0
+        #: whether a wake event is pending at ``_free_at``
+        self._wake_armed = False
+        self._wake_cb = self._wake
+
+    def enqueue(self, pkt: Packet) -> bool:
+        """:meth:`EgressPort.enqueue` with the train commit paths."""
+        size = pkt.size
+        sim = self.sim
+        now = sim.now
+        buffer = self.buffer
+        if buffer is not None:
+            # Train batching defers releases; flush the due ones so the
+            # DT admission below sees the exact occupancy.  The sentinel
+            # keeps this to one compare when no release has come due;
+            # the flush itself is inlined from SharedBuffer.release_due
+            # (packed-int entries) — it fires on a large fraction of
+            # enqueues under sustained load.
+            if now >= buffer._next_release:
+                deferred = buffer._deferred
+                used = buffer.used
+                release_limit = ((now + 1) << 20) - 1
+                while deferred and deferred[0] <= release_limit:
+                    used -= heappop(deferred) & 0xFFFFF
+                buffer.used = used
+                buffer._next_release = (
+                    (deferred[0] >> 20) if deferred else _NEVER
+                )
+            # Inlined SharedBuffer.admits / on_enqueue / on_drop.
+            if pkt.kind == DATA:
+                used = buffer.used
+                if (
+                    used + size > buffer.capacity
+                    or self.qlen_bytes >= buffer.alpha * (buffer.capacity - used)
+                ):
+                    self.drops += 1
+                    buffer.drops += 1
+                    return False
+            buffer.used += size
+            buffer.total_admitted += size
+            assert buffer.used <= buffer.capacity, "shared buffer overflow"
+
+        ecn = self.ecn
+        if ecn is not None and pkt.ecn_capable and self.qlen_bytes > ecn.kmin:
+            if ecn.should_mark(self.qlen_bytes, self.rng):
+                pkt.ecn_marked = True
+                self.marks += 1
+
+        if not self._nonempty and not self.paused:
+            # The hot paths, both skipping the deque append/pop
             # round-trip and the priority-mask updates:
             # * port free -> fused single-packet train (start = now);
             # * port serializing a train, queues empty, same priority,
@@ -407,11 +578,7 @@ class EgressPort:
                 deliver = self._deliver
                 if deliver is not None:
                     dentry = (t + self.prop_delay_ns, next(sim._seq), deliver, (pkt,))
-                    sched = sim._sched
-                    if sched is None:
-                        heappush(sim._heap, dentry)
-                    else:
-                        sched.push(dentry)
+                    heappush(sim._heap, dentry)
                     sim._live += 1
                 if fresh:
                     self._train_n = 1
@@ -440,146 +607,30 @@ class EgressPort:
         self.qlen_bytes = qlen
         if qlen > self.max_qlen_bytes:
             self.max_qlen_bytes = qlen
-        if self._batch_limit == 1:
-            if not self.busy and not self.paused:
-                self._start_tx()
-        elif not self.paused:
-            # Batched transmitter state is the _free_at timestamp: start
-            # a train if the port is free, otherwise make sure a wake
-            # event is pending at the in-flight train's end.
-            if now >= self._free_at:
-                self._start_train()
-            elif not self._wake_armed:
-                self._wake_armed = True
-                entry = (self._free_at, next(sim._seq), self._wake_cb, ())
-                sched = sim._sched
-                if sched is None:
-                    heappush(sim._heap, entry)
-                else:
-                    sched.push(entry)
-                sim._live += 1
+        # The steady backlogged case — mid-train with the wake already
+        # armed — needs nothing more, so skip the call.
+        if not self.paused and (now >= self._free_at or not self._wake_armed):
+            self._start_tx()
         return True
 
-    # ------------------------------------------------------------------
-    # Dequeue path
-    # ------------------------------------------------------------------
-    def _pop_next(self) -> Optional[Packet]:
-        # Strict priority without scanning empty queues: the lowest set
-        # bit of the nonempty mask is the highest-priority backlogged queue.
-        mask = self._nonempty
-        if not mask:
-            return None
-        priority = (mask & -mask).bit_length() - 1
-        queue = self.queues[priority]
-        pkt = queue.popleft()
-        if not queue:
-            self._nonempty = mask & (mask - 1)  # clear the lowest set bit
-        return pkt
-
-    def _stamp_qlen(self, pkt: Packet) -> int:
-        """Queue length reported in INT records.
-
-        A subclass hook: the base-class hot path inlines the plain
-        ``qlen_bytes`` read, so VOQ ports (``CircuitPort``) override
-        :meth:`_start_tx` wholesale and route through this hook there.
-        """
-        return self.qlen_bytes
-
     def _start_tx(self) -> None:
-        # The per-packet hot path: the strict-priority pop, the INT stamp,
-        # and the finish-event push are all inlined (no _pop_next /
-        # _stamp_qlen / sim.at indirection) — this method and _finish_tx
-        # execute once per packet per hop, millions of times per run.
-        if self._batch_limit > 1:
-            self._start_train()
-            return
-        mask = self._nonempty
-        if not mask:
-            return
-        priority = (mask & -mask).bit_length() - 1
-        queue = self.queues[priority]
-        pkt = queue.popleft()
-        if not queue:
-            self._nonempty = mask & (mask - 1)  # clear the lowest set bit
-        self.busy = True
-        size = pkt.size
-        qlen = self.qlen_bytes - size
-        self.qlen_bytes = qlen
+        # Start a train if the port is free, otherwise make sure a wake
+        # event is pending at the in-flight train's end.
         sim = self.sim
-        now = sim.now
-        tx_bytes = self.tx_bytes + size
-        self.tx_bytes = tx_bytes
-        if self.int_stamping and pkt.int_enabled:
-            hops = pkt.int_hops
-            if hops is None:
-                hops = pkt.int_hops = []
-            # inlined PacketPool.hop (one call per data packet per
-            # stamping hop adds up)
-            free = self._pool._hops
-            if free:
-                hop = free.pop()
-                hop.qlen = qlen
-                hop.ts_ns = now
-                hop.tx_bytes = tx_bytes
-                hop.bandwidth_bps = self.rate_bps
-                hop.port_id = self.port_id
-            else:
-                hop = HopRecord(qlen, now, tx_bytes, self.rate_bps, self.port_id)
-            hops.append(hop)
-        if self.record_queuing and pkt.kind == DATA:
-            self.queuing_delays_ns.append(now - pkt.enqueue_ts)
-        cache = self._ser_cache
-        try:
-            ser = cache[size]
-        except KeyError:
-            ser = cache[size] = tx_time_ns(size, self.rate_bps)
-        # Two heap events per hop, both on the engine's allocation-free
-        # tuple fast path: _finish_tx frees the transmitter at the end of
-        # serialization, then schedules the delivery at the peer.  The
-        # delivery is deliberately *not* scheduled here at _start_tx time:
-        # its heap sequence number would shift by one serialization time,
-        # flipping same-nanosecond tie-breaks between ports with unequal
-        # packet sizes/rates — and the fig4/6/7 series are bit-exact
-        # regression guardrails.
-        entry = (now + ser, next(sim._seq), self._finish_cb, (pkt,))
-        sched = sim._sched
-        if sched is None:
-            heappush(sim._heap, entry)
-        else:
-            sched.push(entry)
-        sim._live += 1
-
-    def _finish_tx(self, pkt: Packet) -> None:
-        buffer = self.buffer
-        if buffer is not None:
-            buffer.used -= pkt.size  # inlined SharedBuffer.on_dequeue
-            assert buffer.used >= 0, "shared buffer underflow"
-        deliver = self._deliver
-        if deliver is not None:
-            sim = self.sim
-            entry = (
-                sim.now + self.prop_delay_ns, next(sim._seq), deliver, (pkt,)
-            )
-            sched = sim._sched
-            if sched is None:
-                heappush(sim._heap, entry)
-            else:
-                sched.push(entry)
+        if sim.now >= self._free_at:
+            self._start_train()
+        elif not self._wake_armed:
+            self._wake_armed = True
+            heappush(sim._heap, (self._free_at, next(sim._seq), self._wake_cb, ()))
             sim._live += 1
-        self.busy = False
-        if not self.paused and self.qlen_bytes > 0:
-            self._start_tx()
 
-    # ------------------------------------------------------------------
-    # Packet-train batching (tx_batch_limit > 1)
-    # ------------------------------------------------------------------
     def _start_train(self) -> None:
-        # Batched equivalent of _start_tx: pop up to _batch_limit
+        # Batched equivalent of EgressPort._start_tx: pop up to _batch_limit
         # back-to-back same-priority packets and commit the whole train
         # up front — INT hops, queuing delays, deferred buffer releases,
         # and per-packet delivery events — with *no* finish event at all.
         # The train entries are kept until _free_at only so a PFC pause
-        # can truncate (see module docstring for semantics).
+        # can truncate (see the class docstring for semantics).
         mask = self._nonempty
         if not mask:
             return
@@ -640,11 +691,7 @@ class EgressPort:
             deliver = self._deliver
             if deliver is not None:
                 dentry = (t + self.prop_delay_ns, next(sim._seq), deliver, (pkt,))
-                sched = sim._sched
-                if sched is None:
-                    heappush(sim._heap, dentry)
-                else:
-                    sched.push(dentry)
+                heappush(sim._heap, dentry)
                 sim._live += 1
             self._train_n = 1
             self._train_prio = priority
@@ -668,7 +715,6 @@ class EgressPort:
         deliver = self._deliver
         delays = self.queuing_delays_ns
         seq = sim._seq
-        sched = sim._sched
         heap = sim._heap
         # Per-packet train entries exist only so a mid-train pause can
         # truncate; nothing in the paper's macro scenarios pauses ports,
@@ -710,10 +756,7 @@ class EgressPort:
             dentry = None
             if deliver is not None:
                 dentry = (t + prop, next(seq), deliver, (pkt,))
-                if sched is None:
-                    heappush(heap, dentry)
-                else:
-                    sched.push(dentry)
+                heappush(heap, dentry)
                 pushed += 1
             n += 1
             if train is not None:
@@ -735,11 +778,7 @@ class EgressPort:
         # unbatched path's one finish event per packet.
         if self._nonempty and not self._wake_armed:
             self._wake_armed = True
-            entry = (t, next(seq), self._wake_cb, ())
-            if sched is None:
-                heappush(heap, entry)
-            else:
-                sched.push(entry)
+            heappush(heap, (t, next(seq), self._wake_cb, ()))
             pushed += 1
         sim._live += pushed
         # Elided-event accounting: each packet's finish event would have
@@ -807,168 +846,16 @@ class EgressPort:
         del train[cut:]
         self._free_at = train[-1][2]
 
-    # ------------------------------------------------------------------
-    # Pause / resume (used by the circuit port during "nights")
-    # ------------------------------------------------------------------
     def pause(self) -> None:
-        """Stop starting new transmissions (the in-flight one completes).
+        """Stop starting new trains.
 
-        With train batching *and* ``Simulator.pause_tracking`` enabled
-        (the PFC controller does this), packets of the committed train
-        that have not started serializing yet return to the queue — the
-        pause boundary stays packet-granular, exactly like the unbatched
-        port.  Without tracking, a pause takes effect at the end of the
-        committed train (at most ``tx_batch_limit`` packets later).
+        With ``Simulator.pause_tracking`` enabled (the PFC controller
+        does this), packets of the committed train that have not started
+        serializing yet return to the queue — the pause boundary stays
+        packet-granular, exactly like the unbatched port.  Without
+        tracking, a pause takes effect at the end of the committed train
+        (at most ``tx_batch_limit`` packets later).
         """
         self.paused = True
         if self._train is not None and self.sim.now < self._free_at:
             self._truncate_train()
-
-    def resume(self) -> None:
-        """Resume draining the queues."""
-        self.paused = False
-        if self._batch_limit == 1:
-            if not self.busy and self.qlen_bytes > 0:
-                self._start_tx()
-        elif self.qlen_bytes > 0:
-            sim = self.sim
-            if sim.now >= self._free_at:
-                self._start_train()
-            elif not self._wake_armed:
-                # Backlog built up while paused, mid-serialization (e.g.
-                # after a truncation): no enqueue will arm the wake, so
-                # arm it here.
-                self._wake_armed = True
-                sim.at(self._free_at, self._wake_cb)
-
-    # ------------------------------------------------------------------
-    @property
-    def utilization_bytes(self) -> int:
-        """Cumulative bytes transmitted (basis of throughput sampling)."""
-        return self.tx_bytes
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"EgressPort({self.name or self.port_id}, "
-            f"{self.rate_bps/1e9:g}Gbps, qlen={self.qlen_bytes}B)"
-        )
-
-
-class _HeapPort(EgressPort):
-    """Hot-path specialization for heap-scheduled, unbatched simulators.
-
-    ``EgressPort.__new__`` swaps construction to this class whenever the
-    owning simulator uses the default binary-heap scheduler with
-    ``tx_batch_limit == 1``.  The three per-packet methods below are the
-    exact per-packet transmit pipeline with every alternative-path
-    branch removed: no calendar-queue dispatch, no train-batching block,
-    and no deferred-release flush (an unbatched simulator never defers
-    buffer releases, so ``buffer.used`` is always current here).  The
-    bodies must stay behaviorally identical to the general class with
-    batching off — the committed figure series are byte-exact regression
-    guardrails for exactly this path.
-    """
-
-    __slots__ = ()
-
-    def enqueue(self, pkt: Packet) -> bool:
-        size = pkt.size
-        buffer = self.buffer
-        if buffer is not None:
-            # Inlined SharedBuffer.admits / on_enqueue / on_drop.
-            if pkt.kind == DATA:
-                used = buffer.used
-                if (
-                    used + size > buffer.capacity
-                    or self.qlen_bytes >= buffer.alpha * (buffer.capacity - used)
-                ):
-                    self.drops += 1
-                    buffer.drops += 1
-                    return False
-            buffer.used += size
-            buffer.total_admitted += size
-            assert buffer.used <= buffer.capacity, "shared buffer overflow"
-
-        ecn = self.ecn
-        if ecn is not None and pkt.ecn_capable and self.qlen_bytes > ecn.kmin:
-            # qlen <= kmin is should_mark's no-RNG fast reject — same
-            # decision and RNG stream, minus the call below kmin.
-            if ecn.should_mark(self.qlen_bytes, self.rng):
-                pkt.ecn_marked = True
-                self.marks += 1
-
-        pkt.enqueue_ts = self.sim.now
-        priority = pkt.priority
-        self.queues[priority].append(pkt)
-        self._nonempty |= 1 << priority
-        qlen = self.qlen_bytes + size
-        self.qlen_bytes = qlen
-        if qlen > self.max_qlen_bytes:
-            self.max_qlen_bytes = qlen
-        if not self.busy and not self.paused:
-            self._start_tx()
-        return True
-
-    def _start_tx(self) -> None:
-        mask = self._nonempty
-        if not mask:
-            return
-        priority = (mask & -mask).bit_length() - 1
-        queue = self.queues[priority]
-        pkt = queue.popleft()
-        if not queue:
-            self._nonempty = mask & (mask - 1)  # clear the lowest set bit
-        self.busy = True
-        size = pkt.size
-        qlen = self.qlen_bytes - size
-        self.qlen_bytes = qlen
-        sim = self.sim
-        now = sim.now
-        tx_bytes = self.tx_bytes + size
-        self.tx_bytes = tx_bytes
-        if self.int_stamping and pkt.int_enabled:
-            hops = pkt.int_hops
-            if hops is None:
-                hops = pkt.int_hops = []
-            # inlined PacketPool.hop (one call per data packet per
-            # stamping hop adds up)
-            free = self._pool._hops
-            if free:
-                hop = free.pop()
-                hop.qlen = qlen
-                hop.ts_ns = now
-                hop.tx_bytes = tx_bytes
-                hop.bandwidth_bps = self.rate_bps
-                hop.port_id = self.port_id
-            else:
-                hop = HopRecord(qlen, now, tx_bytes, self.rate_bps, self.port_id)
-            hops.append(hop)
-        if self.record_queuing and pkt.kind == DATA:
-            self.queuing_delays_ns.append(now - pkt.enqueue_ts)
-        cache = self._ser_cache
-        try:
-            ser = cache[size]
-        except KeyError:
-            ser = cache[size] = tx_time_ns(size, self.rate_bps)
-        # The delivery is deliberately *not* scheduled here (see the
-        # general class: the heap sequence number must be drawn at
-        # serialization end, or same-nanosecond tie-breaks flip).
-        heappush(sim._heap, (now + ser, next(sim._seq), self._finish_cb, (pkt,)))
-        sim._live += 1
-
-    def _finish_tx(self, pkt: Packet) -> None:
-        buffer = self.buffer
-        if buffer is not None:
-            buffer.used -= pkt.size  # inlined SharedBuffer.on_dequeue
-            assert buffer.used >= 0, "shared buffer underflow"
-        deliver = self._deliver
-        if deliver is not None:
-            sim = self.sim
-            heappush(
-                sim._heap,
-                (sim.now + self.prop_delay_ns, next(sim._seq), deliver, (pkt,)),
-            )
-            sim._live += 1
-        self.busy = False
-        if not self.paused and self.qlen_bytes > 0:
-            self._start_tx()

@@ -8,13 +8,10 @@ to the switch's routing *policy* (:mod:`repro.routing`): flow-level ECMP
 by default, or any registered policy (WRR, least-loaded, spray) passed as
 ``policy=``.
 
-The default — parameterless ECMP, ``policy=None`` — is special-cased the
-same way :class:`repro.sim.port.EgressPort` specializes its hot path:
-``__new__`` swaps construction to :class:`_EcmpSwitch`, whose
-``route_for``/``receive`` inline the exact historical hash arithmetic
-with no policy indirection, so the 26 committed figure series are
-byte-identical by construction.  Subclasses (e.g. the RDCN ToR) are
-never swapped.
+The default — parameterless ECMP — is ``policy=None``: ``receive``
+inlines the exact historical hash arithmetic instead of calling a policy
+object, so the 26 committed figure series are byte-identical by
+construction.
 """
 
 from __future__ import annotations
@@ -76,17 +73,6 @@ class Switch:
         "policy",
     )
 
-    def __new__(cls, sim, *args, **kwargs):
-        # Class-swap specialization, mirroring EgressPort.__new__: the
-        # overwhelmingly common configuration (no policy object = default
-        # ECMP) gets a subclass whose route_for/receive inline the seed-
-        # exact hash with no policy branch.  Subclasses (RdcnToR) are
-        # never swapped; set_policy() re-swaps after construction.
-        policy = kwargs.get("policy") if len(args) < 4 else args[3]
-        if cls is Switch and policy is None:
-            return object.__new__(_EcmpSwitch)
-        return object.__new__(cls)
-
     def __init__(
         self,
         sim,
@@ -103,7 +89,7 @@ class Switch:
         self.routes: Dict[int, Tuple[EgressPort, ...]] = {}
         #: dst -> the sole egress port, for single-candidate rows only
         #: (maintained by :meth:`set_route`): the hot receive path does
-        #: one dict probe instead of row lookup + length dispatch.  A
+        #: one dict probe instead of row lookup + selection.  A
         #: single-candidate row has no selection to make, so this can
         #: never change a pick.
         self._single: Dict[int, EgressPort] = {}
@@ -133,19 +119,10 @@ class Switch:
     def set_policy(self, policy) -> None:
         """Per-switch policy override after construction.
 
-        ``None`` restores the default ECMP fast path.  The swap between
-        :class:`Switch` and :class:`_EcmpSwitch` is safe because their
-        slot layouts are identical (``_EcmpSwitch.__slots__ == ()``);
-        subclasses keep their own class either way.
+        ``None`` restores the default inline ECMP.
         """
-        if policy is None:
-            self.policy = None
-            if type(self) is Switch:
-                self.__class__ = _EcmpSwitch
-            return
-        if type(self) is _EcmpSwitch:
-            self.__class__ = Switch
-        policy.attach(self)
+        if policy is not None:
+            policy.attach(self)
         self.policy = policy
 
     def candidates(self, dst: int) -> Tuple[EgressPort, ...]:
@@ -156,52 +133,22 @@ class Switch:
             raise RoutingError(self.name, dst, sorted(self.routes)) from None
 
     def route_for(self, pkt: Packet) -> EgressPort:
-        """Path selection: the policy's pick among the candidates."""
+        """Path selection: the port :meth:`receive` would enqueue to."""
         options = self.candidates(pkt.dst)
         if len(options) == 1:
             return options[0]
         policy = self.policy
         if policy is None:
-            # Subclasses built without a policy (RDCN ToR) fall back to
-            # the default flow-level ECMP arithmetic.
-            index = ((pkt.flow_id ^ self.switch_id) * _HASH_MIX) & 0xFFFFFFFF
-            return options[index % len(options)]
+            return options[ecmp_index(pkt.flow_id, self.switch_id, len(options))]
         return policy.select(pkt, options)
 
     def receive(self, pkt: Packet) -> None:
         """Forward an arriving packet to the routed egress port."""
         self.rx_packets += 1
-        self.route_for(pkt).enqueue(pkt)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Switch({self.name}, ports={len(self.ports)})"
-
-
-class _EcmpSwitch(Switch):
-    """Class-swap fast path: default flow-level ECMP, no policy branch.
-
-    ``Switch.__new__`` swaps construction to this class whenever no
-    policy object is given.  ``route_for``/``receive`` are the historical
-    seed-exact bodies — the ECMP pick is inlined in ``receive`` (same
-    arithmetic as ``route_for``) to avoid the extra call per packet.
-    """
-
-    __slots__ = ()
-
-    def route_for(self, pkt: Packet) -> EgressPort:
-        """ECMP selection: deterministic per (flow, switch)."""
-        options = self.candidates(pkt.dst)
-        if len(options) == 1:
-            return options[0]
-        index = ((pkt.flow_id ^ self.switch_id) * _HASH_MIX) & 0xFFFFFFFF
-        return options[index % len(options)]
-
-    def receive(self, pkt: Packet) -> None:
-        """Forward an arriving packet to the ECMP-routed egress port."""
-        self.rx_packets += 1
         # Single-candidate destinations (ToR downlinks, dumbbell hops —
         # the bulk of every macro workload) resolve in one dict probe;
-        # multi-candidate rows fall through to the inlined ECMP pick.
+        # multi-candidate rows fall through to the pick, inlined here
+        # (not via route_for) to save a call per packet per hop.
         port = self._single.get(pkt.dst)
         if port is not None:
             port.enqueue(pkt)
@@ -210,8 +157,12 @@ class _EcmpSwitch(Switch):
             options = self.routes[pkt.dst]
         except KeyError:
             raise RoutingError(self.name, pkt.dst, sorted(self.routes)) from None
-        if len(options) == 1:
-            options[0].enqueue(pkt)
-        else:
+        policy = self.policy
+        if policy is None:
             index = ((pkt.flow_id ^ self.switch_id) * _HASH_MIX) & 0xFFFFFFFF
             options[index % len(options)].enqueue(pkt)
+        else:
+            policy.select(pkt, options).enqueue(pkt)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Switch({self.name}, ports={len(self.ports)})"

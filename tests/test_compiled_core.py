@@ -218,29 +218,11 @@ def test_engine_report_names_every_engine():
     from repro.perf.bench import engine_report
 
     lines = "\n".join(engine_report())
-    for name in ("heap", "calendar", "compiled", "best", "auto"):
+    for name in ("heap", "compiled", "best"):
         assert name in lines
+    for gone in ("calendar", "auto"):
+        assert gone not in lines
     if compiled_available():
         assert "loaded" in lines
     else:
         assert "unavailable" in lines
-
-
-# ----------------------------------------------------------------------
-# Port specialization interplay
-# ----------------------------------------------------------------------
-
-
-def test_port_specialization_under_compiled_and_auto():
-    from repro.sim.port import EgressPort, _HeapPort
-
-    require_compiled("compiled")
-    # Compiled sims share the raw-heap push path: ports specialize.
-    assert type(EgressPort(Simulator(scheduler="compiled"), 1e9, 0)) is _HeapPort
-    # An unresolved "auto" sim may still migrate to the calendar — its
-    # ports must keep the general (scheduler-checking) push path.
-    auto_sim = Simulator(scheduler="auto")
-    assert type(EgressPort(auto_sim, 1e9, 0)) is EgressPort
-    auto_sim.run(until=0)  # resolves (shallow -> heap)
-    assert auto_sim.scheduler == "heap"
-    assert type(EgressPort(auto_sim, 1e9, 0)) is _HeapPort

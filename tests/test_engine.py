@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import SCHEDULER_MODES, Simulator, engine_defaults
 
 
 def test_events_fire_in_time_order():
@@ -288,3 +288,14 @@ def test_run_with_gc_pause_disabled():
     sim.at(10, fired.append, 1)
     sim.run()
     assert fired == [1]
+
+
+@pytest.mark.parametrize("name", ["calendar", "auto", "nope"])
+def test_unknown_scheduler_rejected_naming_the_accepted_set(name):
+    assert SCHEDULER_MODES == ("heap", "compiled", "best")
+    with pytest.raises(ValueError, match="unknown scheduler") as err:
+        Simulator(scheduler=name)
+    assert all(accepted in str(err.value) for accepted in SCHEDULER_MODES)
+    with pytest.raises(ValueError, match="unknown scheduler"):
+        with engine_defaults(scheduler=name):
+            pass

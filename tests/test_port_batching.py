@@ -1,6 +1,6 @@
 """Packet-train batching semantics (``Simulator(tx_batch_limit > 1)``).
 
-What batching promises (see the ``repro.sim.port`` module docstring):
+What batching promises (see the ``repro.sim.port.TrainPort`` docstring):
 
 * per-packet delivery events with exact serialization arithmetic on the
   fused and train-extension paths (idle port / in-flight train with
@@ -15,6 +15,7 @@ What batching promises (see the ``repro.sim.port`` module docstring):
 import pytest
 
 from repro.sim.buffer import SharedBuffer
+from repro.sim.circuit import CircuitPort
 from repro.sim.engine import Simulator
 from repro.sim.packet import HEADER_BYTES, Packet
 from repro.sim.port import EgressPort
@@ -224,23 +225,6 @@ def test_pause_mid_train_without_tracking_completes_train():
     assert port.tx_bytes == 6000
 
 
-def test_truncated_deliveries_removed_under_calendar_scheduler():
-    # Same truncation exercise through CalendarQueue.remove.
-    sim = Simulator(scheduler="calendar", tx_batch_limit=8)
-    sim.pause_tracking = True
-    sink = Sink(sim)
-    port = EgressPort(sim, 8 * GBPS, 100, peer=sink)
-    for i in range(6):
-        port.enqueue(data(seq=i, payload=1000 - HEADER_BYTES))
-    sim.at(2500, port.pause)
-    sim.at(10_000, port.resume)
-    sim.run()
-    times = {seq: t for t, seq in sink.packets}
-    assert sorted(times) == list(range(6))
-    assert [times[i] for i in range(3, 6)] == [11100, 12100, 13100]
-    assert sim.pending == 0
-
-
 def test_truncation_restores_deferred_buffer_releases():
     sim = Simulator(tx_batch_limit=8)
     sim.pause_tracking = True
@@ -262,32 +246,32 @@ def test_truncation_restores_deferred_buffer_releases():
 
 
 # ----------------------------------------------------------------------
-# Engine-path specialization must not change construction semantics
+# Batching is per port kind: VOQ ports stay per-packet
 # ----------------------------------------------------------------------
-def test_default_engine_uses_specialized_port_class():
-    from repro.sim.port import _HeapPort
+def test_circuit_port_stays_per_packet_on_a_batching_simulator():
+    sim = Simulator(tx_batch_limit=8)
+    sink = Sink(sim)
+    plain = EgressPort(sim, 8 * GBPS, 100, peer=sink)
+    circuit = CircuitPort(sim, 8 * GBPS, 100, tor_id=0, dst_tor_of=lambda dst: 1)
+    circuit.activate(1, sink)
 
-    assert type(EgressPort(Simulator(), 1e9, 0)) is _HeapPort
-    assert type(EgressPort(Simulator(tx_batch_limit=8), 1e9, 0)) is EgressPort
-    assert type(EgressPort(Simulator(scheduler="calendar"), 1e9, 0)) is EgressPort
+    for i in range(3):
+        plain.enqueue(data(seq=i, payload=1000 - HEADER_BYTES))
+    # One fused packet + two extensions: the whole train is committed at
+    # arrival, nothing waits in the queue, three finish events elided.
+    assert plain.qlen_bytes == 0
+    assert sim.events_coalesced == 3
 
+    for i in range(3, 6):
+        circuit.enqueue(data(seq=i, payload=1000 - HEADER_BYTES))
+    # The circuit-scheduled port serializes one packet and queues the
+    # rest behind a per-packet finish event; it coalesces nothing.
+    assert circuit.busy
+    assert circuit.qlen_bytes == 2000
+    assert sim.events_coalesced == 3
 
-def test_specialized_port_matches_general_class_exactly():
-    # A trivial subclass bypasses the __new__ swap and runs the general
-    # (branchy) method bodies; both must produce identical deliveries.
-    class GeneralPort(EgressPort):
-        __slots__ = ()
-
-    def run(cls):
-        sim = Simulator()
-        sink = Sink(sim)
-        port = cls(sim, 8 * GBPS, 1000, peer=sink)
-        for i in range(5):
-            sim.at(i * 700, port.enqueue, data(seq=i))
-        sim.run()
-        return sink.packets, sim.events_processed
-
-    fast, fast_events = run(EgressPort)
-    general, general_events = run(GeneralPort)
-    assert fast == general
-    assert fast_events == general_events
+    sim.run()
+    times = {seq: t for t, seq in sink.packets}
+    assert [times[i] for i in range(6)] == [1100, 2100, 3100] * 2
+    assert sim.events_coalesced == 3
+    assert sim.pending == 0

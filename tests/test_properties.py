@@ -5,6 +5,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from compiled_support import require_compiled
 from repro.analysis.stats import percentile
 from repro.core.power import normalized_power_from_hop
 from repro.fluid.laws import GRADIENT_LAW, POWER_LAW, QUEUE_LAW
@@ -16,18 +17,108 @@ from repro.workloads.distributions import WEB_SEARCH
 
 
 # ----------------------------------------------------------------------
-# Engine: event ordering is a total order
+# Engine: event ordering is a total order, identical under every scheduler
 # ----------------------------------------------------------------------
-@given(st.lists(st.integers(min_value=0, max_value=10**9), min_size=1, max_size=200))
-@settings(max_examples=50, deadline=None)
-def test_engine_processes_any_schedule_in_order(times):
-    sim = Simulator()
+#: one scheduled callback: (time, cancellable?, cancel before the run?,
+#: delay of a child it schedules when it fires, index of a handle it
+#: cancels when it fires).  Small time range => plenty of same-ns ties.
+_OPS = st.lists(
+    st.tuples(
+        st.integers(0, 2000),
+        st.booleans(),
+        st.booleans(),
+        st.none() | st.integers(0, 500),
+        st.none() | st.integers(0, 60),
+    ),
+    min_size=1,
+    max_size=60,
+)
+#: one partial ``run``: (until, max_events, handle cancelled afterwards)
+_SEGMENTS = st.lists(
+    st.tuples(
+        st.none() | st.integers(0, 2500),
+        st.none() | st.integers(0, 40),
+        st.none() | st.integers(0, 60),
+    ),
+    max_size=6,
+)
+
+
+def _run_schedule(scheduler, ops, segments):
+    """Drive one random schedule; return everything an engine may differ in.
+
+    ``fired`` is the (time, id) fire order (children get negative ids);
+    ``checkpoints`` holds (run's return value, now, pending,
+    events_processed) after every partial run and after the final drain.
+    """
+    sim = Simulator(scheduler=scheduler)
     fired = []
-    for i, t in enumerate(times):
-        sim.at(t, fired.append, (t, i))
-    sim.run()
-    assert fired == sorted(fired)  # by time, then insertion order
-    assert len(fired) == len(times)
+    handles = {}
+
+    def cancel(index):
+        if index in handles:
+            handles[index].cancel()
+
+    def fire(i):
+        fired.append((sim.now, i))
+        _, _, _, child_delay, victim = ops[i]
+        if child_delay is not None:
+            sim.after(child_delay, lambda: fired.append((sim.now, -1 - i)))
+        if victim is not None:
+            cancel(victim)
+
+    for i, (t, cancellable, _, _, _) in enumerate(ops):
+        if cancellable:
+            handles[i] = sim.at_cancellable(t, fire, i)
+        else:
+            sim.at(t, fire, i)
+    for i, op in enumerate(ops):
+        if op[2]:
+            cancel(i)
+    checkpoints = []
+    for until, max_events, victim in list(segments) + [(None, None, None)]:
+        processed = sim.run(until=until, max_events=max_events)
+        checkpoints.append((processed, sim.now, sim.pending, sim.events_processed))
+        if victim is not None:
+            cancel(victim)
+    return fired, checkpoints
+
+
+@given(_OPS, _SEGMENTS)
+@settings(max_examples=50, deadline=None)
+def test_engine_processes_any_schedule_in_order(ops, segments):
+    # The heap loop is the reference; check it against the contract.
+    fired, checkpoints = _run_schedule("heap", ops, segments)
+    assert [t for t, _ in fired] == sorted(t for t, _ in fired)
+    top = [(t, i) for t, i in fired if i >= 0]
+    assert top == sorted(top)  # by time, then insertion order
+    assert all(t == ops[i][0] for t, i in top)
+    assert len(set(top)) == len(top)  # nothing fires twice
+    fired_ids = {i for _, i in top}
+    for i, (_, cancellable, cancelled, _, _) in enumerate(ops):
+        if not cancellable:
+            assert i in fired_ids  # plain events cannot be cancelled
+        elif cancelled:
+            assert i not in fired_ids
+    _, _, pending, events_processed = checkpoints[-1]
+    assert pending == 0
+    assert events_processed == len(fired)
+    assert sum(processed for processed, _, _, _ in checkpoints) == len(fired)
+
+
+def test_compiled_engine_matches_heap_on_any_schedule():
+    # Differential parity (docs/INVARIANTS.md#compiled-parity): same fire
+    # order, and same now / pending / events_processed at every split.
+    require_compiled("compiled")
+
+    @given(_OPS, _SEGMENTS)
+    @settings(max_examples=100, deadline=None)
+    def parity(ops, segments):
+        assert _run_schedule("compiled", ops, segments) == _run_schedule(
+            "heap", ops, segments
+        )
+
+    parity()
 
 
 @given(

@@ -1,11 +1,11 @@
-"""Routing-layer tests: registry, class swap, policies, spray transport.
+"""Routing-layer tests: registry, default ECMP, policies, spray transport.
 
 Covers the contracts the routing refactor introduced:
 
 * registry resolution (aliases, unknown names/params fail loudly);
-* the default-ECMP class swap (``_EcmpSwitch``) that keeps committed
-  figure series byte-identical, and its equivalence to the registered
-  ``ecmp`` policy object;
+* the default inline ECMP (``policy=None``) that keeps committed figure
+  series byte-identical, its equivalence to the registered ``ecmp``
+  policy object, and ``set_policy(None)`` restoring it;
 * per-policy determinism (fixed seed => identical per-port bytes);
 * WRR / least-loaded assignment arithmetic and flow pinning;
 * spray + reorder-tolerant receiver end-to-end delivery (all bytes
@@ -35,7 +35,7 @@ from repro.sim.engine import Simulator
 from repro.sim.host import Host
 from repro.sim.packet import Packet
 from repro.sim.port import EgressPort
-from repro.sim.switch import RoutingError, Switch, _EcmpSwitch, ecmp_index
+from repro.sim.switch import RoutingError, Switch, ecmp_index
 from repro.topology.registry import build_topology, make_topology_params
 from repro.transport.flow import Flow
 from repro.transport.receiver import Receiver
@@ -121,33 +121,63 @@ def test_spec_create_returns_fresh_instances():
 
 
 # ----------------------------------------------------------------------
-# class swap (the byte-identity fast path)
+# default ECMP (the byte-identity path)
 # ----------------------------------------------------------------------
-def test_default_switch_is_ecmp_fast_path():
+def forwarded_picks(switch, dst, flows=range(64)):
+    """Index of the port ``switch.receive`` hands each flow's packet to."""
+
+    def accepted():
+        return [port.tx_bytes + port.qlen_bytes for port in switch.ports]
+
+    picks = []
+    for flow in flows:
+        before = accepted()
+        switch.receive(Packet.data(flow, 0, dst, 0, 100))
+        (pick,) = [i for i, (b, a) in enumerate(zip(before, accepted())) if a != b]
+        picks.append(pick)
+    return picks
+
+
+def four_way_switch(sim, switch_id, policy=None):
+    switch = Switch(sim, switch_id, policy=policy)
+    ports = [switch.add_port(EgressPort(sim, GBPS, 100)) for _ in range(4)]
+    switch.set_route(9, tuple(ports))
+    return switch
+
+
+def test_default_switch_forwards_by_inline_ecmp():
     sim = Simulator()
-    assert type(Switch(sim, 1)) is _EcmpSwitch
-    assert type(Switch(sim, 1, policy=EcmpPolicy())) is Switch
+    plain = four_way_switch(sim, 3)
+    assert plain.policy is None
+    expected = [ecmp_index(flow, 3, 4) for flow in range(64)]
+    assert forwarded_picks(plain, 9) == expected
+    assert forwarded_picks(four_way_switch(sim, 3, EcmpPolicy()), 9) == expected
 
 
-def test_default_fattree_switches_use_fast_path():
+def test_default_fattree_switches_carry_no_policy_object():
     sim = Simulator()
     net = build_topology(sim, "fattree", tiny_fattree())
-    assert all(type(s) is _EcmpSwitch for s in net.switches)
+    assert all(s.policy is None for s in net.switches)
     assert net.routing_name == "ecmp"
     assert net.routing_params == {}
     assert net.describe()["routing"] == "ecmp"
 
 
-def test_set_policy_swaps_classes_both_ways():
-    sim = Simulator()
-    switch = Switch(sim, 1)
-    assert type(switch) is _EcmpSwitch
-    switch.set_policy(SprayPolicy())
-    assert type(switch) is Switch
-    assert switch.policy is not None
-    switch.set_policy(None)
-    assert type(switch) is _EcmpSwitch
-    assert switch.policy is None
+def test_set_policy_none_restores_the_default_picks():
+    def fattree_tor():
+        net = build_topology(Simulator(), "fattree", tiny_fattree())
+        tor = net.switches[0]
+        dst = next(d for d, row in sorted(tor.routes.items()) if len(row) > 1)
+        return tor, dst
+
+    untouched, dst = fattree_tor()
+    toggled, _ = fattree_tor()
+    toggled.set_policy(SprayPolicy())
+    sprayed = forwarded_picks(toggled, dst, flows=[7] * 4)
+    assert len(set(sprayed)) > 1  # the policy really was in charge
+    toggled.set_policy(None)
+    assert toggled.policy is None
+    assert forwarded_picks(toggled, dst) == forwarded_picks(untouched, dst)
 
 
 def test_policy_instances_are_per_switch():

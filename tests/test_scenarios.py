@@ -26,7 +26,6 @@ from repro.scenarios.sweep import (
 ALL_SCENARIOS = [
     "bursty",
     "coexistence",
-    "event_storm",
     "fairness",
     "incast",
     "lb_matrix",
