@@ -95,13 +95,18 @@ class ResultSet:
     def load(cls, path: str) -> "ResultSet":
         """Load one persisted sweep document."""
         with open(path) as handle:
-            doc = json.load(handle)
-        cells = []
-        for cell in doc.get("cells", []):
-            if "scenario" not in cell:
-                continue
-            cells.append(cls._cell_from_dict(cell, path))
-        return cls(cells)
+            return cls.from_doc(json.load(handle), path)
+
+    @classmethod
+    def from_doc(cls, doc: Dict[str, Any], source: str = "") -> "ResultSet":
+        """The cells of one parsed sweep document (``source`` = its file)."""
+        return cls(
+            [
+                cls._cell_from_dict(cell, source)
+                for cell in doc.get("cells", [])
+                if "scenario" in cell
+            ]
+        )
 
     @staticmethod
     def _cell_from_dict(cell: Dict[str, Any], source: str) -> "ResultCell":
@@ -434,9 +439,10 @@ def merge_campaign(
 
     Merges the ``<base>.shard-I-of-N.json`` files exactly like
     :func:`merge_shards`, then adopts any ``cell_ok`` journal records for
-    cells the shard files do not contain — results completed after the
-    last shard flush but before a crash live only in the journal, and a
-    merge that ignored them would re-run (or under-report) those cells.
+    cells the shard files do not contain — the shard files are written
+    once, when a run finishes or drains, so the results of a run that was
+    killed live only in the journal, and a merge that ignored them would
+    re-run (or under-report) those cells.
     """
     merged = ResultSet.merge_shards(directory, base)
     if journal:

@@ -1,14 +1,14 @@
 """Crash-safe append-only campaign journal (``<stem>.journal.jsonl``).
 
 Contract: ``docs/INVARIANTS.md#journal-contract``.  The journal is the
-campaign's write-ahead record: every completed cell is appended (one
-self-contained JSON object per line, flushed and optionally fsynced)
-*before* it is counted done, while the larger shard documents are only
-flushed every ``flush_every`` completions.  A campaign killed at any
-point — including ``kill -9`` mid-append — resumes by merging the shard
-files with the journal: a torn final line is simply ignored (the cell
-re-runs), and replay is idempotent because records are keyed by the
-cell's full (scenario, overrides) identity.
+campaign's only incremental record: every completed cell is appended
+(one self-contained JSON object per line, flushed and optionally
+fsynced) *before* it is counted done; the shard documents are written
+once, when the run finishes or drains.  A campaign killed at any point
+— including ``kill -9`` mid-append — resumes from the journal (plus
+whatever shard files an earlier run left): a torn final line is simply
+ignored (the cell re-runs), and replay is idempotent because records
+are keyed by the cell's full (scenario, overrides) identity.
 
 Record shapes (``event`` discriminates)::
 

@@ -13,11 +13,11 @@ Schema (all keys except ``scenario`` optional)::
       "grid":  {"algorithm": ["powertcp", "hpcc"], "load": [0.2, 0.6]},
       "base":  {"duration_ns": 4000000},
       "seed":  1,
-      "shards": 4,             // grid partition; one output file per shard
+      "shards": 4,             // grid partition; one output file per
+                               // shard, written when the run ends
       "workers": 4,            // subprocess worker pool size
       "modules": ["repro.scenarios.faulty"],  // extra scenario modules
       "out": "benchmarks/results/websearch_campaign.json",
-      "flush_every": 16,       // persist shard files every N completions
       "journal_fsync": true,
       "limits": {
         "cell_timeout_s": 300, "max_attempts": 3,
@@ -99,7 +99,6 @@ class CampaignManifest:
     #: lookup — how non-builtin scenarios join a campaign
     modules: List[str] = field(default_factory=list)
     out: Optional[str] = None
-    flush_every: int = 16
     journal_fsync: bool = True
     limits: LimitsPolicy = field(default_factory=LimitsPolicy)
 
@@ -109,8 +108,6 @@ class CampaignManifest:
             raise ValueError("shards must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.flush_every < 1:
-            raise ValueError("flush_every must be >= 1")
         self.limits.validate()
         self.import_modules()
         self.to_spec().validate()
@@ -138,8 +135,7 @@ class CampaignManifest:
         )
 
     def to_json_dict(self) -> Dict[str, Any]:
-        doc = dataclasses.asdict(self)
-        return doc
+        return dataclasses.asdict(self)
 
     def sha(self) -> str:
         """Content hash, journaled so a resume can flag manifest edits."""

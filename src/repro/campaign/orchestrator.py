@@ -43,7 +43,7 @@ import threading
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.analysis.results import ResultSet, failure_report, merge_campaign
 from repro.campaign import journal as journal_mod
@@ -197,7 +197,7 @@ class Campaign:
 
     def _consult_caches(self) -> None:
         """Mark cells already completed: merged output, shard files,
-        then the journal (write-ahead of the shard flushes)."""
+        then the journal (the only record of an unfinished run)."""
         if self.force:
             return
         scenario = get_scenario(self.manifest.scenario)
@@ -267,27 +267,36 @@ class Campaign:
         }
 
     # -- persistence ---------------------------------------------------
-    def _flush(self) -> None:
-        """Atomically (re)write every shard document from memory."""
+    def _document(
+        self, cells: List[Dict[str, Any]], **campaign: Any
+    ) -> Dict[str, Any]:
+        """A sweep-format document (one shard's, or the merged one)."""
         spec = self.manifest.to_spec()
+        return {
+            "scenario": spec.scenario,
+            "grid": config_to_jsonable(spec.grid),
+            "base": config_to_jsonable(spec.base),
+            "seed": spec.seed,
+            "campaign": {"manifest_sha": self.manifest.sha(), **campaign},
+            "cells": cells,
+        }
+
+    def _flush(self) -> None:
+        """Atomically write every shard document from memory.
+
+        Called once per ``run()``, after the workers stopped: while cells
+        are still running the journal alone holds their results.
+        """
         for shard in range(1, self.manifest.shards + 1):
             cells = [
                 c.doc
                 for c in self.cells
                 if c.shard == shard and c.terminal and c.doc is not None
             ]
-            doc = {
-                "scenario": spec.scenario,
-                "grid": config_to_jsonable(spec.grid),
-                "base": config_to_jsonable(spec.base),
-                "seed": spec.seed,
-                "campaign": {
-                    "manifest_sha": self.manifest.sha(),
-                    "shard": [shard, self.manifest.shards],
-                },
-                "cells": cells,
-            }
-            atomic_write_json(self.shard_path(shard), doc)
+            atomic_write_json(
+                self.shard_path(shard),
+                self._document(cells, shard=[shard, self.manifest.shards]),
+            )
 
     def _merge_and_report(self) -> None:
         """Auto-merge shards (journal-aware), verify, persist outputs."""
@@ -312,17 +321,9 @@ class Campaign:
                 "they are excluded from the merged output",
                 stacklevel=2,
             )
-        spec = self.manifest.to_spec()
-        doc = {
-            "scenario": spec.scenario,
-            "grid": config_to_jsonable(spec.grid),
-            "base": config_to_jsonable(spec.base),
-            "seed": spec.seed,
-            "campaign": {"manifest_sha": self.manifest.sha()},
-            "cells": [c.doc for c in self.cells if c.doc is not None],
-        }
+        doc = self._document([c.doc for c in self.cells if c.doc is not None])
         atomic_write_json(self.out_path, doc)
-        report = failure_report(ResultSet.load(self.out_path))
+        report = failure_report(ResultSet.from_doc(doc, self.out_path))
         if report["failed_cells"]:
             atomic_write_json(self.failures_file(), report)
             self.report.failures_path = self.failures_file()
@@ -436,12 +437,12 @@ class Campaign:
         now = time.monotonic()
         for cell in remaining:
             heapq.heappush(ready, (now, cell.index))
+        unfinished = len(remaining)  # cells not terminal yet
 
         next_task_id = 1
         task_cell: Dict[int, int] = {}
         task_started: Dict[int, float] = {}
         task_worker: Dict[int, int] = {}
-        since_flush = 0
         prev_handler = self._install_sigint()
 
         def dispatch(cell: CampaignCell, now: float) -> bool:
@@ -470,34 +471,97 @@ class Campaign:
             self.report.executed += 1
             return True
 
+        def refill(now: float) -> None:
+            """Dispatch due cells onto idle workers (never while draining)."""
+            while (
+                not self._interrupts
+                and ready
+                and ready[0][0] <= now
+                and self.executor.idle_worker_ids()
+            ):
+                _t, index = heapq.heappop(ready)
+                cell = self.cells[index]
+                if cell.terminal or cell.status == "running":
+                    continue
+                if not dispatch(cell, now):
+                    heapq.heappush(ready, (now, index))
+                    break
+
         def forget_task(task_id: int) -> None:
             task_cell.pop(task_id, None)
             task_started.pop(task_id, None)
             task_worker.pop(task_id, None)
 
-        def settle_ok(cell: CampaignCell, task_id: int, payload: Dict) -> None:
-            cell.duration_s = time.monotonic() - task_started.get(
-                task_id, time.monotonic()
-            )
+        def release(
+            event: WorkerEvent,
+        ) -> Optional[Tuple[WorkerEvent, CampaignCell, float]]:
+            """Drop the task an event ended from the task tables (its
+            worker is idle or gone); returns what ``settle`` needs, or
+            None when the event ends no task the tables know."""
+            task_id = event.task_id
+            if task_id not in task_cell:
+                if event.kind == "exit":
+                    self.report.workers_respawned += 1
+                return None
+            cell = self.cells[task_cell[task_id]]
+            started = task_started[task_id]
+            forget_task(task_id)
+            return event, cell, started
+
+        def settle(
+            event: WorkerEvent, cell: CampaignCell, started: float, now: float
+        ) -> None:
+            cell.live_tasks.discard(event.task_id)
+            if cell.terminal:
+                return  # speculative loser; result already settled
+            if event.kind == "result":
+                payload = event.payload or {}
+                if payload.get("ok"):
+                    settle_ok(cell, now - started, payload)
+                else:
+                    error = dict(payload.get("error") or {})
+                    error.setdefault("kind", "exception")
+                    settle_failure(cell, error, now)
+            else:  # worker exit while running this cell
+                self.report.workers_respawned += 1
+                settle_failure(
+                    cell,
+                    {
+                        "kind": "worker-crash",
+                        "message": (
+                            f"worker exited with code {event.returncode} "
+                            "while running this cell"
+                        ),
+                        "returncode": event.returncode,
+                        "stderr_tail": event.stderr_tail[-1000:],
+                    },
+                    now,
+                )
+
+        def settle_ok(
+            cell: CampaignCell, duration_s: float, payload: Dict
+        ) -> None:
+            nonlocal unfinished
+            cell.duration_s = duration_s
             cell.status = "ok"
+            unfinished -= 1
             cell.doc = self._ok_doc(cell, payload.get("result") or {})
             # Kill any speculative duplicate still chewing on this cell.
             for other in sorted(cell.live_tasks):
-                if other == task_id:
-                    continue
                 worker_id = task_worker.get(other)
                 if worker_id is not None:
                     self.executor.kill_worker(worker_id)
                 forget_task(other)
             cell.live_tasks.clear()
             self._journal.append({"event": "cell_ok", "cell": cell.doc})
-            self._progress.cell_done(cell.shard, ok=True, duration_s=cell.duration_s)
+            self._progress.cell_done(cell.shard, ok=True, duration_s=duration_s)
 
         def settle_failure(
             cell: CampaignCell, error: Dict[str, Any], now: float, *,
             timed_out: bool = False,
         ) -> None:
             """One attempt died; retry with backoff or go terminal."""
+            nonlocal unfinished
             if cell.live_tasks:
                 return  # a speculative copy is still running; let it decide
             if self.policy.should_retry(cell.attempts):
@@ -515,16 +579,14 @@ class Campaign:
                 )
                 return
             cell.status = "timeout" if timed_out else "failed"
+            unfinished -= 1
             cell.error = error
             cell.doc = self._failed_doc(cell)
             self._journal.append({"event": "cell_failed", "cell": cell.doc})
             self._progress.cell_done(cell.shard, ok=False, duration_s=None)
 
         try:
-            while True:
-                unfinished = [c for c in self.cells if not c.terminal]
-                if not unfinished:
-                    break
+            while unfinished:
                 draining = self._interrupts > 0
                 if draining and not task_cell:
                     self.report.interrupted = True
@@ -532,24 +594,9 @@ class Campaign:
 
                 now = time.monotonic()
                 # Respawn crashed workers up to demand.
-                demand = min(self.workers, len(unfinished))
                 if not draining:
-                    self.executor.ensure_workers(demand)
-
-                # Dispatch due cells onto idle workers.
-                while (
-                    not draining
-                    and ready
-                    and ready[0][0] <= now
-                    and self.executor.idle_worker_ids()
-                ):
-                    _t, index = heapq.heappop(ready)
-                    cell = self.cells[index]
-                    if cell.terminal or cell.status == "running":
-                        continue
-                    if not dispatch(cell, now):
-                        heapq.heappush(ready, (now, index))
-                        break
+                    self.executor.ensure_workers(min(self.workers, unfinished))
+                refill(now)
 
                 # Straggler re-dispatch: duplicate the slowest running
                 # cell onto an idle worker once it blows the threshold.
@@ -580,12 +627,14 @@ class Campaign:
                 poll_s = max(0.01, min(wake_candidates))
                 events = self.executor.events(poll_s)
 
+                # The workers these events freed get their next cell
+                # before the results are journaled (an fsync per record),
+                # so they compute while the orchestrator writes.
                 now = time.monotonic()
-                for event in events:
-                    self._handle_event(
-                        event, task_cell, task_started, task_worker,
-                        forget_task, settle_ok, settle_failure, now,
-                    )
+                ended = [r for r in map(release, events) if r is not None]
+                refill(now)
+                for event, cell, started in ended:
+                    settle(event, cell, started, now)
 
                 # Enforce per-cell wall-clock timeouts.
                 for task_id, started in sorted(task_started.items()):
@@ -612,12 +661,8 @@ class Campaign:
                             timed_out=True,
                         )
 
-                done = sum(1 for c in self.cells if c.terminal)
                 self._progress.set_running(len(task_cell))
                 self._progress.maybe_print()
-                if done and done % self.manifest.flush_every < since_flush:
-                    self._flush()
-                since_flush = done % self.manifest.flush_every
         except KeyboardInterrupt:
             self.report.interrupted = True
             self._say("second SIGINT: reclaiming workers immediately")
@@ -626,51 +671,6 @@ class Campaign:
                 signal.signal(signal.SIGINT, prev_handler)
         self._progress.set_running(0)
         self._progress.maybe_print(force=True)
-
-    def _handle_event(
-        self,
-        event: WorkerEvent,
-        task_cell: Dict[int, int],
-        task_started: Dict[int, float],
-        task_worker: Dict[int, int],
-        forget_task,
-        settle_ok,
-        settle_failure,
-        now: float,
-    ) -> None:
-        task_id = event.task_id
-        if task_id is None or task_id not in task_cell:
-            if event.kind == "exit":
-                self.report.workers_respawned += 1
-            return
-        cell = self.cells[task_cell[task_id]]
-        forget_task(task_id)
-        cell.live_tasks.discard(task_id)
-        if cell.terminal:
-            return  # speculative loser; result already settled
-        if event.kind == "result":
-            payload = event.payload or {}
-            if payload.get("ok"):
-                settle_ok(cell, task_id, payload)
-            else:
-                error = dict(payload.get("error") or {})
-                error.setdefault("kind", "exception")
-                settle_failure(cell, error, now)
-        else:  # worker exit while running this cell
-            self.report.workers_respawned += 1
-            settle_failure(
-                cell,
-                {
-                    "kind": "worker-crash",
-                    "message": (
-                        f"worker exited with code {event.returncode} "
-                        "while running this cell"
-                    ),
-                    "returncode": event.returncode,
-                    "stderr_tail": event.stderr_tail[-1000:],
-                },
-                now,
-            )
 
 
 def run_campaign(

@@ -14,7 +14,8 @@ This package makes the paper's analytical motivation executable:
   eigenvalues, and convergence time constants (Theorems 1-2);
 * :mod:`repro.fluid.vectorized` — numpy-backed grid integration: whole
   sets of initial states per call, bit-identical to the scalar path
-  (numpy is optional; the entry points raise ImportError without it).
+  (numpy is optional and loaded by the first grid call, not by importing
+  this package; the entry points raise ImportError without it).
 """
 
 from repro.fluid.laws import (

@@ -20,10 +20,10 @@ the fig2/fig3 benches assert exact equality, and the guaranteed bound is
 1e-12 relative.  The control-law lambdas in :mod:`repro.fluid.laws` are
 pure arithmetic and evaluate unchanged on arrays.
 
-numpy is an *optional* accelerator dependency: importing this module
-always succeeds, and every entry point raises a descriptive
-``ImportError`` when numpy is unavailable (the scalar path never needs
-it).
+numpy is an *optional* accelerator dependency, imported by the first
+call that needs it: importing this module always succeeds and never
+loads numpy, and every entry point raises a descriptive ``ImportError``
+when numpy is unavailable (the scalar path never needs it).
 """
 
 from __future__ import annotations
@@ -35,19 +35,18 @@ from typing import Sequence, Tuple
 from repro.fluid.laws import ControlLaw
 from repro.fluid.model import FluidParams, FluidTrace
 
-try:  # gated: numpy is an optional accelerator, not a hard dependency
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
-
 
 def _require_numpy():
-    if _np is None:  # pragma: no cover - exercised only without numpy
+    """numpy, resolved on first use: the CLI imports this package in every
+    ``run``/``sweep``/``campaign`` process, and only grid calls need it."""
+    try:
+        import numpy
+    except ImportError:
         raise ImportError(
             "repro.fluid.vectorized requires numpy; install it or use the "
             "scalar repro.fluid.model.simulate path"
-        )
-    return _np
+        ) from None
+    return numpy
 
 
 @dataclass

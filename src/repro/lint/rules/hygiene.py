@@ -223,6 +223,50 @@ class CompiledCoreImportRule(Rule):
 
 
 @register_rule(
+    "module-scope-numpy",
+    category="import-cost",
+    contract="docs/INVARIANTS.md#optional-accelerator-imports",
+)
+class ModuleScopeNumpyRule(Rule):
+    """No module-scope numpy import in the package; resolve it on use.
+
+    ``repro.cli`` imports most of the package, so a module-scope
+    ``import numpy`` is paid (~80 ms, ~12 MiB) by every cold ``run`` /
+    ``sweep`` / ``campaign`` process and every campaign worker, although
+    only the fluid grid paths use it — and it turns an optional
+    dependency into an import-time crash on boxes without it.  Class
+    bodies and module-level ``try:`` blocks run at import and count.
+    """
+
+    def applies(self, ctx: LintContext) -> bool:
+        return ctx.pkg_path is not None
+
+    def check(self, ctx: LintContext) -> Iterator[Finding]:
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module or ""]
+            else:
+                continue
+            if not any(m.split(".")[0] == "numpy" for m in modules):
+                continue
+            owner = ctx.parents.get(node)
+            while owner is not None and not isinstance(
+                owner, (ast.FunctionDef, ast.AsyncFunctionDef)
+            ):
+                owner = ctx.parents.get(owner)
+            if owner is None:
+                yield self.finding(
+                    ctx,
+                    node,
+                    "module-scope numpy import — every cold CLI process and "
+                    "campaign worker would load it; import it inside the "
+                    "function that needs it (see fluid/vectorized.py)",
+                )
+
+
+@register_rule(
     "unregistered-routing-policy",
     category="registry",
     contract="docs/INVARIANTS.md#registry-only-resolution",

@@ -19,16 +19,23 @@ import time
 import pytest
 
 import repro.scenarios.faulty  # registers the "faulty" scenario  # noqa: F401
+from repro.analysis.results import ResultSet, failure_report
 from repro.campaign import (
+    Campaign,
     CampaignManifest,
+    Executor,
     LimitsPolicy,
     RetryPolicy,
+    WorkerEvent,
     load_manifest,
     manifest_from_dict,
     run_campaign,
 )
 from repro.campaign import journal as journal_mod
+from repro.campaign import orchestrator as orchestrator_mod
 from repro.campaign.manifest import shard_of
+from repro.campaign.progress import ProgressTracker
+from repro.campaign.worker import _execute
 from repro.scenarios.faulty import attempt_count
 
 
@@ -68,6 +75,15 @@ def _load_cells(path):
     }
 
 
+def _load_failures(report, out_path):
+    """The persisted failure report, checked against the derivation it
+    replaced: re-parsing the merged document it sits next to."""
+    with open(report.failures_path) as handle:
+        failures = json.load(handle)
+    assert failures == failure_report(ResultSet.load(out_path))
+    return failures
+
+
 # ----------------------------------------------------------------------
 # manifests
 # ----------------------------------------------------------------------
@@ -75,6 +91,9 @@ class TestManifest:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown key"):
             manifest_from_dict({"scenario": "faulty", "retries": 3})
+        # the removed shard-flush knob fails the launch by name
+        with pytest.raises(ValueError, match=r"unknown key\(s\) flush_every"):
+            manifest_from_dict({"scenario": "faulty", "flush_every": 16})
 
     def test_unknown_limits_keys_rejected(self):
         with pytest.raises(ValueError, match="limits: unknown key"):
@@ -252,8 +271,7 @@ class TestCampaignEndToEnd:
             assert cell["attempts"] == 2
             assert cell["error"]["type"] == "InjectedFailure"
             assert "injected failure" in cell["error"]["message"]
-        with open(report.failures_path) as handle:
-            failures = json.load(handle)
+        failures = _load_failures(report, manifest.out_path())
         assert failures["failed_cells"] == 2
         assert {f["params"]["x"] for f in failures["failures"]} == {1, 2}
 
@@ -268,6 +286,25 @@ class TestCampaignEndToEnd:
         (cell,) = _load_cells(manifest.out_path()).values()
         assert cell["status"] == "timeout"
         assert cell["error"]["kind"] == "timeout"
+        (failure,) = _load_failures(report, manifest.out_path())["failures"]
+        assert failure["status"] == "timeout"
+
+    def test_durations_are_measured_and_uniform_cells_not_speculated(
+        self, tmp_path
+    ):
+        # work_s exceeds the event-loop poll cap: the straggler check only
+        # runs when the loop wakes.  A near-zero median duration would pin
+        # the threshold at straggler_min_s and duplicate the third cell.
+        doc = _manifest_doc(
+            tmp_path, {"x": [1, 2, 3]}, base={"work_s": 0.8},
+            limits={"cell_timeout_s": 10.0, "straggler_min_s": 0.05,
+                    "straggler_factor": 4.0},
+        )
+        campaign = Campaign(manifest_from_dict(doc), quiet=True)
+        report = campaign.run()
+        assert report.complete
+        assert all(cell.duration_s >= 0.8 for cell in campaign.cells)
+        assert report.executed == 3
 
     def test_failed_cells_rerun_on_reinvoke_ok_cells_reused(self, tmp_path):
         doc = _manifest_doc(
@@ -316,6 +353,127 @@ class TestCampaignEndToEnd:
         assert [attempt_count(state, x, "ok") for x in (1, 2, 3)] == [1, 1, 2]
 
 
+class _FakeExecutor(Executor):
+    """In-process pool: every ``events()`` call finishes the task of the
+    lowest busy worker; submits and results go to a shared ``log``."""
+
+    def __init__(self, log, on_events=None):
+        self.log = log
+        self.on_events = on_events
+        self.count = 0
+        self.busy = {}  # worker_id -> task
+
+    def ensure_workers(self, count):
+        self.count = max(self.count, count)
+        return self.count
+
+    def idle_worker_ids(self):
+        return [w for w in range(1, self.count + 1) if w not in self.busy]
+
+    def submit(self, task):
+        idle = self.idle_worker_ids()
+        if not idle:
+            return None
+        self.busy[idle[0]] = task
+        self.log.append(("submit", idle[0]))
+        return idle[0]
+
+    def events(self, timeout_s):
+        if self.on_events is not None:
+            self.on_events()
+        if not self.busy:
+            return []
+        worker_id = min(self.busy)
+        task = self.busy.pop(worker_id)
+        self.log.append(("result", worker_id))
+        return [
+            WorkerEvent(
+                "result", worker_id, task_id=task["id"],
+                payload=json.loads(json.dumps(_execute(task))),
+            )
+        ]
+
+    def kill_worker(self, worker_id):
+        task = self.busy.pop(worker_id, None)
+        return None if task is None else task["id"]
+
+    def shutdown(self):
+        self.busy.clear()
+
+
+class TestJournalOnlyPersistence:
+    @pytest.mark.parametrize("sigint_at_poll", [None, 25])
+    def test_shards_written_once_and_only_after_the_workers_stopped(
+        self, tmp_path, monkeypatch, sigint_at_poll
+    ):
+        writes, seen_while_running, polls = [], [], []
+        real_write = orchestrator_mod.atomic_write_json
+
+        def recording_write(path, doc, **kwargs):
+            writes.append(path)
+            return real_write(path, doc, **kwargs)
+
+        def on_events():
+            polls.append(None)
+            seen_while_running.extend(
+                name for name in os.listdir(str(tmp_path)) if ".shard-" in name
+            )
+            if len(polls) == sigint_at_poll:
+                signal.raise_signal(signal.SIGINT)  # first SIGINT: drain
+
+        monkeypatch.setattr(orchestrator_mod, "atomic_write_json", recording_write)
+        doc = _manifest_doc(tmp_path, {"x": list(range(1, 41))}, shards=2)
+        campaign = Campaign(
+            manifest_from_dict(doc), quiet=True,
+            executor=_FakeExecutor([], on_events),
+        )
+        report = campaign.run()
+        shard_paths = [campaign.shard_path(1), campaign.shard_path(2)]
+        assert seen_while_running == []
+        if sigint_at_poll is None:
+            assert report.complete and report.executed == 40
+            assert writes == shard_paths + [doc["out"]]
+        else:
+            assert report.interrupted and 0 < report.ok < 40
+            assert writes == shard_paths
+            persisted = sum(
+                len(ResultSet.load(path)) for path in shard_paths
+            )
+            journaled = journal_mod.replay_cells(campaign.journal_file())
+            assert persisted == len(journaled) == report.ok
+
+    def test_freed_worker_is_refilled_before_its_result_is_journaled(
+        self, tmp_path, monkeypatch
+    ):
+        log = []
+        real_append = journal_mod.Journal.append
+        real_done = ProgressTracker.cell_done
+
+        def logging_append(journal, record):
+            log.append((record["event"],))
+            real_append(journal, record)
+
+        def logging_done(tracker, *args, **kwargs):
+            log.append(("counted",))
+            real_done(tracker, *args, **kwargs)
+
+        monkeypatch.setattr(journal_mod.Journal, "append", logging_append)
+        monkeypatch.setattr(ProgressTracker, "cell_done", logging_done)
+        doc = _manifest_doc(tmp_path, {"x": list(range(1, 7))})
+        report = run_campaign(
+            manifest_from_dict(doc), quiet=True, executor=_FakeExecutor(log)
+        )
+        assert report.complete
+        results = [i for i, entry in enumerate(log) if entry[0] == "result"]
+        assert len(results) == 6
+        for n, i in enumerate(results):
+            after = log[i + 1:i + 4]
+            if n < 4:  # 2 of the 6 cells were dispatched up front
+                assert after == [("submit", log[i][1]), ("cell_ok",), ("counted",)]
+            else:  # nothing left to dispatch
+                assert after[:2] == [("cell_ok",), ("counted",)]
+
+
 class TestKillAndResume:
     def _spawn_env(self):
         env = dict(os.environ)
@@ -333,7 +491,6 @@ class TestKillAndResume:
     def test_sigkill_midrun_then_resume_runs_only_missing(self, tmp_path):
         doc = _manifest_doc(
             tmp_path, {"x": list(range(1, 9))}, base={"work_s": 0.4},
-            flush_every=100,  # the journal is the only persistence
         )
         path = tmp_path / "m.json"
         path.write_text(json.dumps(doc))

@@ -67,6 +67,12 @@ BAD_EXPECTATIONS = {
         ("compiled-core-import", 5),
         ("compiled-core-import", 6),
     ],
+    ("repro", "fluid", "bad_numpy_import.py"): [
+        ("module-scope-numpy", 3),
+        ("module-scope-numpy", 4),
+        ("module-scope-numpy", 7),
+        ("module-scope-numpy", 13),
+    ],
     ("repro", "sim", "bad_env.py"): [
         ("env-read", 8),
         ("env-read", 9),
@@ -95,6 +101,7 @@ GOOD_FIXTURES = [
     ("repro", "sim", "good_float_time.py"),
     ("repro", "sim", "good_cancel.py"),
     ("examples", "good_env.py"),
+    ("repro", "fluid", "good_numpy_import.py"),
     ("repro", "campaign", "good_subprocess_timeout.py"),
 ]
 
