@@ -7,7 +7,12 @@ rot silently.  Full-scale timing runs are manual / CI-artifact territory
 """
 
 import json
+from dataclasses import replace
 
+import pytest
+
+from repro.cli import main
+from repro.perf import bench
 from repro.perf import (
     PERF_CASES,
     append_history,
@@ -23,37 +28,12 @@ BASE_CASES = ["incast", "websearch_fct", "permutation"]
 
 
 def test_case_grid_is_wellformed():
-    assert case_names() == BASE_CASES + [
-        "incast_batched",
-        "websearch_batched",
-        "permutation_batched",
-        "incast_compiled",
-        "websearch_compiled",
-        "permutation_compiled",
-        "fluid_grid",
-    ]
-    for case in PERF_CASES.values():
-        assert case.overrides, case.name
-        assert case.tiny, case.name
-        if case.kind == "scenario":
-            # tiny grids must be strictly smaller in simulated duration
-            assert case.tiny["duration_ns"] <= case.overrides["duration_ns"]
-    # engine variants must rerun the *same workload* as their base case,
-    # differing only in engine configuration — that is what makes their
-    # compare-by-workload speedups honest
-    for variant, base in (
-        ("incast_batched", "incast"),
-        ("websearch_batched", "websearch_fct"),
-        ("permutation_batched", "permutation"),
-        ("incast_compiled", "incast"),
-        ("websearch_compiled", "websearch_fct"),
-        ("permutation_compiled", "permutation"),
-    ):
-        assert PERF_CASES[variant].scenario == PERF_CASES[base].scenario
-        assert PERF_CASES[variant].overrides == PERF_CASES[base].overrides
-        assert PERF_CASES[variant].tiny == PERF_CASES[base].tiny
-        assert PERF_CASES[variant].engine, variant
-        assert not PERF_CASES[base].engine, base
+    compiled = ["incast_compiled", "websearch_compiled", "permutation_compiled"]
+    assert case_names() == BASE_CASES + compiled + ["fluid_grid"]
+    for name in BASE_CASES + ["fluid_grid"]:
+        assert not PERF_CASES[name].engine, name
+    for name in compiled:
+        assert PERF_CASES[name].engine == {"scheduler": "compiled"}, name
 
 
 def test_tiny_grid_runs_and_reports(tmp_path):
@@ -90,43 +70,82 @@ def test_compare_records_speedup(tmp_path):
     assert case["metrics"] == doc["cases"][0]["metrics"]
 
 
-def test_engine_variant_borrows_workload_reference():
+@pytest.fixture
+def heap_variant(monkeypatch):
+    """An engine variant of ``incast`` that needs no optional extension."""
+    case = replace(
+        PERF_CASES["incast"], name="incast_variant", engine={"scheduler": "heap"}
+    )
+    monkeypatch.setitem(PERF_CASES, case.name, case)
+    return case
+
+
+def test_engine_variant_borrows_workload_reference(heap_variant):
     # A reference document that predates the engine variants (PR 3's
     # BENCH_perf.json): the variant must fall back to the same-workload
     # default-config entry, so speedups read engine-on vs engine-off.
     ref = run_perf(cases=["incast"], tiny=True, repeats=1)
-    doc = run_perf(cases=["incast_batched"], tiny=True, repeats=1, compare=ref)
+    doc = run_perf(cases=[heap_variant.name], tiny=True, repeats=1, compare=ref)
     case = doc["cases"][0]
-    assert case["engine"] == {"tx_batch_limit": 8}
+    assert case["engine"] == heap_variant.engine
     assert case["ref_events_per_sec"] == ref["cases"][0]["events_per_sec"]
     assert case["speedup"] > 0
 
 
-def test_batched_event_count_matches_unbatched():
-    # Coalesced accounting: each packet in a train still counts as one
-    # event, so events/sec compares honestly across batch configs.  The
-    # closed-loop workload itself may diverge slightly (mid-train
-    # arrivals see a shorter queue, shifting the odd ECN mark), so the
-    # counts agree to a tolerance rather than exactly.
-    base = run_perf(cases=["incast"], tiny=True, repeats=1)
-    batched = run_perf(cases=["incast_batched"], tiny=True, repeats=1)
-    a = base["cases"][0]["events_processed"]
-    b = batched["cases"][0]["events_processed"]
-    assert abs(a - b) / a < 0.02, (a, b)
+def test_compare_name_match_requires_equal_engine(heap_variant):
+    # A same-named reference entry measured under another engine
+    # configuration is a different experiment: the variant must borrow
+    # the default-engine entry of its workload instead.
+    overrides = heap_variant.config(tiny=True)
+    default = {"case": "incast", "scenario": "incast", "overrides": overrides,
+               "events_per_sec": 1000.0}
+    named = dict(default, case=heap_variant.name, events_per_sec=4000.0,
+                 engine={"scheduler": "heap", "other": 8})
+    doc = run_perf(cases=[heap_variant.name], tiny=True, repeats=1,
+                   compare={"cases": [default, named]})
+    assert doc["cases"][0]["ref_events_per_sec"] == 1000.0
+    # with the engine equal, the named entry is the reference
+    named["engine"] = dict(heap_variant.engine)
+    doc = run_perf(cases=[heap_variant.name], tiny=True, repeats=1,
+                   compare={"cases": [default, named]})
+    assert doc["cases"][0]["ref_events_per_sec"] == 4000.0
+
+
+def test_variant_that_changes_results_is_flagged(heap_variant, monkeypatch):
+    # Variants may change speed, never results: a same-run, same-workload
+    # default-engine entry is the fingerprint reference.
+    argv = ["perf", "--tiny", "--no-write", "--cases", f"incast,{heap_variant.name}"]
+    doc = run_perf(cases=["incast", heap_variant.name], tiny=True, repeats=1)
+    assert not any("fingerprint_mismatch" in c for c in doc["cases"])
+    assert main(argv) == 0
+
+    real_run_case = bench.run_case
+
+    def drifting_run_case(case, **kwargs):
+        entry = real_run_case(case, **kwargs)
+        if case.engine:
+            entry["events_processed"] += 1
+        return entry
+
+    monkeypatch.setattr(bench, "run_case", drifting_run_case)
+    doc = run_perf(cases=["incast", heap_variant.name], tiny=True, repeats=1)
+    assert [c.get("fingerprint_mismatch") for c in doc["cases"]] == [None, True]
+    assert "FINGERPRINT MISMATCH" in bench.format_bench(doc)[2]
+    assert main(argv) == 1
 
 
 def test_compiled_variant_is_bit_identical_or_skips():
     # The compiled drain preserves (time, seq) order exactly; without
     # the extension the case must skip with a reason, not pass silently.
-    compiled = run_perf(cases=["incast_compiled"], tiny=True, repeats=1)
-    entry = compiled["cases"][0]
+    doc = run_perf(cases=["incast", "incast_compiled"], tiny=True, repeats=1)
+    base, entry = doc["cases"]
     if "skipped" in entry:
         assert "compiled core unavailable" in entry["skipped"]
         return
-    base = run_perf(cases=["incast_batched"], tiny=True, repeats=1)
-    # same workload, batching on in both: only the drain loop differs
-    assert entry["metrics"] == base["cases"][0]["metrics"]
-    assert entry["events_processed"] == base["cases"][0]["events_processed"]
+    # same workload: only the drain loop differs
+    assert entry["metrics"] == base["metrics"]
+    assert entry["events_processed"] == base["events_processed"]
+    assert "fingerprint_mismatch" not in entry
 
 
 def test_history_accumulates_snapshots(tmp_path):
@@ -169,7 +188,5 @@ def test_regression_warnings_fire_only_below_threshold():
 
 
 def test_unknown_case_rejected():
-    import pytest
-
     with pytest.raises(ValueError):
         run_perf(cases=["nope"])

@@ -386,14 +386,19 @@ def cmd_campaign(args) -> int:
     return 0
 
 
-def cmd_perf(args) -> None:
-    """Run the tracked perf macro-benchmarks and write BENCH_perf.json."""
+def cmd_perf(args) -> int:
+    """Run the tracked perf macro-benchmarks and write BENCH_perf.json.
+
+    Exits non-zero when an engine variant's simulation results differ
+    from its same-run default-engine case: variants may change speed,
+    never results.
+    """
     from repro.perf import bench as perf_bench
 
     if args.engines:
         for line in perf_bench.engine_report():
             print(line)
-        return
+        return 0
     compare = None
     if args.compare:
         try:
@@ -423,6 +428,14 @@ def cmd_perf(args) -> None:
             print(f"WARNING: {line}")
         if not warnings and compare is not None:
             print("no events/sec regressions vs the reference")
+    mismatched = [c["case"] for c in doc["cases"] if c.get("fingerprint_mismatch")]
+    if mismatched:
+        print(
+            "ERROR: engine variant(s) changed simulation results: "
+            + ", ".join(mismatched)
+        )
+        return 1
+    return 0
 
 
 def _requirements_summary(entry) -> str:
@@ -659,7 +672,7 @@ def main(argv=None) -> int:
     elif args.command == "campaign":
         return cmd_campaign(args)
     elif args.command == "perf":
-        cmd_perf(args)
+        return cmd_perf(args)
     elif args.command == "lint":
         from repro.lint.cli import cmd_lint
 

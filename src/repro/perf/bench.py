@@ -16,14 +16,17 @@ Three macro workloads cover the simulator's distinct hot-path mixes:
 
 Engine-configuration variants rerun a workload under non-default engine
 settings (``PerfCase.engine`` → :func:`repro.sim.engine.engine_defaults`):
-``incast_batched`` / ``websearch_batched`` / ``permutation_batched`` turn
-on packet-train batching, and ``incast_compiled`` /
-``websearch_compiled`` / ``permutation_compiled`` stack the compiled
-event core on top of batching (skipped with a note when the extension is
-not built).  When comparing against a reference document that predates a
-variant, the variant borrows the reference entry with the same
-``(scenario, overrides)`` workload and *default* engine config — so the
-recorded speedup is engine-on vs engine-off over the identical workload.
+``incast_compiled`` / ``websearch_compiled`` / ``permutation_compiled``
+are derived from their base case and drain the identical workload with
+the compiled event core (skipped with a note when the extension is not
+built).  A variant may change speed, never results: ``run_perf`` flags
+one whose ``events_processed`` or ``metrics`` differ from the same-run
+default-engine entry with ``fingerprint_mismatch``
+(``docs/INVARIANTS.md#compiled-parity``).  When a reference document has
+no entry with the variant's name *and* engine configuration, the variant
+borrows the reference entry with the same ``(scenario, overrides)``
+workload and *default* engine config — so the recorded speedup is
+engine-on vs engine-off over the identical workload.
 ``fluid_grid`` benchmarks the numpy-vectorized fluid integrator against
 the scalar loop on a phase-portrait-sized grid (its ``events`` are
 integration cell-steps, and its speedup is measured in-run against the
@@ -44,7 +47,7 @@ import json
 import platform
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.scenarios import get_scenario
@@ -71,7 +74,7 @@ class PerfCase:
     #: reduced configuration for CI smoke runs (``--tiny``)
     tiny: Dict[str, Any] = field(default_factory=dict)
     #: engine configuration applied via ``engine_defaults`` around the
-    #: run (e.g. ``{"tx_batch_limit": 8}``); empty = engine defaults
+    #: run (e.g. ``{"scheduler": "compiled"}``); empty = engine defaults
     engine: Dict[str, Any] = field(default_factory=dict)
     #: "scenario" (default) or "fluid_grid" (vectorized fluid sweep)
     kind: str = "scenario"
@@ -81,190 +84,81 @@ class PerfCase:
         return dict(self.tiny if tiny else self.overrides)
 
 
+#: the default-engine macro workloads
+_BASE_CASES = (
+    PerfCase(
+        name="incast",
+        scenario="incast",
+        overrides=dict(
+            algorithm="powertcp",
+            fanout=64,
+            burst_bytes=60_000,
+            duration_ns=8 * MSEC,
+        ),
+        tiny=dict(
+            algorithm="powertcp",
+            fanout=8,
+            burst_bytes=20_000,
+            duration_ns=1 * MSEC,
+        ),
+    ),
+    PerfCase(
+        name="websearch_fct",
+        scenario="websearch",
+        overrides=dict(
+            algorithm="powertcp",
+            load=0.6,
+            duration_ns=20 * MSEC,
+            drain_ns=40 * MSEC,
+            size_scale=1 / 16,
+            max_flows=300,
+            seed=1,
+        ),
+        tiny=dict(
+            algorithm="powertcp",
+            load=0.4,
+            duration_ns=2 * MSEC,
+            drain_ns=6 * MSEC,
+            size_scale=1 / 16,
+            max_flows=15,
+            seed=1,
+        ),
+    ),
+    PerfCase(
+        name="permutation",
+        scenario="permutation",
+        overrides=dict(
+            algorithm="powertcp",
+            flow_bytes=1_000_000,
+            duration_ns=4 * MSEC,
+            drain_ns=16 * MSEC,
+            seed=1,
+        ),
+        tiny=dict(
+            algorithm="powertcp",
+            flow_bytes=50_000,
+            duration_ns=1 * MSEC,
+            drain_ns=3 * MSEC,
+            seed=1,
+        ),
+    ),
+)
+
 #: the tracked grid, in reporting order
 PERF_CASES: Dict[str, PerfCase] = {
     case.name: case
     for case in (
-        PerfCase(
-            name="incast",
-            scenario="incast",
-            overrides=dict(
-                algorithm="powertcp",
-                fanout=64,
-                burst_bytes=60_000,
-                duration_ns=8 * MSEC,
-            ),
-            tiny=dict(
-                algorithm="powertcp",
-                fanout=8,
-                burst_bytes=20_000,
-                duration_ns=1 * MSEC,
-            ),
-        ),
-        PerfCase(
-            name="websearch_fct",
-            scenario="websearch",
-            overrides=dict(
-                algorithm="powertcp",
-                load=0.6,
-                duration_ns=20 * MSEC,
-                drain_ns=40 * MSEC,
-                size_scale=1 / 16,
-                max_flows=300,
-                seed=1,
-            ),
-            tiny=dict(
-                algorithm="powertcp",
-                load=0.4,
-                duration_ns=2 * MSEC,
-                drain_ns=6 * MSEC,
-                size_scale=1 / 16,
-                max_flows=15,
-                seed=1,
-            ),
-        ),
-        PerfCase(
-            name="permutation",
-            scenario="permutation",
-            overrides=dict(
-                algorithm="powertcp",
-                flow_bytes=1_000_000,
-                duration_ns=4 * MSEC,
-                drain_ns=16 * MSEC,
-                seed=1,
-            ),
-            tiny=dict(
-                algorithm="powertcp",
-                flow_bytes=50_000,
-                duration_ns=1 * MSEC,
-                drain_ns=3 * MSEC,
-                seed=1,
-            ),
-        ),
-        # Engine-configuration variants: same workloads, non-default
-        # engine.  Their --compare speedups measure the engine feature
-        # itself (matched by workload against the default-config entry).
-        PerfCase(
-            name="incast_batched",
-            scenario="incast",
-            overrides=dict(
-                algorithm="powertcp",
-                fanout=64,
-                burst_bytes=60_000,
-                duration_ns=8 * MSEC,
-            ),
-            tiny=dict(
-                algorithm="powertcp",
-                fanout=8,
-                burst_bytes=20_000,
-                duration_ns=1 * MSEC,
-            ),
-            engine=dict(tx_batch_limit=8),
-        ),
-        PerfCase(
-            name="websearch_batched",
-            scenario="websearch",
-            overrides=dict(
-                algorithm="powertcp",
-                load=0.6,
-                duration_ns=20 * MSEC,
-                drain_ns=40 * MSEC,
-                size_scale=1 / 16,
-                max_flows=300,
-                seed=1,
-            ),
-            tiny=dict(
-                algorithm="powertcp",
-                load=0.4,
-                duration_ns=2 * MSEC,
-                drain_ns=6 * MSEC,
-                size_scale=1 / 16,
-                max_flows=15,
-                seed=1,
-            ),
-            engine=dict(tx_batch_limit=8),
-        ),
-        PerfCase(
-            name="permutation_batched",
-            scenario="permutation",
-            overrides=dict(
-                algorithm="powertcp",
-                flow_bytes=1_000_000,
-                duration_ns=4 * MSEC,
-                drain_ns=16 * MSEC,
-                seed=1,
-            ),
-            tiny=dict(
-                algorithm="powertcp",
-                flow_bytes=50_000,
-                duration_ns=1 * MSEC,
-                drain_ns=3 * MSEC,
-                seed=1,
-            ),
-            engine=dict(tx_batch_limit=8),
-        ),
-        # Compiled event core stacked on batching: the optional C drain
-        # loop over the same workloads (skipped when the extension is
-        # not built).  Their --compare speedups measure compiled+batched
-        # vs the default engine on the identical workload.
-        PerfCase(
-            name="incast_compiled",
-            scenario="incast",
-            overrides=dict(
-                algorithm="powertcp",
-                fanout=64,
-                burst_bytes=60_000,
-                duration_ns=8 * MSEC,
-            ),
-            tiny=dict(
-                algorithm="powertcp",
-                fanout=8,
-                burst_bytes=20_000,
-                duration_ns=1 * MSEC,
-            ),
-            engine=dict(scheduler="compiled", tx_batch_limit=8),
-        ),
-        PerfCase(
-            name="websearch_compiled",
-            scenario="websearch",
-            overrides=dict(
-                algorithm="powertcp",
-                load=0.6,
-                duration_ns=20 * MSEC,
-                drain_ns=40 * MSEC,
-                size_scale=1 / 16,
-                max_flows=300,
-                seed=1,
-            ),
-            tiny=dict(
-                algorithm="powertcp",
-                load=0.4,
-                duration_ns=2 * MSEC,
-                drain_ns=6 * MSEC,
-                size_scale=1 / 16,
-                max_flows=15,
-                seed=1,
-            ),
-            engine=dict(scheduler="compiled", tx_batch_limit=8),
-        ),
-        PerfCase(
-            name="permutation_compiled",
-            scenario="permutation",
-            overrides=dict(
-                algorithm="powertcp",
-                flow_bytes=1_000_000,
-                duration_ns=4 * MSEC,
-                drain_ns=16 * MSEC,
-                seed=1,
-            ),
-            tiny=dict(
-                algorithm="powertcp",
-                flow_bytes=50_000,
-                duration_ns=1 * MSEC,
-                drain_ns=3 * MSEC,
-                seed=1,
-            ),
-            engine=dict(scheduler="compiled", tx_batch_limit=8),
+        *_BASE_CASES,
+        # The optional C drain loop over the identical workloads (skipped
+        # when the extension is not built).  Their --compare speedups
+        # measure compiled vs the default engine.
+        *(
+            replace(
+                base,
+                name=f"{base.scenario}_compiled",
+                engine={"scheduler": "compiled"},
+            )
+            for base in _BASE_CASES
         ),
         # Vectorized fluid integration: n_w x n_q initial states, one
         # simulate_grid call, compared in-run against the scalar loop
@@ -453,15 +347,20 @@ def run_perf(
     ``compare`` is a previously written document; when given, each case
     gains ``ref_events_per_sec`` / ``speedup`` fields relative to the
     matching case of the reference.  A reference case counts as matching
-    only when its name *and* its full ``overrides`` agree with the
-    current run — comparing a tiny grid against a full-grid document
-    (or vice versa) silently yields no speedup fields instead of a
-    meaningless ratio between different workloads.  Engine-variant cases
-    absent from the reference fall back to the reference entry with the
-    same ``(scenario, overrides)`` workload and default engine config,
-    so a variant's first appearance still records an honest same-workload
-    speedup (engine feature on vs off).  Cases that measure their own
-    reference in-run (``fluid_grid``) keep it.
+    only when its name, its full ``overrides`` *and* its ``engine``
+    configuration agree with the current run — comparing a tiny grid
+    against a full-grid document (or vice versa) silently yields no
+    speedup fields instead of a meaningless ratio between different
+    workloads, and a same-named entry measured under another engine
+    configuration is not a match either.  Engine-variant cases without
+    such an entry fall back to the reference entry with the same
+    ``(scenario, overrides)`` workload and default engine config, so the
+    recorded speedup reads engine feature on vs off.  Cases that measure
+    their own reference in-run (``fluid_grid``) keep it.
+
+    An engine variant whose ``events_processed`` or ``metrics`` differ
+    from the default-engine entry of the same run on the same
+    ``(scenario, overrides)`` gains ``fingerprint_mismatch: true``.
     """
     selected = list(cases) if cases is not None else case_names()
     unknown = sorted(set(selected) - set(PERF_CASES))
@@ -484,6 +383,7 @@ def run_perf(
             ref is not None
             and ref.get("events_per_sec")
             and ref.get("overrides") == entry["overrides"]
+            and ref.get("engine", {}) == entry.get("engine", {})
         ):
             # Workload fallback for engine variants: same scenario and
             # overrides, default engine config, any case name.
@@ -504,6 +404,19 @@ def run_perf(
                 entry["events_per_sec"] / ref["events_per_sec"], 2
             )
         results.append(entry)
+    for entry in results:
+        if not entry.get("engine") or "skipped" in entry:
+            continue
+        for base in results:
+            if (
+                not base.get("engine")
+                and "skipped" not in base
+                and base["scenario"] == entry["scenario"]
+                and base["overrides"] == entry["overrides"]
+                and (base["events_processed"], base["metrics"])
+                != (entry["events_processed"], entry["metrics"])
+            ):
+                entry["fingerprint_mismatch"] = True
     return {
         "schema": BENCH_SCHEMA,
         "generated_utc": time.strftime("%Y-%m-%d", time.gmtime()),
@@ -646,5 +559,6 @@ def format_bench(doc: Dict[str, Any]) -> List[str]:
             f"{case['case']:>20s} {case['events_processed']:>12d} "
             f"{case['wall_time_s']:>8.3f} {case['events_per_sec']:>12.0f} "
             f"{(f'{speedup:.2f}x' if speedup is not None else '-'):>8s}"
+            + ("  FINGERPRINT MISMATCH" if case.get("fingerprint_mismatch") else "")
         )
     return lines

@@ -11,31 +11,13 @@ free buffer:
 so the admissible queue length shrinks as the buffer fills, leaving
 headroom for uncongested ports.
 
-When packet-train batching is enabled (``Simulator(tx_batch_limit>1)``)
-ports do not release memory per packet; they register future releases
-with :meth:`SharedBuffer.defer_release` and every *admission* point
-flushes the due ones first (``if now >= buffer._next_release:
-buffer.release_due(now)`` — the timestamp quick-reject keeps the common
-no-op case to one integer compare), so DT decisions always see the exact
-byte count.  Only passive readers of :attr:`used` (probes, diagnostics)
-can observe a value that is stale by at most one train duration.
+Memory is taken at admission and released when the packet finishes
+serializing (``EgressPort._finish_tx``), one packet at a time, so
+:attr:`SharedBuffer.used` is exact for every reader — DT admission, the
+PFC watermark poll and passive probes alike.
 """
 
 from __future__ import annotations
-
-from heapq import heapify, heappop, heappush
-
-#: sentinel for "no deferred release pending" — beyond any simulated clock
-_NEVER = 1 << 63
-
-#: deferred releases are packed into single ints — ``(release_ns <<
-#: _SIZE_BITS) | size`` — so the release heap sifts with C integer
-#: compares and allocates nothing per entry.  The packing bounds packet
-#: sizes below 1 MiB, three orders of magnitude above any MTU this
-#: simulator produces; :meth:`SharedBuffer.defer_release` enforces it
-#: (the port fast path inlines the push and relies on the invariant).
-_SIZE_BITS = 20
-_SIZE_MASK = (1 << _SIZE_BITS) - 1
 
 
 class SharedBuffer:
@@ -51,10 +33,7 @@ class SharedBuffer:
         congested queue take at most half of the free memory.
     """
 
-    __slots__ = (
-        "capacity", "alpha", "used", "drops", "total_admitted",
-        "_deferred", "_next_release",
-    )
+    __slots__ = ("capacity", "alpha", "used", "drops", "total_admitted")
 
     def __init__(self, capacity: int, alpha: float = 1.0):
         if capacity <= 0:
@@ -66,14 +45,6 @@ class SharedBuffer:
         self.used = 0
         self.drops = 0
         self.total_admitted = 0
-        #: min-heap of packed ``(release_ns << _SIZE_BITS) | size`` ints —
-        #: future releases registered by train-batched transmitters.
-        #: Empty unless batching is on.
-        self._deferred: list = []
-        #: earliest pending release (sentinel when none): admission
-        #: points test ``now >= _next_release`` so the common no-op
-        #: flush costs one integer compare, not a call
-        self._next_release = _NEVER
 
     @property
     def free(self) -> int:
@@ -104,48 +75,6 @@ class SharedBuffer:
     def on_drop(self) -> None:
         """Record a DT rejection (for drop statistics)."""
         self.drops += 1
-
-    # -- deferred releases (packet-train batching) ---------------------
-    def defer_release(self, release_ns: int, size: int) -> None:
-        """Register a future release: ``size`` bytes leave at ``release_ns``.
-
-        Used by train-batched ports instead of :meth:`on_dequeue`; the
-        bytes stay accounted in :attr:`used` until :meth:`release_due`
-        flushes them at or after ``release_ns``.
-        """
-        if not 0 <= size <= _SIZE_MASK:
-            raise ValueError(f"deferred release size out of range: {size}")
-        heappush(self._deferred, (release_ns << _SIZE_BITS) | size)
-        if release_ns < self._next_release:
-            self._next_release = release_ns
-
-    def release_due(self, now: int) -> None:
-        """Apply every deferred release scheduled at or before ``now``.
-
-        Called at each admission point (port enqueue, PFC poll, train
-        start) so DT decisions and watermark checks never act on bytes
-        that have already left the switch.
-        """
-        deferred = self._deferred
-        # Every packed entry with release_ns <= now sorts at or below
-        # the largest entry of timestamp ``now``.
-        limit = ((now + 1) << _SIZE_BITS) - 1
-        while deferred and deferred[0] <= limit:
-            self.used -= heappop(deferred) & _SIZE_MASK
-        self._next_release = (deferred[0] >> _SIZE_BITS) if deferred else _NEVER
-        assert self.used >= 0, "shared buffer underflow"
-
-    def cancel_deferred(self, release_ns: int, size: int) -> None:
-        """Drop one pending ``(release_ns, size)`` deferred release.
-
-        Train truncation (PFC pause mid-train) returns not-yet-started
-        packets to the queue; their registered releases must be undone.
-        Rare, so an O(n) remove + heapify is fine.
-        """
-        deferred = self._deferred
-        deferred.remove((release_ns << _SIZE_BITS) | size)
-        heapify(deferred)
-        self._next_release = (deferred[0] >> _SIZE_BITS) if deferred else _NEVER
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

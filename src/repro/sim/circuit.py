@@ -123,10 +123,6 @@ class CircuitPort(EgressPort):
     Only the VOQ of the currently matched destination drains.  INT records
     report the length of the packet's *own* VOQ, which is the queue a flow
     crossing this port actually waits in.
-
-    VOQ ports are circuit-scheduled (day/night), not work-conserving
-    FIFOs, so packet-train batching does not apply: they transmit per
-    packet whatever the simulator-wide ``tx_batch_limit``.
     """
 
     __slots__ = ("tor_id", "dst_tor_of", "voqs", "voq_bytes", "active_dst")
@@ -157,10 +153,6 @@ class CircuitPort(EgressPort):
         buffer = self.buffer
         voq_len = self.voq_bytes.get(dst_tor, 0)
         if buffer is not None:
-            if self.sim.now >= buffer._next_release:
-                # Flush train-batched deferred releases (other ports of
-                # this switch) so DT admission sees the true occupancy.
-                buffer.release_due(self.sim.now)
             if pkt.kind == DATA and not buffer.admits(voq_len, size):
                 self.drops += 1
                 buffer.on_drop()
@@ -196,13 +188,14 @@ class CircuitPort(EgressPort):
         return pkt
 
     def _stamp_qlen(self, pkt: Packet) -> int:
+        """Queue length reported in INT records: the packet's own VOQ."""
         return self.voq_bytes.get(self.dst_tor_of(pkt.dst), 0)
 
     def _start_tx(self) -> None:
         # The generic (non-inlined) transmit path: the base class fuses
         # the strict-priority pop and qlen stamp into its hot loop, which
-        # a VOQ port cannot share — drain and telemetry go through the
-        # _pop_next / _stamp_qlen hooks here instead.  Circuit uplinks are
+        # a VOQ port cannot share — drain and telemetry go through
+        # _pop_next / _stamp_qlen here instead.  Circuit uplinks are
         # a tiny fraction of a run's events, so the indirection is cheap.
         pkt = self._pop_next()
         if pkt is None:

@@ -34,15 +34,13 @@ lazily when popped, keeping both operations O(log n) / O(1).  The live
 count (:attr:`Simulator.pending`) is maintained eagerly, so diagnostics
 never over-report cancelled entries awaiting compaction.
 
-``Simulator.run`` optionally pauses the cyclic garbage collector for the
-duration of the loop (on by default): the hot path allocates almost
-nothing, so GC passes are pure overhead mid-run.  Pass ``pause_gc=False``
-to the constructor to opt out.
+``Simulator.run`` pauses the cyclic garbage collector for the duration
+of the loop (when it was enabled on entry): the hot path allocates
+almost nothing, so GC passes are pure overhead mid-run.
 
-Process-wide defaults for the scheduler and the ports' packet-train
-batching limit can be set temporarily with :func:`engine_defaults`, so
-benchmarks and tests can flip engine configurations without threading
-parameters through every experiment constructor.
+The process-wide default scheduler can be set temporarily with
+:func:`engine_defaults`, so benchmarks and tests can flip the drain loop
+without threading a parameter through every experiment constructor.
 """
 
 from __future__ import annotations
@@ -67,21 +65,19 @@ SCHEDULER_MODES = SCHEDULERS + ("best",)
 #: process-wide defaults picked up by ``Simulator()`` when the
 #: corresponding constructor argument is omitted (see
 #: :func:`engine_defaults`)
-_ENGINE_DEFAULTS = {"scheduler": "heap", "tx_batch_limit": 1}
+_ENGINE_DEFAULTS = {"scheduler": "heap"}
 
 
 @contextmanager
-def engine_defaults(
-    *, scheduler: Optional[str] = None, tx_batch_limit: Optional[int] = None
-):
+def engine_defaults(*, scheduler: Optional[str] = None):
     """Temporarily override the process-wide engine defaults.
 
     Every ``Simulator()`` constructed inside the ``with`` block picks up
-    the overridden ``scheduler`` / ``tx_batch_limit`` unless the caller
-    passes them explicitly.  This is how the perf suite and the
-    determinism tests flip engine configurations for scenarios that
-    construct their own simulators internally.  The previous defaults are
-    restored on exit (also on exceptions); nesting composes.
+    the overridden ``scheduler`` unless the caller passes one explicitly.
+    This is how the perf suite and the determinism tests flip the drain
+    loop for scenarios that construct their own simulators internally.
+    The previous defaults are restored on exit (also on exceptions);
+    nesting composes.
     """
     previous = dict(_ENGINE_DEFAULTS)
     if scheduler is not None:
@@ -90,10 +86,6 @@ def engine_defaults(
                 f"unknown scheduler {scheduler!r}; available: {SCHEDULER_MODES}"
             )
         _ENGINE_DEFAULTS["scheduler"] = scheduler
-    if tx_batch_limit is not None:
-        if tx_batch_limit < 1:
-            raise ValueError(f"tx_batch_limit must be >= 1, got {tx_batch_limit}")
-        _ENGINE_DEFAULTS["tx_batch_limit"] = int(tx_batch_limit)
     try:
         yield
     finally:
@@ -164,33 +156,19 @@ class Simulator:
         "_seq",
         "_events_processed",
         "_live",
-        "pause_gc",
         "pool",
         "scheduler",
         "_drain",
-        "tx_batch_limit",
-        "events_coalesced",
-        "pause_tracking",
         "__weakref__",
     )
 
-    def __init__(
-        self,
-        *,
-        pause_gc: bool = True,
-        scheduler: Optional[str] = None,
-        tx_batch_limit: Optional[int] = None,
-    ) -> None:
+    def __init__(self, *, scheduler: Optional[str] = None) -> None:
         if scheduler is None:
             scheduler = _ENGINE_DEFAULTS["scheduler"]
         if scheduler not in SCHEDULER_MODES:
             raise ValueError(
                 f"unknown scheduler {scheduler!r}; available: {SCHEDULER_MODES}"
             )
-        if tx_batch_limit is None:
-            tx_batch_limit = _ENGINE_DEFAULTS["tx_batch_limit"]
-        if tx_batch_limit < 1:
-            raise ValueError(f"tx_batch_limit must be >= 1, got {tx_batch_limit}")
         self.now: int = 0
         #: entries are (time, seq, fn, args) — fn is None for cancellable
         #: events, whose Event handle then rides in the args slot
@@ -198,10 +176,6 @@ class Simulator:
         self._seq = count()
         self._events_processed = 0
         self._live = 0
-        #: pause the cyclic GC while :meth:`run` executes (re-enabled on
-        #: return); the event loop allocates almost nothing, so collector
-        #: passes mid-run are pure overhead
-        self.pause_gc = pause_gc
         #: lazily attached per-simulator :class:`repro.sim.packet.PacketPool`
         #: (opaque to the engine; see ``repro.sim.packet.get_pool``)
         self.pool: Optional[object] = None
@@ -226,21 +200,6 @@ class Simulator:
             self._drain = module.drain
         #: name of the active event scheduler ("heap" or "compiled")
         self.scheduler = scheduler
-        #: max packets an egress port may serialize under one finish
-        #: event (1 = batching off; see ``repro.sim.port.TrainPort``)
-        self.tx_batch_limit = int(tx_batch_limit)
-        #: per-packet completions folded into train-finish events; these
-        #: are *added into* :attr:`events_processed` so the count stays
-        #: comparable across ``tx_batch_limit`` settings
-        self.events_coalesced = 0
-        #: must train-batched ports keep per-packet train entries so a
-        #: mid-train pause can truncate?  Off by default (the entries are
-        #: pure bookkeeping overhead); anything that may pause ports
-        #: mid-run — a PFC controller, a pause/resume test — sets this
-        #: True *before* traffic starts.  Without it, a pause on a
-        #: batched port takes effect at the end of the committed train
-        #: rather than at the next packet boundary.
-        self.pause_tracking = False
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -304,10 +263,7 @@ class Simulator:
         *not* advanced to ``until`` — live events at or before the horizon
         remain pending, so a later ``run`` resumes without time-travel.
         Cancelled events are compacted without consuming the budget.
-        Returns the number of events processed by this call (coalesced
-        per-packet completions folded into train-finish events are *not*
-        counted here — they accrue to :attr:`events_processed` via
-        :attr:`events_coalesced`).
+        Returns the number of events processed by this call.
         """
         if self._drain is not None:
             return self._run_compiled(until, max_events)
@@ -318,7 +274,7 @@ class Simulator:
         limit = -1 if max_events is None else max_events
         processed = 0
         budget_hit = False
-        pause = self.pause_gc and gc.isenabled()
+        pause = gc.isenabled()
         if pause:
             gc.disable()
         try:
@@ -401,7 +357,7 @@ class Simulator:
         the ``finally`` clause (also on callback exceptions).  Only the
         GC pause and the final clock advance to ``until`` live here.
         """
-        pause = self.pause_gc and gc.isenabled()
+        pause = gc.isenabled()
         if pause:
             gc.disable()
         try:
@@ -414,20 +370,6 @@ class Simulator:
         if until is not None and not budget_hit and self.now < until:
             self.now = until
         return processed
-
-    def _remove_entries(self, entries) -> None:
-        """Un-schedule plain fast-path entries (rare path).
-
-        Used by PFC train truncation to cancel the delivery events of
-        packets returned to the queue.  O(heap) — one scan per entry plus
-        one heapify — acceptable because pauses are rare relative to
-        transmissions.  Every entry must currently be scheduled.
-        """
-        heap = self._heap
-        for entry in entries:
-            heap.remove(entry)
-        heapq.heapify(heap)
-        self._live -= len(entries)
 
     def step(self) -> bool:
         """Process exactly one pending event.  Returns False if none left."""
@@ -463,16 +405,8 @@ class Simulator:
 
     @property
     def events_processed(self) -> int:
-        """Total events executed since construction.
-
-        Includes coalesced per-packet tx completions (see
-        :attr:`events_coalesced`): a train of *n* packets serialized
-        under one finish event counts as *n*, so the total is comparable
-        across ``tx_batch_limit`` settings.  The two counters are summed
-        here rather than maintained jointly so the ports' batched commit
-        paths touch a single counter per packet.
-        """
-        return self._events_processed + self.events_coalesced
+        """Total events executed since construction."""
+        return self._events_processed
 
     def peek_time(self) -> Optional[int]:
         """Time of the next live event, or None if none is scheduled.

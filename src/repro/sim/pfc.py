@@ -10,7 +10,8 @@ can opt into it and so head-of-line-blocking effects can be studied.
 
 Model granularity: pause/resume acts on whole upstream egress ports (the
 coarse, class-less PFC of most testbeds).  The pause frame's propagation
-is modeled with the link's delay.
+is modeled with the link's delay; a paused port finishes the packet it is
+serializing and starts no other, so the boundary is packet-granular.
 
 Headroom matters, exactly as on real ASICs: the high watermark must leave
 room for (i) the bytes in flight during one poll interval plus one pause-
@@ -62,10 +63,6 @@ class PfcController:
                 f"{low_watermark}/{high_watermark}/{switch.buffer.capacity}"
             )
         self.sim = sim
-        # PFC may pause upstream ports mid-train: turn on per-packet
-        # train bookkeeping so a pause can truncate at the exact packet
-        # boundary (off by default — it costs on the batched hot path).
-        sim.pause_tracking = True
         self.switch = switch
         self.upstream_ports = list(upstream_ports)
         self.high_watermark = high_watermark
@@ -87,12 +84,7 @@ class PfcController:
         # Fires every poll interval for the whole run: keep it lean (the
         # engine's tuple fast path makes the reschedule allocation-free).
         sim = self.sim
-        buffer = self.switch.buffer
-        if sim.now >= buffer._next_release:
-            # Train batching defers releases; flush so the watermark
-            # comparison sees the true occupancy (one compare otherwise).
-            buffer.release_due(sim.now)
-        used = buffer.used
+        used = self.switch.buffer.used
         if not self.paused and used >= self.high_watermark:
             self.paused = True
             self.pause_events += 1

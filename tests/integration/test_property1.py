@@ -44,9 +44,6 @@ def measured_norm_power(net, driver, flows):
     from repro.core.power import normalized_power_from_hop
 
     bottleneck = net.port("bottleneck")
-    stamps = []
-
-    real_stamp = bottleneck._stamp_qlen
 
     # Sample two dequeue events one base-RTT apart via the port counters.
     t0 = (net.sim.now, bottleneck.qlen_bytes, bottleneck.tx_bytes)

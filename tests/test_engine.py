@@ -1,7 +1,10 @@
 """Unit tests for the discrete-event engine."""
 
+import gc
+
 import pytest
 
+from compiled_support import require_compiled
 from repro.sim.engine import SCHEDULER_MODES, Simulator, engine_defaults
 
 
@@ -282,12 +285,22 @@ def test_mixed_fast_and_cancellable_tie_order():
     assert fired == ["fast-1", "timer", "fast-2"]  # scheduling order
 
 
-def test_run_with_gc_pause_disabled():
-    sim = Simulator(pause_gc=False)
-    fired = []
-    sim.at(10, fired.append, 1)
+@pytest.mark.parametrize("scheduler", ["heap", "compiled"])
+def test_run_pauses_gc_and_leaves_the_callers_setting(scheduler):
+    require_compiled(scheduler)
+    seen = []
+    sim = Simulator(scheduler=scheduler)
+    sim.at(10, lambda: seen.append(gc.isenabled()))
+    assert gc.isenabled()
     sim.run()
-    assert fired == [1]
+    assert seen == [False] and gc.isenabled()
+    gc.disable()  # a caller that already paused the collector keeps it so
+    try:
+        sim.at(20, lambda: seen.append(gc.isenabled()))
+        sim.run()
+        assert seen == [False, False] and not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("name", ["calendar", "auto", "nope"])

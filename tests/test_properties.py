@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +12,8 @@ from repro.core.power import normalized_power_from_hop
 from repro.fluid.laws import GRADIENT_LAW, POWER_LAW, QUEUE_LAW
 from repro.sim.buffer import SharedBuffer
 from repro.sim.engine import Simulator
-from repro.sim.packet import HopRecord
+from repro.sim.packet import HopRecord, Packet
+from repro.sim.port import EgressPort
 from repro.units import GBPS, USEC, tx_time_ns
 from repro.workloads.distributions import WEB_SEARCH
 
@@ -163,6 +165,112 @@ def test_buffer_accounting_invariants(capacity, alpha, sizes):
     for size in queued:
         buf.on_dequeue(size)
     assert buf.used == 0
+
+
+# ----------------------------------------------------------------------
+# Egress port: the one transmit path is exact for every observer
+# ----------------------------------------------------------------------
+_PORT_RATE = 8 * GBPS  # one byte per nanosecond
+_PORT_DELAY_NS = 700
+
+#: one scheduled action on port ``index``: (time, index, what) where
+#: ``what`` is "pause", "resume" or an arrival's (payload, priority).
+#: Small time range against ~1 us packets => deep queues and DT drops.
+_PORT_OPS = st.lists(
+    st.tuples(
+        st.integers(0, 30_000),
+        st.integers(0, 2),
+        st.sampled_from(["pause", "resume"])
+        | st.tuples(st.integers(1, 1_452), st.integers(0, 3)),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+@pytest.mark.parametrize("scheduler", ["heap", "compiled"])
+def test_port_is_exact_for_every_observer(scheduler):
+    require_compiled(scheduler)
+
+    @given(_PORT_OPS, st.integers(3_000, 40_000), st.sampled_from([0.5, 1.0, 4.0]))
+    @settings(max_examples=100, deadline=None)
+    def check(ops, capacity, alpha):
+        sim = Simulator(scheduler=scheduler)
+        buffer = SharedBuffer(capacity, alpha)
+        arrived = []  # arrival time by Packet.seq, admitted packets only
+        delivered = [[] for _ in range(3)]  # per port: (start_ns, pkt)
+
+        def observe():
+            in_buffer = 0
+            for port in ports:
+                # the packet on the wire rides in the pending finish event
+                wire = [e[3][0].size for e in sim._heap if e[2] is port._finish_cb]
+                assert len(wire) == port.busy
+                assert port.busy or port.paused or port.qlen_bytes == 0
+                in_buffer += port.qlen_bytes + sum(wire)
+            assert buffer.used == in_buffer
+
+        class Sink:
+            def __init__(self, index):
+                self.index = index
+
+            def receive(self, pkt):
+                start = sim.now - _PORT_DELAY_NS - tx_time_ns(pkt.size, _PORT_RATE)
+                delivered[self.index].append((start, pkt))
+                observe()
+
+        ports = [
+            EgressPort(sim, _PORT_RATE, _PORT_DELAY_NS, peer=Sink(i),
+                       buffer=buffer, int_stamping=True, name=f"p{i}")
+            for i in range(3)
+        ]
+
+        def act(index, what):
+            port = ports[index]
+            if what == "pause":
+                port.pause()
+            elif what == "resume":
+                port.resume()
+            else:
+                payload, priority = what
+                pkt = Packet.data(
+                    index, 0, 1, len(arrived), payload,
+                    priority=priority, int_enabled=True,
+                )
+                if port.enqueue(pkt):
+                    arrived.append(sim.now)
+            observe()
+
+        for t, index, what in ops:
+            sim.at(t, act, index, what)
+        sim.run()
+        sent = sum(pkt.size for log in delivered for _, pkt in log)
+        # admitted = delivered + still queued behind a pause
+        assert buffer.total_admitted == sent + buffer.used
+        for port in ports:
+            port.resume()
+        sim.run()
+        observe()
+        assert buffer.used == 0
+        assert sum(len(log) for log in delivered) == len(arrived)
+
+        for port, log in zip(ports, delivered):
+            tx_bytes = 0
+            for i, (start, pkt) in enumerate(log):
+                # INT is stamped when the packet is scheduled for transmission
+                tx_bytes += pkt.size
+                (hop,) = pkt.int_hops
+                assert (hop.ts_ns, hop.tx_bytes) == (start, tx_bytes)
+                for later_start, later in log[i + 1:]:
+                    assert later_start > start  # one packet at a time
+                    if later.priority == pkt.priority:
+                        assert later.seq > pkt.seq  # FIFO within a priority
+                    elif later.priority < pkt.priority:
+                        # strict across: it was not waiting when pkt started
+                        assert arrived[later.seq] >= start
+            assert port.tx_bytes == tx_bytes
+
+    check()
 
 
 # ----------------------------------------------------------------------
