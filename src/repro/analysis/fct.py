@@ -14,7 +14,7 @@ plus per-size-bin curves over the web-search bins
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.stats import percentile
 from repro.transport.flow import Flow
@@ -36,9 +36,11 @@ WEB_SEARCH_BINS = (
 )
 
 
-def _slowdown(flow: Flow, base_rtt_ns: int, bottleneck_bps: float, ideal_fn):
-    if ideal_fn is not None:
-        return flow.fct_ns / ideal_fn(flow)
+def _slowdown(
+    flow: Flow, base_rtt_ns: int, bottleneck_bps: float, ideal_fcts_ns
+):
+    if ideal_fcts_ns is not None:
+        return flow.fct_ns / ideal_fcts_ns[flow.flow_id]
     return flow.slowdown(base_rtt_ns, bottleneck_bps)
 
 
@@ -46,16 +48,17 @@ def slowdowns(
     flows: Iterable[Flow],
     base_rtt_ns: int,
     bottleneck_bps: float,
-    ideal_fn=None,
+    ideal_fcts_ns: Optional[Mapping[int, int]] = None,
 ) -> List[float]:
     """Per-flow FCT slowdown for all completed flows.
 
-    ``ideal_fn(flow) -> ns`` supplies an exact per-path ideal FCT (see
-    :meth:`repro.topology.network.Network.ideal_fct_ns`); without it the
-    scalar ``base_rtt_ns`` + bottleneck-serialization model is used.
+    ``ideal_fcts_ns`` maps flow id -> exact per-path ideal FCT in ns (see
+    :meth:`repro.experiments.driver.FlowDriver.ideal_fcts_ns`); without
+    it the scalar ``base_rtt_ns`` + bottleneck-serialization model is
+    used.
     """
     return [
-        _slowdown(f, base_rtt_ns, bottleneck_bps, ideal_fn)
+        _slowdown(f, base_rtt_ns, bottleneck_bps, ideal_fcts_ns)
         for f in flows
         if f.completed
     ]
@@ -108,7 +111,7 @@ def summarize_fct(
     base_rtt_ns: int,
     bottleneck_bps: float,
     pct: float = 99.9,
-    ideal_fn=None,
+    ideal_fcts_ns: Optional[Mapping[int, int]] = None,
     size_scale: float = 1.0,
 ) -> FctSummary:
     """Percentile slowdowns by class (None when a class has no flows).
@@ -123,7 +126,7 @@ def summarize_fct(
         if not flow.completed:
             continue
         completed += 1
-        value = _slowdown(flow, base_rtt_ns, bottleneck_bps, ideal_fn)
+        value = _slowdown(flow, base_rtt_ns, bottleneck_bps, ideal_fcts_ns)
         by_class[_class_of(flow.size_bytes, size_scale)].append(value)
         all_values.append(value)
 
@@ -148,7 +151,7 @@ def slowdown_by_size_bin(
     bottleneck_bps: float,
     pct: float = 99.9,
     bins: Sequence[int] = WEB_SEARCH_BINS,
-    ideal_fn=None,
+    ideal_fcts_ns: Optional[Mapping[int, int]] = None,
     size_scale: float = 1.0,
 ) -> List[Tuple[int, Optional[float], int]]:
     """Fig. 6 series: (bin upper edge, percentile slowdown, flow count).
@@ -163,7 +166,7 @@ def slowdown_by_size_bin(
         for edge in bins:
             if flow.size_bytes <= edge * size_scale:
                 grouped[edge].append(
-                    _slowdown(flow, base_rtt_ns, bottleneck_bps, ideal_fn)
+                    _slowdown(flow, base_rtt_ns, bottleneck_bps, ideal_fcts_ns)
                 )
                 break
     return [

@@ -28,7 +28,8 @@ best overcommitment level in their setup was 1.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from heapq import nsmallest
+from typing import Dict, Iterable, List
 
 from repro.cc.registry import (
     HOMA_TRANSPORT,
@@ -159,6 +160,25 @@ class HomaReceiver(Receiver):
                 self.on_complete(self.flow)
 
 
+def _srpt_key(receiver: HomaReceiver):
+    # (remaining_bytes, flow id), spelled out: this runs once per active
+    # message per grant tick, and the property call doubles its cost.
+    flow = receiver.flow
+    return flow.size_bytes - receiver.rcv_nxt, flow.flow_id
+
+
+def srpt_first(receivers: Iterable[HomaReceiver], k: int) -> List[HomaReceiver]:
+    """The ``k`` highest-ranked messages, best first.
+
+    SRPT with a deterministic flow-id tiebreak, so equal-remaining
+    messages are served round-robin-stably rather than arbitrarily.
+    Equal to ``sorted(receivers, key=...)[:k]`` without ordering the
+    messages beyond rank ``k`` — the pacer looks at ``overcommitment``
+    (default 1) of possibly hundreds, once per grant tick.
+    """
+    return nsmallest(k, receivers, key=_srpt_key)
+
+
 class HomaGrantScheduler:
     """Per-host grant pacer with SRPT ranking and overcommitment.
 
@@ -205,19 +225,11 @@ class HomaGrantScheduler:
             self.sim.after(self._tick_ns, self._tick)
 
     # ------------------------------------------------------------------
-    def _rank(self) -> List[HomaReceiver]:
-        # SRPT with a deterministic flow-id tiebreak so equal-remaining
-        # messages are served round-robin-stably rather than arbitrarily.
-        return sorted(
-            self.active.values(),
-            key=lambda r: (r.remaining_bytes, r.flow.flow_id),
-        )
-
     def _tick(self) -> None:
         self._running = False
         if not self.active:
             return
-        candidates = self._rank()[: self.overcommitment]
+        candidates = srpt_first(self.active.values(), self.overcommitment)
         for rank, receiver in enumerate(candidates):
             if not receiver.needs_grant:
                 continue

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.analysis.fct import FctSummary, summarize_fct
 from repro.analysis.stats import percentile
@@ -72,7 +72,8 @@ class BurstyResult:
     drops: int = 0
     events_processed: int = 0
     incast_count: int = 0
-    ideal_fn: Optional[object] = None  # Callable[[Flow], int] -> ideal FCT ns
+    #: flow id -> exact per-path ideal FCT in ns
+    ideal_fcts_ns: Optional[Dict[int, int]] = None
 
     def fct_summary(self, pct: float = 99.9, tag: Optional[str] = None) -> FctSummary:
         """Short/medium/long tail slowdowns (optionally one tag only)."""
@@ -87,7 +88,7 @@ class BurstyResult:
             self.base_rtt_ns,
             self.host_bw_bps,
             pct,
-            ideal_fn=self.ideal_fn,
+            ideal_fcts_ns=self.ideal_fcts_ns,
             size_scale=self.size_scale,
         )
 
@@ -189,9 +190,7 @@ def run_bursty(config: BurstyConfig) -> BurstyResult:
         host_bw_bps=params.host_bw_bps,
         size_scale=config.size_scale,
     )
-    result.ideal_fn = lambda flow: net.ideal_fct_ns(
-        flow.src, flow.dst, flow.size_bytes, config.mtu_payload
-    )
+    result.ideal_fcts_ns = driver.ideal_fcts_ns()
     result.flows = driver.flows
     result.drops = net.total_drops()
     result.events_processed = sim.events_processed

@@ -85,6 +85,7 @@ class FlowDriver:
         self._flow_specs: Dict[int, AlgorithmSpec] = {}
         self._assign: Optional[Callable[[Flow], AlgorithmLike]] = None
         self._tag_specs: Optional[Dict[str, AlgorithmSpec]] = None
+        self.sim.on_close(self.close)
 
         self.spec: Optional[AlgorithmSpec] = None  # the single/default spec
         if isinstance(algorithm, AlgorithmSpec):
@@ -335,6 +336,38 @@ class FlowDriver:
     def run(self, until_ns: Optional[int] = None) -> None:
         """Run the event loop (forever if no horizon given)."""
         self.sim.run(until=until_ns)
+
+    def ideal_fcts_ns(self) -> Dict[int, int]:
+        """Exact per-path ideal FCT of every flow, keyed by flow id.
+
+        The denominators of FCT slowdown
+        (:meth:`repro.topology.network.Network.ideal_fct_ns`) as plain
+        data, so a result can compute slowdowns after the network it ran
+        on was torn down.
+        """
+        ideal = self.net.ideal_fct_ns
+        return {
+            f.flow_id: ideal(f.src, f.dst, f.size_bytes, self.mtu_payload)
+            for f in self.flows
+        }
+
+    def close(self) -> None:
+        """The driver's share of :meth:`Simulator.close` (call that).
+
+        Every receiver holds ``self._on_complete``, rate-based CC laws
+        hold their sender and HOMA receivers and their grant scheduler
+        hold each other, so the endpoint and scheduler maps go, each
+        sender lets go of its CC object and each scheduler of its active
+        messages.  ``flows`` / ``completed`` — the plain records results
+        are built from — stay.
+        """
+        for sender in self.senders.values():
+            sender.cc = None
+        for scheduler in self._homa_schedulers.values():
+            scheduler.active.clear()
+        self.senders.clear()
+        self.receivers.clear()
+        self._homa_schedulers.clear()
 
     @property
     def unfinished(self) -> List[Flow]:

@@ -24,7 +24,7 @@ import dataclasses
 import random
 from dataclasses import dataclass, field
 from statistics import mean, pstdev
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.analysis.fct import FctSummary, summarize_fct
 from repro.experiments.driver import FlowDriver
@@ -77,7 +77,8 @@ class LbMatrixResult:
     retransmissions: int = 0
     drops: int = 0
     events_processed: int = 0
-    ideal_fn: Optional[object] = None
+    #: flow id -> exact per-path ideal FCT in ns
+    ideal_fcts_ns: Optional[Dict[int, int]] = None
 
     def uplink_imbalance(self) -> Optional[float]:
         """max/mean of per-uplink tx bytes (None when nothing was sent)."""
@@ -100,7 +101,7 @@ class LbMatrixResult:
             self.base_rtt_ns,
             self.host_bw_bps,
             pct,
-            ideal_fn=self.ideal_fn,
+            ideal_fcts_ns=self.ideal_fcts_ns,
         )
 
 
@@ -141,9 +142,7 @@ def run_lb_matrix(config: LbMatrixConfig) -> LbMatrixResult:
         base_rtt_ns=net.base_rtt_ns,
         host_bw_bps=params.host_bw_bps,
     )
-    result.ideal_fn = lambda flow: net.ideal_fct_ns(
-        flow.src, flow.dst, flow.size_bytes, config.mtu_payload
-    )
+    result.ideal_fcts_ns = driver.ideal_fcts_ns()
     result.flows = driver.flows
     result.uplink_tx_bytes = [port.tx_bytes for port in uplinks]
     result.hotspot_peak_qlen_bytes = max(

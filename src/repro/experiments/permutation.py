@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.analysis.fairness import jain_index
 from repro.analysis.fct import FctSummary, summarize_fct
@@ -60,7 +60,8 @@ class PermutationResult:
     flows: List[Flow] = field(default_factory=list)
     drops: int = 0
     events_processed: int = 0
-    ideal_fn: Optional[object] = None
+    #: flow id -> exact per-path ideal FCT in ns
+    ideal_fcts_ns: Optional[Dict[int, int]] = None
 
     def fct_summary(self, pct: float = 99.0) -> FctSummary:
         """Tail FCT slowdowns over the permutation's flows."""
@@ -70,7 +71,7 @@ class PermutationResult:
             self.base_rtt_ns,
             self.host_bw_bps,
             pct,
-            ideal_fn=self.ideal_fn,
+            ideal_fcts_ns=self.ideal_fcts_ns,
         )
 
     def per_flow_goodput_bps(self) -> List[float]:
@@ -118,9 +119,7 @@ def run_permutation(config: PermutationConfig) -> PermutationResult:
         base_rtt_ns=net.base_rtt_ns,
         host_bw_bps=params.host_bw_bps,
     )
-    result.ideal_fn = lambda flow: net.ideal_fct_ns(
-        flow.src, flow.dst, flow.size_bytes, config.mtu_payload
-    )
+    result.ideal_fcts_ns = driver.ideal_fcts_ns()
     result.flows = driver.flows
     result.drops = net.total_drops()
     result.events_processed = sim.events_processed

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.analysis.fct import FctSummary, slowdown_by_size_bin, summarize_fct
 from repro.analysis.stats import percentile
@@ -103,7 +103,8 @@ class WebsearchResult:
     buffer_samples_bytes: List[float] = field(default_factory=list)
     drops: int = 0
     events_processed: int = 0
-    ideal_fn: Optional[object] = None  # Callable[[Flow], int] -> ideal FCT ns
+    #: flow id -> exact per-path ideal FCT in ns
+    ideal_fcts_ns: Optional[Dict[int, int]] = None
 
     def fct_summary(self, pct: float = 99.9) -> FctSummary:
         """Short/medium/long percentile slowdowns."""
@@ -113,7 +114,7 @@ class WebsearchResult:
             self.base_rtt_ns,
             self.host_bw_bps,
             pct,
-            ideal_fn=self.ideal_fn,
+            ideal_fcts_ns=self.ideal_fcts_ns,
             size_scale=self.size_scale,
         )
 
@@ -124,7 +125,7 @@ class WebsearchResult:
             self.base_rtt_ns,
             self.host_bw_bps,
             pct,
-            ideal_fn=self.ideal_fn,
+            ideal_fcts_ns=self.ideal_fcts_ns,
             size_scale=self.size_scale,
         )
 
@@ -182,9 +183,7 @@ def run_websearch(config: WebsearchConfig) -> WebsearchResult:
         host_bw_bps=params.host_bw_bps,
         size_scale=config.size_scale,
     )
-    result.ideal_fn = lambda flow: net.ideal_fct_ns(
-        flow.src, flow.dst, flow.size_bytes, config.mtu_payload
-    )
+    result.ideal_fcts_ns = driver.ideal_fcts_ns()
     result.flows = driver.flows
     result.drops = net.total_drops()
     result.events_processed = sim.events_processed

@@ -178,6 +178,17 @@ def _mentions_ckernel(dotted: str) -> bool:
     return "_ckernel" in dotted.lstrip(".").split(".")
 
 
+def _imported_modules(node: ast.AST) -> list:
+    """Dotted names an import statement may load (``[]`` for other nodes):
+    the module itself plus, for ``from m import a``, ``m.a``."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        base = "." * node.level + (node.module or "")
+        return [base] + [f"{base}.{alias.name}" for alias in node.names]
+    return []
+
+
 @register_rule(
     "compiled-core-import",
     category="registry",
@@ -203,15 +214,7 @@ class CompiledCoreImportRule(Rule):
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
-            modules = []
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                base = "." * node.level + (node.module or "")
-                modules = [base] + [
-                    f"{base}.{alias.name}" for alias in node.names
-                ]
-            if any(_mentions_ckernel(module) for module in modules):
+            if any(map(_mentions_ckernel, _imported_modules(node))):
                 yield self.finding(
                     ctx,
                     node,
@@ -222,20 +225,34 @@ class CompiledCoreImportRule(Rule):
                 )
 
 
-@register_rule(
-    "module-scope-numpy",
-    category="import-cost",
-    contract="docs/INVARIANTS.md#optional-accelerator-imports",
-)
-class ModuleScopeNumpyRule(Rule):
-    """No module-scope numpy import in the package; resolve it on use.
+#: modules no file under ``src/repro`` may import at module scope (costs
+#: per cold process in docs/INVARIANTS.md#import-cost)
+_HEAVY_IMPORTS = ("numpy", "concurrent.futures", "multiprocessing")
 
-    ``repro.cli`` imports most of the package, so a module-scope
-    ``import numpy`` is paid (~80 ms, ~12 MiB) by every cold ``run`` /
-    ``sweep`` / ``campaign`` process and every campaign worker, although
-    only the fluid grid paths use it — and it turns an optional
-    dependency into an import-time crash on boxes without it.  Class
-    bodies and module-level ``try:`` blocks run at import and count.
+
+def _heavy_import(module: str):
+    """The deny-list entry ``module`` is or lives under, else None."""
+    for heavy in _HEAVY_IMPORTS:
+        if module == heavy or module.startswith(heavy + "."):
+            return heavy
+    return None
+
+
+@register_rule(
+    "module-scope-heavy-import",
+    category="import-cost",
+    contract="docs/INVARIANTS.md#import-cost",
+)
+class ModuleScopeHeavyImportRule(Rule):
+    """No module-scope import of numpy / a process pool in the package.
+
+    ``repro.cli`` imports most of the package, so a module-scope import
+    of anything on the deny-list (``numpy``, ``concurrent.futures``,
+    ``multiprocessing``) is paid by every cold ``run`` / ``sweep`` /
+    ``campaign`` process and every campaign worker, although only the
+    fluid grid paths use numpy and only ``sweep --jobs N`` builds a
+    pool.  Import it inside the function that needs it.  Class bodies
+    and module-level ``try:`` blocks run at import and count.
     """
 
     def applies(self, ctx: LintContext) -> bool:
@@ -243,13 +260,10 @@ class ModuleScopeNumpyRule(Rule):
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                modules = [node.module or ""]
-            else:
-                continue
-            if not any(m.split(".")[0] == "numpy" for m in modules):
+            heavy = next(
+                filter(None, map(_heavy_import, _imported_modules(node))), None
+            )
+            if heavy is None:
                 continue
             owner = ctx.parents.get(node)
             while owner is not None and not isinstance(
@@ -260,9 +274,9 @@ class ModuleScopeNumpyRule(Rule):
                 yield self.finding(
                     ctx,
                     node,
-                    "module-scope numpy import — every cold CLI process and "
-                    "campaign worker would load it; import it inside the "
-                    "function that needs it (see fluid/vectorized.py)",
+                    f"module-scope import of {heavy} — every cold CLI "
+                    "process and campaign worker would load it; import it "
+                    "inside the function that needs it",
                 )
 
 

@@ -5,7 +5,8 @@ RDCN, bursty) behind a four-step protocol::
 
     configure(**overrides) -> config      # validated config dataclass
     build(config)          -> runnable    # zero-arg callable -> raw result
-    run(config)            -> ScenarioResult   # times build()() + collect()
+    run(config)            -> ScenarioResult   # times build()() + collect(),
+                                               # then ends the simulation
     collect(config, raw)   -> (metrics, series)
 
 Every scenario returns the same :class:`ScenarioResult` record — a flat
@@ -22,6 +23,8 @@ import dataclasses
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
+
+from repro.sim.engine import run_scope
 
 
 def config_to_jsonable(value: Any) -> Any:
@@ -47,7 +50,9 @@ class ScenarioResult:
 
     ``raw`` carries the experiment module's native result object for
     in-process callers (benchmarks, notebooks); it is dropped when the
-    result crosses a process boundary or is persisted to JSON.
+    result crosses a process boundary or is persisted to JSON.  It
+    outlives the simulation (:meth:`Scenario.run` tears that down), so
+    it holds plain data only — never the network, a port or an endpoint.
     """
 
     scenario: str
@@ -129,13 +134,19 @@ class Scenario:
             )
         if config is None:
             config = self.configure(**overrides)
-        runnable = self.build(config)
-        # Wall time feeds the wall_time_s provenance field only — it never
-        # influences simulation behaviour or persisted metric values.
-        start = time.perf_counter()  # lint: disable=wall-clock
-        raw = runnable()
-        wall_s = time.perf_counter() - start  # lint: disable=wall-clock
-        metrics, series = self.collect(config, raw)
+        # The scope ends the run: every simulator the experiment built is
+        # closed once collect() has read it, on success and on exception,
+        # so back-to-back cells never carry dead simulators
+        # (docs/INVARIANTS.md#run-teardown).
+        with run_scope():
+            runnable = self.build(config)
+            # Wall time feeds the wall_time_s provenance field only — it
+            # never influences simulation behaviour or persisted metric
+            # values.
+            start = time.perf_counter()  # lint: disable=wall-clock
+            raw = runnable()
+            wall_s = time.perf_counter() - start  # lint: disable=wall-clock
+            metrics, series = self.collect(config, raw)
         provenance = {
             "scenario": self.name,
             "algorithm": getattr(config, "algorithm", None),

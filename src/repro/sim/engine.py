@@ -41,6 +41,18 @@ almost nothing, so GC passes are pure overhead mid-run.
 The process-wide default scheduler can be set temporarily with
 :func:`engine_defaults`, so benchmarks and tests can flip the drain loop
 without threading a parameter through every experiment constructor.
+
+A run has an explicit end of life, :meth:`Simulator.close`.  Everything
+built on a simulator is cyclic by construction (bidirectional links,
+ports caching their own bound callbacks, hosts <-> endpoints) and the
+collector is off while it runs, so a finished run that is merely dropped
+stays in memory until some later generation-2 pass.  ``close`` releases
+the pending events and runs the teardown hooks the layers above
+registered with :meth:`Simulator.on_close`, after which the whole graph
+dies by reference counting (``docs/INVARIANTS.md#run-teardown``).
+:func:`run_scope` closes every simulator constructed inside its block —
+that is how ``Scenario.run`` ends the run of experiments that construct
+their simulators internally.
 """
 
 from __future__ import annotations
@@ -90,6 +102,37 @@ def engine_defaults(*, scheduler: Optional[str] = None):
         yield
     finally:
         _ENGINE_DEFAULTS.update(previous)
+
+
+#: one list per open :func:`run_scope`, innermost last, holding the
+#: simulators constructed inside it
+_RUN_SCOPES: list = []
+
+
+@contextmanager
+def run_scope():
+    """Close every ``Simulator`` constructed inside the ``with`` block.
+
+    The simulators stay usable until the block exits (on success and on
+    exceptions alike), so results can still be read off the network
+    inside it.  Scopes nest: a simulator belongs to the innermost scope
+    open at its construction.
+    """
+    opened: list = []
+    _RUN_SCOPES.append(opened)
+    try:
+        yield
+    finally:
+        _RUN_SCOPES.pop()
+        for sim in opened:
+            sim.close()
+
+
+def _closed_error() -> RuntimeError:
+    return RuntimeError(
+        "this Simulator was closed: close() ended the run and released its "
+        "events; construct a new Simulator for another run"
+    )
 
 
 class Event:
@@ -159,6 +202,7 @@ class Simulator:
         "pool",
         "scheduler",
         "_drain",
+        "_closers",
         "__weakref__",
     )
 
@@ -200,6 +244,51 @@ class Simulator:
             self._drain = module.drain
         #: name of the active event scheduler ("heap" or "compiled")
         self.scheduler = scheduler
+        #: teardown hooks run by :meth:`close`; None once closed
+        self._closers: Optional[list] = []
+        if _RUN_SCOPES:
+            _RUN_SCOPES[-1].append(self)
+
+    # ------------------------------------------------------------------
+    # End of life
+    # ------------------------------------------------------------------
+    def on_close(self, fn: Callable[[], Any]) -> None:
+        """Register ``fn()`` to run when the simulation is closed.
+
+        Whatever builds cyclic structure on this simulator (the network
+        container, the flow driver) registers the method that takes its
+        share apart, so :meth:`close` is the one teardown entry point.
+        """
+        if self._closers is None:
+            raise _closed_error()
+        self._closers.append(fn)
+
+    def close(self) -> None:
+        """End this run: release everything that keeps its graph cyclic.
+
+        Runs the :meth:`on_close` hooks, drops every pending event
+        (cancelling the handles of cancellable ones, which their owners
+        may still hold) and detaches the packet pool.  Afterwards nothing
+        built on this simulator is part of a reference cycle through the
+        engine, so the run is freed by reference counting as soon as the
+        caller lets go of it — no collector pass involved.  Counters
+        (:attr:`events_processed`, ``now``) stay readable; scheduling or
+        running raises.  Idempotent, and safe after a callback raised
+        mid-run.
+        """
+        closers = self._closers
+        if closers is None:
+            return
+        self._closers = None
+        for fn in closers:
+            fn()
+        for _time, _seq, fn, event in self._heap:
+            if fn is None:
+                event.cancelled = True
+                event.fn = event.args = event._sim = None
+        self._heap.clear()
+        self._live = 0
+        self.pool = None
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -210,6 +299,8 @@ class Simulator:
         Allocation-free apart from the heap tuple; returns no handle.
         Use :meth:`at_cancellable` when the caller may need to cancel.
         """
+        if self._closers is None:
+            raise _closed_error()
         if time_ns < self.now:
             raise ValueError(
                 f"cannot schedule in the past: {time_ns} < now={self.now}"
@@ -219,6 +310,8 @@ class Simulator:
 
     def after(self, delay_ns: int, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule ``fn(*args)`` ``delay_ns`` nanoseconds from now (fast path)."""
+        if self._closers is None:
+            raise _closed_error()
         if delay_ns < 0:
             raise ValueError(f"negative delay: {delay_ns}")
         heapq.heappush(
@@ -234,6 +327,8 @@ class Simulator:
         This is the timer API: retransmission/pacing/rate timers that an
         ACK may supersede.  Costs one :class:`Event` allocation.
         """
+        if self._closers is None:
+            raise _closed_error()
         if time_ns < self.now:
             raise ValueError(
                 f"cannot schedule in the past: {time_ns} < now={self.now}"
@@ -265,6 +360,8 @@ class Simulator:
         Cancelled events are compacted without consuming the budget.
         Returns the number of events processed by this call.
         """
+        if self._closers is None:
+            raise _closed_error()
         if self._drain is not None:
             return self._run_compiled(until, max_events)
         heap = self._heap
@@ -373,6 +470,8 @@ class Simulator:
 
     def step(self) -> bool:
         """Process exactly one pending event.  Returns False if none left."""
+        if self._closers is None:
+            raise _closed_error()
         heap = self._heap
         while heap:
             time_, _seq, fn, args = heapq.heappop(heap)

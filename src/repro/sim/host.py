@@ -48,6 +48,14 @@ class Host:
         """Remove a completed flow's endpoint."""
         self.endpoints.pop(flow_id, None)
 
+    def close(self) -> None:
+        """Run teardown: drop the endpoint table (every endpoint points
+        back at its host) and close the NIC (whose peer points back
+        through the fabric)."""
+        self.endpoints.clear()
+        if self.nic is not None:
+            self.nic.close()
+
     def send(self, pkt: Packet) -> None:
         """Push a packet out through the NIC."""
         if self.nic is None:

@@ -205,6 +205,15 @@ class EgressPort:
         if prop_delay_ns is not None:
             self.prop_delay_ns = prop_delay_ns
 
+    def close(self) -> None:
+        """Run teardown: unlink from the peer and drop the cached callbacks.
+
+        ``_finish_cb`` is a cycle through the port itself and
+        ``_deliver``/``peer`` close the cycle over the (bidirectional)
+        link.  Counters stay readable.
+        """
+        self.peer = self._deliver = self._finish_cb = None
+
     # ------------------------------------------------------------------
     # Enqueue path
     # ------------------------------------------------------------------

@@ -125,6 +125,17 @@ class Switch:
             policy.attach(self)
         self.policy = policy
 
+    def close(self) -> None:
+        """Run teardown: close every port and drop the port, route and
+        policy tables (ports reach the neighbours, the policy reaches
+        back here)."""
+        for port in self.ports:
+            port.close()
+        self.ports.clear()
+        self.routes.clear()
+        self._single.clear()
+        self.policy = None
+
     def candidates(self, dst: int) -> Tuple[EgressPort, ...]:
         """The route-table row for ``dst``; :class:`RoutingError` if absent."""
         try:

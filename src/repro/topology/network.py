@@ -122,6 +122,25 @@ class Network:
         self.pair_policy_fn: Optional[
             Callable[[int, random.Random], List[Tuple[int, int]]]
         ] = None
+        sim.on_close(self.close)
+
+    def close(self) -> None:
+        """The network's share of :meth:`Simulator.close` (call that).
+
+        Closes every host and switch (and through them every port) and
+        drops the node, label and extras tables and the builder's path
+        closures.  Scalar metadata (``base_rtt_ns``, ``host_bw_bps``,
+        ...) stays readable.
+        """
+        for host in self.hosts:
+            host.close()
+        for switch in self.switches:
+            switch.close()
+        self.hosts.clear()
+        self.switches.clear()
+        self.labeled_ports.clear()
+        self.extras.clear()
+        self.path_rtt_fn = self.path_profile_fn = self.pair_policy_fn = None
 
     def add_host(self, host: Host) -> Host:
         """Register a host (ids must match list positions)."""

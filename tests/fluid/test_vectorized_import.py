@@ -30,6 +30,18 @@ def test_cold_cli_and_worker_imports_leave_numpy_unloaded():
     assert done.returncode == 0
 
 
+def test_cold_cli_and_worker_imports_leave_the_process_pool_unloaded():
+    # the rest of the import-cost deny-list: only `sweep --jobs N` builds a pool
+    probe = (
+        "import sys; import repro.cli; import repro.campaign.worker; "
+        "sys.exit(any(m in sys.modules for m in "
+        "('multiprocessing', 'concurrent.futures')))"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-c", probe], env=env, timeout=60)
+    assert done.returncode == 0
+
+
 def test_simulate_grid_resolves_numpy_on_first_use():
     pytest.importorskip("numpy")
     p = _params()

@@ -5,7 +5,12 @@ import gc
 import pytest
 
 from compiled_support import require_compiled
-from repro.sim.engine import SCHEDULER_MODES, Simulator, engine_defaults
+from repro.sim.engine import (
+    SCHEDULER_MODES,
+    Simulator,
+    engine_defaults,
+    run_scope,
+)
 
 
 def test_events_fire_in_time_order():
@@ -312,3 +317,97 @@ def test_unknown_scheduler_rejected_naming_the_accepted_set(name):
     with pytest.raises(ValueError, match="unknown scheduler"):
         with engine_defaults(scheduler=name):
             pass
+
+
+# ----------------------------------------------------------------------
+# End of life: close(), use after close, run_scope
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("scheduler", ["heap", "compiled"])
+def test_close_releases_events_and_runs_hooks_once(scheduler):
+    require_compiled(scheduler)
+    sim = Simulator(scheduler=scheduler)
+    closed = []
+    sim.on_close(lambda: closed.append("net"))
+    sim.on_close(lambda: closed.append("driver"))
+    sim.at(10, closed.append, "fired")
+    timer = sim.after_cancellable(50, closed.append, "timer")
+    sim.run(until=20)
+    sim.close()
+    sim.close()  # idempotent: hooks do not run twice
+    assert closed == ["fired", "net", "driver"]
+    assert sim.pending == 0 and sim.heap_entries == 0 and sim.pool is None
+    assert sim.events_processed == 1 and sim.now == 20  # still readable
+    # the owner may still hold the handle: it is dead, not dangling
+    assert timer.cancelled and timer.fn is None and timer.args is None
+    timer.cancel()
+    assert sim.pending == 0
+
+
+@pytest.mark.parametrize("scheduler", ["heap", "compiled"])
+def test_use_after_close_raises_naming_close(scheduler):
+    require_compiled(scheduler)
+    sim = Simulator(scheduler=scheduler)
+    sim.close()
+    for use in (
+        lambda: sim.run(),
+        lambda: sim.run(until=5),
+        lambda: sim.step(),
+        lambda: sim.at(1, print),
+        lambda: sim.after(1, print),
+        lambda: sim.at_cancellable(1, print),
+        lambda: sim.after_cancellable(1, print),
+        lambda: sim.on_close(print),
+    ):
+        with pytest.raises(RuntimeError, match=r"close\(\)"):
+            use()
+    assert sim.peek_time() is None
+
+
+@pytest.mark.parametrize("scheduler", ["heap", "compiled"])
+def test_close_is_safe_after_a_callback_raised_mid_run(scheduler):
+    require_compiled(scheduler)
+    sim = Simulator(scheduler=scheduler)
+
+    def boom():
+        raise ZeroDivisionError("mid-run")
+
+    sim.at(10, boom)
+    sim.at(20, print, "never")
+    sim.after_cancellable(30, print, "never")
+    with pytest.raises(ZeroDivisionError):
+        sim.run()
+    assert sim.pending == 2 and gc.isenabled()
+    sim.close()
+    assert sim.pending == 0 and sim.heap_entries == 0
+    sim.close()
+
+
+def test_run_scope_closes_what_was_built_inside_it():
+    outside = Simulator()
+    with run_scope():
+        first = Simulator()
+        with run_scope():
+            inner = Simulator()
+            inner.at(1, print)
+        with pytest.raises(RuntimeError, match=r"close\(\)"):
+            inner.run()  # the inner scope ended the inner simulator only
+        first.at(5, lambda: None)
+        assert first.run() == 1
+    with pytest.raises(RuntimeError, match=r"close\(\)"):
+        first.at(9, print)
+    outside.at(1, lambda: None)
+    assert outside.run() == 1  # never belonged to a scope
+    later = Simulator()  # nor does one built after the scope ended
+    later.at(1, lambda: None)
+    assert later.run() == 1
+
+
+def test_run_scope_closes_on_exception():
+    built = []
+    with pytest.raises(ZeroDivisionError):
+        with run_scope():
+            built.append(Simulator())
+            built[0].at(10, lambda: 1 / 0)
+            built[0].run()
+    with pytest.raises(RuntimeError, match=r"close\(\)"):
+        built[0].run()

@@ -68,10 +68,18 @@ BAD_EXPECTATIONS = {
         ("compiled-core-import", 6),
     ],
     ("repro", "fluid", "bad_numpy_import.py"): [
-        ("module-scope-numpy", 3),
-        ("module-scope-numpy", 4),
-        ("module-scope-numpy", 7),
-        ("module-scope-numpy", 13),
+        ("module-scope-heavy-import", 3),
+        ("module-scope-heavy-import", 4),
+        ("module-scope-heavy-import", 7),
+        ("module-scope-heavy-import", 13),
+    ],
+    ("repro", "scenarios", "bad_pool_import.py"): [
+        ("module-scope-heavy-import", 3),
+        ("module-scope-heavy-import", 4),
+        ("module-scope-heavy-import", 5),
+        ("module-scope-heavy-import", 6),
+        ("module-scope-heavy-import", 7),
+        ("module-scope-heavy-import", 10),
     ],
     ("repro", "sim", "bad_env.py"): [
         ("env-read", 8),
@@ -102,6 +110,7 @@ GOOD_FIXTURES = [
     ("repro", "sim", "good_cancel.py"),
     ("examples", "good_env.py"),
     ("repro", "fluid", "good_numpy_import.py"),
+    ("repro", "scenarios", "good_pool_import.py"),
     ("repro", "campaign", "good_subprocess_timeout.py"),
 ]
 

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from compiled_support import require_compiled
 from repro.analysis.stats import percentile
+from repro.cc.homa import HomaReceiver, srpt_first
 from repro.core.power import normalized_power_from_hop
 from repro.fluid.laws import GRADIENT_LAW, POWER_LAW, QUEUE_LAW
 from repro.sim.buffer import SharedBuffer
 from repro.sim.engine import Simulator
 from repro.sim.packet import HopRecord, Packet
 from repro.sim.port import EgressPort
+from repro.transport.flow import Flow
 from repro.units import GBPS, USEC, tx_time_ns
 from repro.workloads.distributions import WEB_SEARCH
 
@@ -369,3 +371,37 @@ def test_tx_time_superadditive_within_rounding(a, b, rate):
     together = tx_time_ns(a + b, rate)
     apart = tx_time_ns(a, rate) + tx_time_ns(b, rate)
     assert together <= apart <= together + 2  # ceil rounding at most 1ns each
+
+
+# ----------------------------------------------------------------------
+# HOMA: the grant pacer's top-k selection is the prefix of the full sort
+# ----------------------------------------------------------------------
+class _Message:
+    """What the selection reads of a HomaReceiver, without a network."""
+
+    remaining_bytes = HomaReceiver.remaining_bytes  # the real property
+
+    def __init__(self, flow_id, size_bytes, rcv_nxt):
+        self.flow = Flow(flow_id, 0, 1, size_bytes)
+        self.rcv_nxt = rcv_nxt
+
+
+@given(
+    # few distinct sizes and offsets => plenty of equal-remaining ties
+    st.lists(
+        st.tuples(st.integers(1, 4), st.integers(0, 3)), max_size=40
+    ),
+    st.randoms(use_true_random=False),
+    st.data(),
+)
+def test_homa_srpt_first_is_the_prefix_of_the_full_sort(sizes, rng, data):
+    flow_ids = rng.sample(range(1000), len(sizes))
+    messages = [
+        _Message(flow_id, 1000 * size, 1000 * min(rcv, size))
+        for flow_id, (size, rcv) in zip(flow_ids, sizes)
+    ]
+    k = data.draw(st.integers(1, len(messages) + 1))
+    ranked = sorted(  # what the pacer did before: order all, use the first k
+        messages, key=lambda r: (r.remaining_bytes, r.flow.flow_id)
+    )
+    assert srpt_first(iter(messages), k) == ranked[:k]
