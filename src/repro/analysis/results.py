@@ -11,7 +11,9 @@ into a small queryable container:
   full overrides) match;
 * :meth:`ResultSet.values` — one metric as a list;
 * :meth:`ResultSet.pivot` — a (rows × cols) table of one metric, e.g.
-  load × algorithm → p99 slowdown, ready to print or plot.
+  load × algorithm → p99 slowdown, ready to print or plot;
+* :meth:`ResultSet.view` — the preset pivots of :data:`VIEWS`
+  (``parking_lot``, ``lb_matrix``, ``rollout``).
 
 Example::
 
@@ -45,6 +47,46 @@ def _param_sort_key(value: Any) -> Tuple[int, float, str]:
     if isinstance(value, (int, float)):
         return (0, float(value), "")
     return (2, 0.0, _canonical(value))
+
+
+def _cell_key(scenario: str, overrides: Any) -> str:
+    """Dedup identity of one persisted cell: scenario + full overrides."""
+    return json.dumps(
+        {"scenario": scenario, "overrides": overrides},
+        sort_keys=True,
+        default=repr,
+    )
+
+
+#: Preset pivots over one scenario's persisted sweep, for
+#: :meth:`ResultSet.view`: name -> (scenario, row axis, column axis,
+#: default metric).
+VIEWS: Dict[str, Tuple[str, str, str, str]] = {
+    # The §3.5 view: rows are chain lengths, columns are CC algorithms,
+    # and the default metric is the end-to-end flow's goodput relative to
+    # the cross traffic on its most-bottlenecked segment — the quantity
+    # the INT-vs-delay-feedback argument is about (the delay law
+    # over-throttles the multi-hop flow as the summed queueing grows with
+    # chain length).
+    "parking_lot": (
+        "multi_bottleneck", "segments", "algorithm", "e2e_cross_ratio"
+    ),
+    # The CC × load-balancing view: rows are routing policies, columns
+    # are CC algorithms, and the default metric is the fabric's
+    # per-uplink load imbalance (max/mean of transmitted bytes) — the
+    # quantity a load balancer exists to minimize.  Pass
+    # ``metric="hotspot_peak_qlen_bytes"`` for the collision symptom or
+    # ``metric="fct_p99_overall"`` for what it costs the flows.
+    "lb_matrix": ("lb_matrix", "routing", "algorithm", "uplink_imbalance"),
+    # The deployment-mix view: rows are rollout fractions, columns
+    # default to the topology axis, and the default metric is the
+    # newcomer-vs-incumbent per-flow throughput ratio — the §6 deployment
+    # question as one table: how the mix shares at every rollout step, on
+    # every fabric.
+    "rollout": (
+        "coexistence", "rollout_fraction", "topology", "cross_group_ratio"
+    ),
+}
 
 
 @dataclass
@@ -151,14 +193,7 @@ class ResultSet:
             cell = record.get("cell")
             if not isinstance(cell, dict) or "scenario" not in cell:
                 continue
-            key = json.dumps(
-                {
-                    "scenario": cell["scenario"],
-                    "overrides": cell.get("overrides"),
-                },
-                sort_keys=True,
-                default=repr,
-            )
+            key = _cell_key(cell["scenario"], cell.get("overrides"))
             by_key[key] = cls._cell_from_dict(cell, path)
         return cls(list(by_key.values()))
 
@@ -205,11 +240,7 @@ class ResultSet:
             stem = path[: match.start()]
             by_stem.setdefault(stem, set()).add((index, count))
             for cell in cls.load(path).cells:
-                key = json.dumps(
-                    {"scenario": cell.scenario, "overrides": cell.overrides},
-                    sort_keys=True,
-                    default=repr,
-                )
+                key = _cell_key(cell.scenario, cell.overrides)
                 if key in seen:
                     continue
                 seen.add(key)
@@ -348,83 +379,51 @@ class ResultSet:
             lines.append(f"{str(row):>{width}s} {cells}")
         return lines
 
+    def _view(
+        self,
+        name: str,
+        metric: Optional[str],
+        rows: Optional[str],
+        cols: Optional[str],
+    ) -> Tuple["ResultSet", str, str, str]:
+        """One :data:`VIEWS` preset resolved to ``(subset, row_key,
+        col_key, metric)``; an empty subset fails with a pointer (not a
+        useless header-only table)."""
+        scenario, row_key, col_key, default_metric = VIEWS[name]
+        subset = self.for_scenario(scenario)
+        if not subset.cells:
+            raise ValueError(
+                f"no {scenario} cells in this result set; run "
+                f"`python -m repro sweep {scenario} ...` first"
+            )
+        return subset, rows or row_key, cols or col_key, metric or default_metric
 
-def parking_lot_pivot(
-    results: ResultSet,
-    metric: str = "e2e_cross_ratio",
-    row_key: str = "segments",
-    agg: Optional[Callable[[List[float]], float]] = None,
-) -> Tuple[List[Any], List[Any], List[List[Optional[float]]]]:
-    """The §3.5 view over a persisted ``multi_bottleneck`` sweep.
+    def view(
+        self,
+        name: str,
+        *,
+        metric: Optional[str] = None,
+        rows: Optional[str] = None,
+        cols: Optional[str] = None,
+        agg: Optional[Callable[[List[float]], float]] = None,
+    ) -> Tuple[List[Any], List[Any], List[List[Optional[float]]]]:
+        """:meth:`pivot` of one :data:`VIEWS` preset over its scenario's
+        cells; ``metric`` / ``rows`` / ``cols`` override the preset's."""
+        subset, row_key, col_key, metric = self._view(name, metric, rows, cols)
+        return subset.pivot(row_key, col_key, metric, agg)
 
-    Rows are chain lengths (``segments``), columns are CC algorithms, and
-    the default metric is the end-to-end flow's goodput relative to the
-    cross traffic on its most-bottlenecked segment — the quantity the
-    INT-vs-delay-feedback argument is about (the delay law over-throttles
-    the multi-hop flow as the summed queueing grows with chain length).
-    """
-    return _parking_lot_cells(results).pivot(row_key, "algorithm", metric, agg)
-
-
-def format_parking_lot(
-    results: ResultSet,
-    metric: str = "e2e_cross_ratio",
-    row_key: str = "segments",
-    agg: Optional[Callable[[List[float]], float]] = None,
-) -> List[str]:
-    """:func:`parking_lot_pivot` as printable table lines."""
-    return _parking_lot_cells(results).format_pivot(
-        row_key, "algorithm", metric, agg
-    )
-
-
-def _parking_lot_cells(results: ResultSet) -> ResultSet:
-    """The multi_bottleneck subset; empty sets fail with a pointer."""
-    rs = results.for_scenario("multi_bottleneck")
-    if not rs.cells:
-        raise ValueError(
-            "no multi_bottleneck cells in this result set; run "
-            "`python -m repro sweep multi_bottleneck ...` first"
-        )
-    return rs
-
-
-def lb_pivot(
-    results: ResultSet,
-    metric: str = "uplink_imbalance",
-    row_key: str = "routing",
-    agg: Optional[Callable[[List[float]], float]] = None,
-) -> Tuple[List[Any], List[Any], List[List[Optional[float]]]]:
-    """The CC × load-balancing view over a persisted ``lb_matrix`` sweep.
-
-    Rows are routing policies, columns are CC algorithms, and the default
-    metric is the fabric's per-uplink load imbalance (max/mean of
-    transmitted bytes) — the quantity a load balancer exists to minimize.
-    Pass ``metric="hotspot_peak_qlen_bytes"`` for the collision symptom or
-    ``metric="fct_p99_overall"`` for what it costs the flows.
-    """
-    return _lb_cells(results).pivot(row_key, "algorithm", metric, agg)
-
-
-def format_lb_matrix(
-    results: ResultSet,
-    metric: str = "uplink_imbalance",
-    row_key: str = "routing",
-    agg: Optional[Callable[[List[float]], float]] = None,
-) -> List[str]:
-    """:func:`lb_pivot` as printable table lines."""
-    return _lb_cells(results).format_pivot(row_key, "algorithm", metric, agg)
-
-
-def _lb_cells(results: ResultSet) -> ResultSet:
-    """The lb_matrix subset; empty sets fail with a pointer."""
-    rs = results.for_scenario("lb_matrix")
-    if not rs.cells:
-        raise ValueError(
-            "no lb_matrix cells in this result set; run "
-            "`python -m repro sweep lb_matrix ...` first"
-        )
-    return rs
+    def format_view(
+        self,
+        name: str,
+        *,
+        metric: Optional[str] = None,
+        rows: Optional[str] = None,
+        cols: Optional[str] = None,
+        agg: Optional[Callable[[List[float]], float]] = None,
+    ) -> List[str]:
+        """:meth:`view` as printable table lines."""
+        subset, row_key, col_key, metric = self._view(name, metric, rows, cols)
+        return subset.format_pivot(row_key, col_key, metric, agg)
 
 
 def merge_shards(directory: str, base: Optional[str] = None) -> ResultSet:
@@ -446,20 +445,9 @@ def merge_campaign(
     """
     merged = ResultSet.merge_shards(directory, base)
     if journal:
-        have = {
-            json.dumps(
-                {"scenario": c.scenario, "overrides": c.overrides},
-                sort_keys=True,
-                default=repr,
-            )
-            for c in merged.cells
-        }
+        have = {_cell_key(c.scenario, c.overrides) for c in merged.cells}
         for cell in ResultSet.load_journal(journal).cells:
-            key = json.dumps(
-                {"scenario": cell.scenario, "overrides": cell.overrides},
-                sort_keys=True,
-                default=repr,
-            )
+            key = _cell_key(cell.scenario, cell.overrides)
             if key not in have:
                 have.add(key)
                 merged.cells.append(cell)
@@ -511,47 +499,6 @@ def format_failure_report(results: ResultSet) -> List[str]:
             f"(attempts={entry['attempts']}): {reason}"
         )
     return lines
-
-
-def rollout_pivot(
-    results: ResultSet,
-    metric: str = "cross_group_ratio",
-    col_key: str = "topology",
-    agg: Optional[Callable[[List[float]], float]] = None,
-) -> Tuple[List[Any], List[Any], List[List[Optional[float]]]]:
-    """The deployment-mix view over a persisted ``coexistence`` sweep.
-
-    Rows are rollout fractions (``rollout_fraction``), columns default to
-    the topology axis, and the default metric is the newcomer-vs-
-    incumbent per-flow throughput ratio — the §6 deployment question as
-    one table: how the mix shares at every rollout step, on every fabric.
-    """
-    return _coexistence_cells(results).pivot(
-        "rollout_fraction", col_key, metric, agg
-    )
-
-
-def format_rollout(
-    results: ResultSet,
-    metric: str = "cross_group_ratio",
-    col_key: str = "topology",
-    agg: Optional[Callable[[List[float]], float]] = None,
-) -> List[str]:
-    """:func:`rollout_pivot` as printable table lines."""
-    return _coexistence_cells(results).format_pivot(
-        "rollout_fraction", col_key, metric, agg
-    )
-
-
-def _coexistence_cells(results: ResultSet) -> ResultSet:
-    """The coexistence subset; empty sets fail with a pointer."""
-    rs = results.for_scenario("coexistence")
-    if not rs.cells:
-        raise ValueError(
-            "no coexistence cells in this result set; run "
-            "`python -m repro sweep coexistence ...` first"
-        )
-    return rs
 
 
 # ----------------------------------------------------------------------

@@ -110,7 +110,9 @@ class CampaignManifest:
             raise ValueError("workers must be >= 1")
         self.limits.validate()
         self.import_modules()
-        self.to_spec().validate()
+        spec = self.to_spec()
+        spec.validate()
+        self.scenario = spec.scenario  # canonical, as SweepSpec.validate
 
     def import_modules(self) -> None:
         """Import the manifest's extra scenario modules (idempotent)."""

@@ -1,10 +1,11 @@
 """Pluggable congestion-control registry.
 
-Mirrors :mod:`repro.scenarios.registry`: every CC scheme registers itself
-with the :func:`register` class decorator (or :func:`register_algorithm`
-for receiver-driven transports without a per-flow CC class), declaring a
-typed :class:`Requirements` record — the switch and transport features the
-harness must provide for that scheme to function:
+Names, aliases and lookups are one :class:`repro.registry.Registry`.
+Every CC scheme registers itself with the :func:`register` class
+decorator (or :func:`register_algorithm` for receiver-driven transports
+without a per-flow CC class), declaring a typed :class:`Requirements`
+record — the switch and transport features the harness must provide for
+that scheme to function:
 
 * **INT stamping** — per-hop telemetry on data packets (PowerTCP, HPCC);
 * an **ECN config factory** — ``(link_rate_bps, base_rtt_ns) -> EcnConfig``
@@ -14,8 +15,6 @@ harness must provide for that scheme to function:
 * the **transport style** — window-based senders vs HOMA's
   receiver-driven grant machinery.
 
-Lookup is lazy: the built-in CC modules are imported on first use, so
-``import repro.cc.registry`` stays cheap and free of circular imports.
 Adding a scheme is one decorated class in one module — no registry edits::
 
     from repro.cc.base import CongestionControl
@@ -42,10 +41,10 @@ Extensions beyond the paper's set: ``swift``, ``dctcp``, ``newreno``,
 
 from __future__ import annotations
 
-import importlib
-import inspect
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Optional, Tuple
+
+from repro.registry import Registry, class_params, first_doc_line
 
 WINDOW_TRANSPORT = "window"
 HOMA_TRANSPORT = "homa"
@@ -111,24 +110,6 @@ def _callable_name(fn: Callable) -> str:
     return getattr(fn, "__qualname__", repr(fn))
 
 
-def _class_params(cls: type) -> FrozenSet[str]:
-    """Constructor parameters accepted anywhere in the class's MRO."""
-    names = set()
-    for klass in cls.__mro__:
-        init = klass.__dict__.get("__init__")
-        if init is None:
-            continue
-        for param in inspect.signature(init).parameters.values():
-            if param.name == "self":
-                continue
-            if param.kind in (
-                inspect.Parameter.POSITIONAL_OR_KEYWORD,
-                inspect.Parameter.KEYWORD_ONLY,
-            ):
-                names.add(param.name)
-    return frozenset(names)
-
-
 @dataclass(frozen=True)
 class RegisteredAlgorithm:
     """One registry entry: a named scheme plus its declared contract."""
@@ -150,14 +131,7 @@ class RegisteredAlgorithm:
 
     def validate_params(self, params: Dict) -> None:
         """Reject unknown constructor parameters with a named error."""
-        unknown = sorted(set(params) - set(self.param_names))
-        if unknown:
-            accepted = ", ".join(sorted(self.param_names)) or "(none)"
-            raise TypeError(
-                f"unknown parameter(s) {', '.join(map(repr, unknown))} for "
-                f"congestion-control algorithm {self.name!r}; accepted "
-                f"parameters: {accepted}"
-            )
+        REGISTRY.validate_params(self.name, self.param_names, params)
 
     def make_cc(self, flow, net, params: Dict):
         """Instantiate the per-flow CC object (None for receiver-driven)."""
@@ -167,11 +141,6 @@ class RegisteredAlgorithm:
             return self.cls(**params)
         return None
 
-
-#: canonical name -> entry
-ALGORITHMS: Dict[str, RegisteredAlgorithm] = {}
-#: normalized alias -> canonical name (canonical names are self-aliases)
-_ALIASES: Dict[str, str] = {}
 
 #: the modules that self-register built-in algorithms (the PowerTCP
 #: family lives in repro.core; everything else under repro.cc)
@@ -190,44 +159,17 @@ BUILTIN_MODULES = (
     "repro.core.theta",
 )
 
-
-def normalize(name: str) -> str:
-    """Canonical key form: lowercase, underscores -> dashes."""
-    return name.lower().replace("_", "-")
-
-
-def _first_doc_line(obj) -> str:
-    doc = inspect.getdoc(obj) or ""
-    return doc.splitlines()[0].strip() if doc else ""
-
-
-def _add_entry(entry: RegisteredAlgorithm) -> RegisteredAlgorithm:
-    # Validate everything before mutating, so a rejected registration
-    # leaves the registry untouched.
-    existing = ALGORITHMS.get(entry.name)
-    if existing is not None:
-        # Re-registration is allowed only for the identical class/factory
-        # object (idempotent module re-import); class-less entries have no
-        # identity to match, so a name collision is always an error.
-        same_cls = entry.cls is not None and existing.cls is entry.cls
-        same_factory = (
-            entry.factory is not None and existing.factory is entry.factory
-        )
-        if not (same_cls or same_factory):
-            raise ValueError(
-                f"congestion-control name {entry.name!r} already registered"
-            )
-    keys = [normalize(alias) for alias in (entry.name,) + entry.aliases]
-    for alias, key in zip((entry.name,) + entry.aliases, keys):
-        owner = _ALIASES.get(key)
-        if owner is not None and owner != entry.name:
-            raise ValueError(
-                f"congestion-control alias {alias!r} already maps to {owner!r}"
-            )
-    ALGORITHMS[entry.name] = entry
-    for key in keys:
-        _ALIASES[key] = entry.name
-    return entry
+#: Re-registration is idempotent only for the identical class object;
+#: class-less entries (HOMA) have no identity to match, so a name
+#: collision with one is always an error.
+REGISTRY: Registry[RegisteredAlgorithm] = Registry(
+    "congestion-control algorithm", BUILTIN_MODULES, lambda entry: entry.cls
+)
+#: canonical name -> entry
+ALGORITHMS = REGISTRY.entries
+load_builtin_algorithms = REGISTRY.load_builtins
+get_algorithm = REGISTRY.get
+algorithm_names = REGISTRY.names
 
 
 def register(
@@ -249,20 +191,19 @@ def register(
     """
 
     def decorate(cls: type) -> type:
-        _add_entry(
-            RegisteredAlgorithm(
-                name=normalize(name),
-                requirements=requirements,
-                cls=cls,
-                aliases=tuple(aliases),
-                param_names=(
-                    frozenset(params) if params is not None else _class_params(cls)
-                ),
-                factory=factory,
-                requires_network=requires_network,
-                description=description or _first_doc_line(cls),
-            )
+        entry = RegisteredAlgorithm(
+            name=name,
+            requirements=requirements,
+            cls=cls,
+            aliases=tuple(aliases),
+            param_names=(
+                frozenset(params) if params is not None else class_params(cls)
+            ),
+            factory=factory,
+            requires_network=requires_network,
+            description=description or first_doc_line(cls),
         )
+        REGISTRY.add(name, entry, entry.aliases)
         return cls
 
     return decorate
@@ -278,39 +219,14 @@ def register_algorithm(
 ) -> RegisteredAlgorithm:
     """Register a scheme with no per-flow CC class (HOMA's receiver-driven
     transport: the machinery lives in the driver/receiver, not a CC law)."""
-    return _add_entry(
-        RegisteredAlgorithm(
-            name=normalize(name),
-            requirements=requirements,
-            aliases=tuple(aliases),
-            param_names=frozenset(params),
-            description=description,
-        )
+    entry = RegisteredAlgorithm(
+        name=name,
+        requirements=requirements,
+        aliases=tuple(aliases),
+        param_names=frozenset(params),
+        description=description,
     )
-
-
-def load_builtin_algorithms() -> None:
-    """Import every built-in CC module (idempotent)."""
-    for module in BUILTIN_MODULES:
-        importlib.import_module(module)
-
-
-def get_algorithm(name: str) -> RegisteredAlgorithm:
-    """Look up a registry entry by name or alias; KeyError with catalog."""
-    load_builtin_algorithms()
-    canonical = _ALIASES.get(normalize(name))
-    if canonical is None:
-        raise KeyError(
-            f"unknown congestion control algorithm: {name!r} "
-            f"(registered: {', '.join(algorithm_names())})"
-        )
-    return ALGORITHMS[canonical]
-
-
-def algorithm_names() -> List[str]:
-    """Sorted canonical names of every registered algorithm."""
-    load_builtin_algorithms()
-    return sorted(ALGORITHMS)
+    return REGISTRY.add(name, entry, entry.aliases)
 
 
 @dataclass
@@ -358,8 +274,9 @@ class AlgorithmSpec:
 def make_algorithm(name: str, **params) -> AlgorithmSpec:
     """Bind ``name`` and constructor ``params`` into a deployable spec.
 
-    Raises ``KeyError`` for unknown names and ``TypeError`` for unknown
-    parameters (naming the algorithm and its accepted parameter set).
+    Raises ``KeyError`` (:class:`repro.registry.UnknownNameError`) for
+    unknown names and ``TypeError`` for unknown parameters (naming the
+    algorithm and its accepted parameter set).
     """
     entry = get_algorithm(name)
     entry.validate_params(params)

@@ -42,11 +42,8 @@ from repro.fluid.reaction import (
     three_case_comparison,
 )
 from repro.cc.registry import ALGORITHMS, HOMA_TRANSPORT, algorithm_names
-from repro.routing.registry import (
-    POLICIES,
-    load_builtin_policies,
-    policy_names,
-)
+from repro.registry import UnknownNameError
+from repro.routing.registry import POLICIES, policy_names
 from repro.scenarios import get_scenario, scenario_names
 from repro.scenarios.sweep import (
     SweepRunner,
@@ -248,16 +245,9 @@ def _fmt_metric(value) -> str:
     return str(value)
 
 
-def _scenario_or_exit(name: str):
-    try:
-        return get_scenario(name)
-    except KeyError as exc:
-        raise SystemExit(exc.args[0])
-
-
 def cmd_run(args) -> None:
     """Run one registered scenario and print its metrics."""
-    scenario = _scenario_or_exit(args.scenario)
+    scenario = get_scenario(args.scenario)
     overrides = dict(scenario.tiny_overrides()) if args.tiny else {}
     if args.algorithm:
         overrides["algorithm"] = args.algorithm
@@ -298,11 +288,13 @@ def cmd_sweep(args) -> None:
             "sweep needs at least one axis "
             "(--algorithms/--loads/--fanouts/--grid)"
         )
-    scenario = _scenario_or_exit(args.scenario)
+    # The canonical name, not the spelling typed: it keys the cells, the
+    # document header and the default output file (= incremental cache).
+    scenario = get_scenario(args.scenario)
     base = dict(scenario.tiny_overrides()) if args.tiny else {}
     base.update(_parse_overrides(args.set or []))
     spec = SweepSpec(
-        scenario=args.scenario, grid=grid, base=base, seed=args.seed
+        scenario=scenario.name, grid=grid, base=base, seed=args.seed
     )
     shard = None
     if args.shard:
@@ -310,7 +302,7 @@ def cmd_sweep(args) -> None:
             shard = parse_shard(args.shard)
         except ValueError as exc:
             raise SystemExit(str(exc))
-    out_path = args.out or default_results_path(args.scenario)
+    out_path = args.out or default_results_path(scenario.name)
     if shard is not None:
         # Each shard persists (and caches) its own file; merge_shards in
         # repro.analysis.results recombines them.
@@ -478,7 +470,6 @@ def cmd_list(args) -> None:
             print(f"  {'':15s} {'':>17s} aliases: {', '.join(entry.aliases)}")
     print()
     print("routing policies (--set routing=<name> where topologies support it):")
-    load_builtin_policies()
     for name in policy_names():
         entry = POLICIES[name]
         req = entry.requirements
@@ -663,22 +654,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "list":
-        cmd_list(args)
-    elif args.command == "run":
-        cmd_run(args)
-    elif args.command == "sweep":
-        cmd_sweep(args)
-    elif args.command == "campaign":
-        return cmd_campaign(args)
-    elif args.command == "perf":
-        return cmd_perf(args)
-    elif args.command == "lint":
-        from repro.lint.cli import cmd_lint
+    try:
+        if args.command == "list":
+            cmd_list(args)
+        elif args.command == "run":
+            cmd_run(args)
+        elif args.command == "sweep":
+            cmd_sweep(args)
+        elif args.command == "campaign":
+            return cmd_campaign(args)
+        elif args.command == "perf":
+            return cmd_perf(args)
+        elif args.command == "lint":
+            from repro.lint.cli import cmd_lint
 
-        return cmd_lint(args)
-    else:
-        COMMANDS[args.command](args)
+            return cmd_lint(args)
+        else:
+            COMMANDS[args.command](args)
+    except UnknownNameError as exc:
+        # A misspelt scenario, algorithm, topology, routing policy or lint
+        # rule is a usage error on any subcommand: the one-line catalog,
+        # no traceback.  Never bare KeyError — that would mask real bugs.
+        raise SystemExit(exc.args[0])
     return 0
 
 

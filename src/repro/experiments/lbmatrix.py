@@ -15,7 +15,7 @@ a chosen congestion-control algorithm *and* a chosen routing policy
 
 Sweeping ``algorithm`` × ``routing`` × ``load`` (see
 ``python -m repro sweep lb_matrix``) produces the matrix that
-:func:`repro.analysis.results.lb_pivot` tabulates.
+``ResultSet.view("lb_matrix")`` (:mod:`repro.analysis.results`) tabulates.
 """
 
 from __future__ import annotations

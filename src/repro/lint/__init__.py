@@ -16,11 +16,10 @@ time.  Each rule encodes one contract from ``docs/INVARIANTS.md``:
 * **scheduler-api** — only ``*_cancellable`` scheduling returns handles;
 * **env-isolation** — ``os.environ`` stays out of simulation code.
 
-Rules self-register with :func:`repro.lint.registry.register_rule`
-(mirroring ``cc/registry.py``); ``python -m repro lint --list-rules``
-prints the catalog.  Findings are suppressable per line with
-``# lint: disable=<rule-id>`` and stale suppressions are themselves
-findings (``unused-suppression``).
+Rules self-register with :func:`repro.lint.registry.register_rule`;
+``python -m repro lint --list-rules`` prints the catalog.  Findings are
+suppressable per line with ``# lint: disable=<rule-id>`` and stale
+suppressions are themselves findings (``unused-suppression``).
 """
 
 from repro.lint.framework import (  # noqa: F401

@@ -356,12 +356,8 @@ def run_paths(
     battery — under ``select``, a suppression for an unselected rule
     would read as stale when it is not.
     """
-    rule_registry.load_builtin_rules()
-    if select is not None:
-        entries = [rule_registry.get_rule(rule_id) for rule_id in select]
-    else:
-        entries = [rule_registry.RULES[rule_id] for rule_id in sorted(rule_registry.RULES)]
-    rules = [entry.make() for entry in entries]
+    selected = select if select is not None else rule_registry.rule_ids()
+    rules = [rule_registry.get_rule(rule_id).make() for rule_id in selected]
     paths = list(paths) if paths is not None else []
     if not paths:
         paths = default_targets(repo_root)

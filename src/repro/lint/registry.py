@@ -1,12 +1,11 @@
-"""Rule registry: id -> entry, mirroring :mod:`repro.cc.registry`.
+"""Rule registry: id -> entry.
 
-Every rule class self-registers with the :func:`register_rule` class
-decorator, declaring an id (the name used in findings and in
-``# lint: disable=`` suppressions), a category, and the
-``docs/INVARIANTS.md`` anchor of the contract it enforces.  Lookup is
-lazy: the built-in rule modules are imported on first use, so importing
-this module stays cheap and circular-import free.  Adding a rule is one
-decorated class in one module — no registry edits::
+Ids and lookups are one :class:`repro.registry.Registry`.  Every rule
+class self-registers with the :func:`register_rule` class decorator,
+declaring an id (the name used in findings and in ``# lint: disable=``
+suppressions), a category, and the ``docs/INVARIANTS.md`` anchor of the
+contract it enforces.  Adding a rule is one decorated class in one
+module — no registry edits::
 
     from repro.lint.framework import Rule
     from repro.lint.registry import register_rule
@@ -22,10 +21,9 @@ decorated class in one module — no registry edits::
 
 from __future__ import annotations
 
-import importlib
-import inspect
 from dataclasses import dataclass
-from typing import Dict, List
+
+from repro.registry import Registry, first_doc_line
 
 #: the modules that self-register built-in rules
 BUILTIN_RULE_MODULES = (
@@ -65,13 +63,14 @@ class RegisteredRule:
         return self.cls()
 
 
+REGISTRY: Registry[RegisteredRule] = Registry(
+    "lint rule", BUILTIN_RULE_MODULES, lambda entry: entry.cls
+)
 #: rule id -> entry
-RULES: Dict[str, RegisteredRule] = {}
-
-
-def _first_doc_line(obj) -> str:
-    doc = inspect.getdoc(obj) or ""
-    return doc.splitlines()[0].strip() if doc else ""
+RULES = REGISTRY.entries
+load_builtin_rules = REGISTRY.load_builtins
+get_rule = REGISTRY.get
+rule_ids = REGISTRY.names
 
 
 def register_rule(rule_id: str, *, category: str, contract: str = ""):
@@ -82,43 +81,17 @@ def register_rule(rule_id: str, *, category: str, contract: str = ""):
     """
 
     def decorate(cls: type) -> type:
-        existing = RULES.get(rule_id)
-        if existing is not None and existing.cls is not cls:
-            raise ValueError(f"lint rule id {rule_id!r} already registered")
-        cls.id = rule_id
-        cls.category = category
-        cls.contract = contract
-        RULES[rule_id] = RegisteredRule(
+        entry = RegisteredRule(
             id=rule_id,
             category=category,
             cls=cls,
-            description=_first_doc_line(cls),
+            description=first_doc_line(cls),
             contract=contract,
         )
+        REGISTRY.add(rule_id, entry)
+        cls.id = rule_id
+        cls.category = category
+        cls.contract = contract
         return cls
 
     return decorate
-
-
-def load_builtin_rules() -> None:
-    """Import every built-in rule module (idempotent)."""
-    for module in BUILTIN_RULE_MODULES:
-        importlib.import_module(module)
-
-
-def get_rule(rule_id: str) -> RegisteredRule:
-    """Look up a registry entry by id; KeyError with the catalog."""
-    load_builtin_rules()
-    entry = RULES.get(rule_id)
-    if entry is None:
-        raise KeyError(
-            f"unknown lint rule: {rule_id!r} "
-            f"(registered: {', '.join(rule_ids())})"
-        )
-    return entry
-
-
-def rule_ids() -> List[str]:
-    """Sorted ids of every registered rule."""
-    load_builtin_rules()
-    return sorted(RULES)

@@ -1,21 +1,19 @@
 """Pluggable routing/load-balancing policy registry.
 
-Mirrors :mod:`repro.cc.registry`: every policy registers itself with the
-:func:`register_policy` class decorator, declaring a typed
-:class:`Requirements` record — what the *transport* must provide for the
-policy to be safe.  Flow-level policies (ECMP, WRR, least-loaded) keep a
-flow on one path for its lifetime, so INT hop indices stay stable and
-the go-back-N receiver never sees reordering; per-packet policies
-(spray) give that up and therefore declare
-``reordering_tolerant_receiver=True``, which
+Names, aliases and lookups are one :class:`repro.registry.Registry`.
+Every policy registers itself with the :func:`register_policy` class
+decorator, declaring a typed :class:`Requirements` record — what the
+*transport* must provide for the policy to be safe.  Flow-level
+policies (ECMP, WRR, least-loaded) keep a flow on one path for its
+lifetime, so INT hop indices stay stable and the go-back-N receiver
+never sees reordering; per-packet policies (spray) give that up and
+therefore declare ``reordering_tolerant_receiver=True``, which
 :class:`repro.experiments.driver.FlowDriver` translates into
 out-of-order accumulation at the receiver and a raised duplicate-ACK
 threshold at the sender (see docs/INVARIANTS.md#path-stability).
 
-Lookup is lazy: the built-in policy modules are imported on first use,
-so ``import repro.routing.registry`` stays cheap and free of circular
-imports.  Adding a policy is one decorated class in one module — no
-registry edits::
+Adding a policy is one decorated class in one module — no registry
+edits::
 
     from repro.routing.base import RoutingPolicy
     from repro.routing.registry import Requirements, register_policy
@@ -34,10 +32,10 @@ the 26 committed figure series are byte-identical by construction.
 
 from __future__ import annotations
 
-import importlib
-import inspect
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Tuple
+
+from repro.registry import Registry, class_params, first_doc_line
 
 #: canonical name of the policy the fast path inlines
 DEFAULT_POLICY = "ecmp"
@@ -75,24 +73,6 @@ class Requirements:
         )
 
 
-def _class_params(cls: type) -> FrozenSet[str]:
-    """Constructor parameters accepted anywhere in the class's MRO."""
-    names = set()
-    for klass in cls.__mro__:
-        init = klass.__dict__.get("__init__")
-        if init is None:
-            continue
-        for param in inspect.signature(init).parameters.values():
-            if param.name == "self":
-                continue
-            if param.kind in (
-                inspect.Parameter.POSITIONAL_OR_KEYWORD,
-                inspect.Parameter.KEYWORD_ONLY,
-            ):
-                names.add(param.name)
-    return frozenset(names)
-
-
 @dataclass(frozen=True)
 class RegisteredPolicy:
     """One registry entry: a named policy class plus its declared contract."""
@@ -108,20 +88,8 @@ class RegisteredPolicy:
 
     def validate_params(self, params: Dict) -> None:
         """Reject unknown constructor parameters with a named error."""
-        unknown = sorted(set(params) - set(self.param_names))
-        if unknown:
-            accepted = ", ".join(sorted(self.param_names)) or "(none)"
-            raise TypeError(
-                f"unknown parameter(s) {', '.join(map(repr, unknown))} for "
-                f"routing policy {self.name!r}; accepted parameters: "
-                f"{accepted}"
-            )
+        REGISTRY.validate_params(self.name, self.param_names, params)
 
-
-#: canonical name -> entry
-POLICIES: Dict[str, RegisteredPolicy] = {}
-#: normalized alias -> canonical name (canonical names are self-aliases)
-_ALIASES: Dict[str, str] = {}
 
 #: the modules that self-register built-in policies
 BUILTIN_MODULES = (
@@ -131,36 +99,14 @@ BUILTIN_MODULES = (
     "repro.routing.spray",
 )
 
-
-def normalize(name: str) -> str:
-    """Canonical key form: lowercase, underscores -> dashes."""
-    return name.lower().replace("_", "-")
-
-
-def _first_doc_line(obj) -> str:
-    doc = inspect.getdoc(obj) or ""
-    return doc.splitlines()[0].strip() if doc else ""
-
-
-def _add_entry(entry: RegisteredPolicy) -> RegisteredPolicy:
-    # Validate everything before mutating, so a rejected registration
-    # leaves the registry untouched.
-    existing = POLICIES.get(entry.name)
-    if existing is not None and existing.cls is not entry.cls:
-        raise ValueError(
-            f"routing policy name {entry.name!r} already registered"
-        )
-    keys = [normalize(alias) for alias in (entry.name,) + entry.aliases]
-    for alias, key in zip((entry.name,) + entry.aliases, keys):
-        owner = _ALIASES.get(key)
-        if owner is not None and owner != entry.name:
-            raise ValueError(
-                f"routing policy alias {alias!r} already maps to {owner!r}"
-            )
-    POLICIES[entry.name] = entry
-    for key in keys:
-        _ALIASES[key] = entry.name
-    return entry
+REGISTRY: Registry[RegisteredPolicy] = Registry(
+    "routing policy", BUILTIN_MODULES, lambda entry: entry.cls
+)
+#: canonical name -> entry
+POLICIES = REGISTRY.entries
+load_builtin_policies = REGISTRY.load_builtins
+get_policy = REGISTRY.get
+policy_names = REGISTRY.names
 
 
 def register_policy(
@@ -180,47 +126,22 @@ def register_policy(
     """
 
     def decorate(cls: type) -> type:
-        entry = _add_entry(
-            RegisteredPolicy(
-                name=normalize(name),
-                cls=cls,
-                requirements=requirements,
-                aliases=tuple(aliases),
-                param_names=(
-                    frozenset(params) if params is not None else _class_params(cls)
-                ),
-                description=description or _first_doc_line(cls),
-            )
+        entry = RegisteredPolicy(
+            name=name,
+            cls=cls,
+            requirements=requirements,
+            aliases=tuple(aliases),
+            param_names=(
+                frozenset(params) if params is not None else class_params(cls)
+            ),
+            description=description or first_doc_line(cls),
         )
-        cls.policy_name = entry.name
+        REGISTRY.add(name, entry, entry.aliases)
+        cls.policy_name = name
         cls.requirements = requirements
         return cls
 
     return decorate
-
-
-def load_builtin_policies() -> None:
-    """Import every built-in policy module (idempotent)."""
-    for module in BUILTIN_MODULES:
-        importlib.import_module(module)
-
-
-def get_policy(name: str) -> RegisteredPolicy:
-    """Look up a registry entry by name or alias; KeyError with catalog."""
-    load_builtin_policies()
-    canonical = _ALIASES.get(normalize(name))
-    if canonical is None:
-        raise KeyError(
-            f"unknown routing policy: {name!r} "
-            f"(registered: {', '.join(policy_names())})"
-        )
-    return POLICIES[canonical]
-
-
-def policy_names() -> List[str]:
-    """Sorted canonical names of every registered policy."""
-    load_builtin_policies()
-    return sorted(POLICIES)
 
 
 @dataclass
@@ -261,8 +182,9 @@ class PolicySpec:
 def make_policy(name: str, **params) -> PolicySpec:
     """Bind ``name`` and constructor ``params`` into a deployable spec.
 
-    Raises ``KeyError`` for unknown names and ``TypeError`` for unknown
-    parameters (naming the policy and its accepted parameter set).
+    Raises ``KeyError`` (:class:`repro.registry.UnknownNameError`) for
+    unknown names and ``TypeError`` for unknown parameters (naming the
+    policy and its accepted parameter set).
     """
     entry = get_policy(name)
     entry.validate_params(params)

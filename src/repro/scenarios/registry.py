@@ -1,27 +1,21 @@
-"""Name -> scenario wiring, mirroring :mod:`repro.cc.registry`.
+"""Name -> scenario wiring.
 
-Experiment modules register their scenario classes with the
-:func:`register` decorator::
+Names and lookups are one :class:`repro.registry.Registry` whose entries
+are singleton scenario instances.  Experiment modules register their
+scenario classes with the :func:`register` decorator::
 
     @register
     class WebsearchScenario(Scenario):
         name = "websearch"
         ...
-
-Lookup is lazy: :func:`get_scenario` / :func:`scenario_names` import the
-built-in experiment modules on first use, so ``import repro.scenarios``
-stays cheap and free of circular imports.
 """
 
 from __future__ import annotations
 
-import importlib
-from typing import Dict, List, Type
+from typing import Type
 
+from repro.registry import Registry
 from repro.scenarios.base import Scenario
-
-#: name -> singleton scenario instance
-SCENARIOS: Dict[str, Scenario] = {}
 
 #: the experiment modules that self-register built-in scenarios
 BUILTIN_MODULES = (
@@ -36,6 +30,13 @@ BUILTIN_MODULES = (
     "repro.experiments.lbmatrix",
 )
 
+REGISTRY: Registry[Scenario] = Registry("scenario", BUILTIN_MODULES, type)
+#: name -> singleton scenario instance
+SCENARIOS = REGISTRY.entries
+load_builtin_scenarios = REGISTRY.load_builtins
+get_scenario = REGISTRY.get
+scenario_names = REGISTRY.names
+
 
 def register(cls: Type[Scenario]) -> Type[Scenario]:
     """Class decorator: instantiate and index a scenario by its name."""
@@ -44,35 +45,5 @@ def register(cls: Type[Scenario]) -> Type[Scenario]:
         raise ValueError(f"{cls.__name__} must set a non-empty name")
     if instance.config_cls is None:
         raise ValueError(f"{cls.__name__} must set config_cls")
-    existing = SCENARIOS.get(instance.name)
-    if existing is not None and type(existing) is not cls:
-        raise ValueError(
-            f"scenario name {instance.name!r} already registered "
-            f"by {type(existing).__name__}"
-        )
-    SCENARIOS[instance.name] = instance
+    REGISTRY.add(instance.name, instance)
     return cls
-
-
-def load_builtin_scenarios() -> None:
-    """Import every built-in experiment module (idempotent)."""
-    for module in BUILTIN_MODULES:
-        importlib.import_module(module)
-
-
-def get_scenario(name: str) -> Scenario:
-    """Look up a scenario by name; raises KeyError with the catalog."""
-    load_builtin_scenarios()
-    try:
-        return SCENARIOS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown scenario: {name!r} "
-            f"(registered: {', '.join(scenario_names())})"
-        ) from None
-
-
-def scenario_names() -> List[str]:
-    """Sorted names of every registered scenario."""
-    load_builtin_scenarios()
-    return sorted(SCENARIOS)

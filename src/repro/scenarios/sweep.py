@@ -124,7 +124,11 @@ class SweepSpec:
 
     def validate(self) -> None:
         """Check grid/base keys against the scenario's config fields."""
-        fields = set(get_scenario(self.scenario).config_fields())
+        scenario = get_scenario(self.scenario)
+        # Canonical name: an aliased spelling ("Incast") must not change
+        # cell keys, the document header or the default output path.
+        self.scenario = scenario.name
+        fields = set(scenario.config_fields())
         unknown = sorted((set(self.grid) | set(self.base)) - fields)
         if unknown:
             raise ValueError(

@@ -1,8 +1,8 @@
 """Topology builders for the paper's network settings, plus the registry.
 
 Builders register themselves by name with
-:mod:`repro.topology.registry` (mirroring the CC and scenario
-registries), so experiments resolve topologies declaratively::
+:mod:`repro.topology.registry`, so experiments resolve topologies
+declaratively::
 
     from repro.topology import build_topology
     net = build_topology(sim, "fattree", num_pods=2, hosts_per_tor=4)

@@ -1,5 +1,6 @@
-"""Declarative topology registry, mirroring the CC and scenario registries.
+"""Declarative topology registry.
 
+Names, aliases and lookups are one :class:`repro.registry.Registry`.
 Every builder (``dumbbell``, ``fattree``, ``parkinglot``, ``rdcn``)
 registers itself with the :func:`register_topology` decorator, declaring
 its typed params dataclass::
@@ -19,24 +20,16 @@ which keeps every scenario topology-parametric: a ``topology=`` config
 field plus a ``topology_params`` dict is enough to move an experiment
 from the dumbbell to the fat-tree.  Unknown parameter names fail eagerly
 with the accepted set (mirroring ``Scenario.configure``).
-
-Lookup is lazy: the built-in builder modules are imported on first use,
-so ``import repro.topology.registry`` stays cheap and free of circular
-imports.  ``python -m repro list`` prints the catalog.
+``python -m repro list`` prints the catalog.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import importlib
-import inspect
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Iterable, List, Tuple
 
-#: canonical name -> entry
-TOPOLOGIES: Dict[str, "RegisteredTopology"] = {}
-#: normalized alias -> canonical name (canonical names are self-aliases)
-_ALIASES: Dict[str, str] = {}
+from repro.registry import Registry, first_doc_line
 
 #: the modules that self-register built-in topology builders
 BUILTIN_MODULES = (
@@ -45,16 +38,6 @@ BUILTIN_MODULES = (
     "repro.topology.parkinglot",
     "repro.topology.rdcn",
 )
-
-
-def normalize(name: str) -> str:
-    """Canonical key form: lowercase, underscores/spaces -> dashes."""
-    return name.lower().replace("_", "-").replace(" ", "-")
-
-
-def _first_doc_line(obj) -> str:
-    doc = inspect.getdoc(obj) or ""
-    return doc.splitlines()[0].strip() if doc else ""
 
 
 @dataclass(frozen=True)
@@ -105,26 +88,14 @@ class RegisteredTopology:
         return self.builder(sim, self.make_params(params, **overrides))
 
 
-def _add_entry(entry: RegisteredTopology) -> RegisteredTopology:
-    existing = TOPOLOGIES.get(entry.name)
-    if existing is not None:
-        # Idempotent module re-import re-registers the identical builder;
-        # anything else is a genuine name collision.
-        if existing.builder is not entry.builder:
-            raise ValueError(
-                f"topology name {entry.name!r} already registered"
-            )
-    keys = [normalize(alias) for alias in (entry.name,) + entry.aliases]
-    for alias, key in zip((entry.name,) + entry.aliases, keys):
-        owner = _ALIASES.get(key)
-        if owner is not None and owner != entry.name:
-            raise ValueError(
-                f"topology alias {alias!r} already maps to {owner!r}"
-            )
-    TOPOLOGIES[entry.name] = entry
-    for key in keys:
-        _ALIASES[key] = entry.name
-    return entry
+REGISTRY: Registry[RegisteredTopology] = Registry(
+    "topology", BUILTIN_MODULES, lambda entry: entry.builder
+)
+#: canonical name -> entry
+TOPOLOGIES = REGISTRY.entries
+load_builtin_topologies = REGISTRY.load_builtins
+get_topology = REGISTRY.get
+topology_names = REGISTRY.names
 
 
 def register_topology(
@@ -146,42 +117,17 @@ def register_topology(
         )
 
     def decorate(builder: Callable) -> Callable:
-        _add_entry(
-            RegisteredTopology(
-                name=normalize(name),
-                params_cls=params_cls,
-                builder=builder,
-                aliases=tuple(aliases),
-                description=description or _first_doc_line(builder),
-            )
+        entry = RegisteredTopology(
+            name=name,
+            params_cls=params_cls,
+            builder=builder,
+            aliases=tuple(aliases),
+            description=description or first_doc_line(builder),
         )
+        REGISTRY.add(name, entry, entry.aliases)
         return builder
 
     return decorate
-
-
-def load_builtin_topologies() -> None:
-    """Import every built-in builder module (idempotent)."""
-    for module in BUILTIN_MODULES:
-        importlib.import_module(module)
-
-
-def get_topology(name: str) -> RegisteredTopology:
-    """Look up a registry entry by name or alias; KeyError with catalog."""
-    load_builtin_topologies()
-    canonical = _ALIASES.get(normalize(name))
-    if canonical is None:
-        raise KeyError(
-            f"unknown topology: {name!r} "
-            f"(registered: {', '.join(topology_names())})"
-        )
-    return TOPOLOGIES[canonical]
-
-
-def topology_names() -> List[str]:
-    """Sorted canonical names of every registered topology."""
-    load_builtin_topologies()
-    return sorted(TOPOLOGIES)
 
 
 def make_topology_params(name: str, params: Any = None, **overrides) -> Any:

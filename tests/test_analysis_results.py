@@ -167,8 +167,6 @@ def test_param_values_bools_sort_between_numbers_and_strings():
 
 
 def test_parking_lot_pivot_view(tmp_path):
-    from repro.analysis.results import format_parking_lot, parking_lot_pivot
-
     def mb_cell(algo, segments, ratio):
         return {
             "scenario": "multi_bottleneck",
@@ -194,19 +192,19 @@ def test_parking_lot_pivot_view(tmp_path):
     path = tmp_path / "multi_bottleneck_sweep.json"
     path.write_text(json.dumps(doc))
     rs = ResultSet.load(str(path))
-    rows, cols, table = parking_lot_pivot(rs)
+    rows, cols, table = rs.view("parking_lot")
     assert rows == [2, 3]
     assert cols == ["powertcp", "theta-powertcp"]
     assert table == [[0.9, 0.5], [0.8, 0.3]]
-    lines = format_parking_lot(rs)
+    lines = rs.format_view("parking_lot")
     assert lines[0].startswith("e2e_cross_ratio")
     # Foreign-scenario cells are excluded; an empty set fails loudly from
     # both entry points (not a useless header-only table).
     empty = ResultSet.load(str(path)).filter(algorithm="nope")
     with pytest.raises(ValueError, match="multi_bottleneck"):
-        parking_lot_pivot(empty)
+        empty.view("parking_lot")
     with pytest.raises(ValueError, match="multi_bottleneck"):
-        format_parking_lot(empty)
+        empty.format_view("parking_lot")
 
 
 def test_cell_param_fallback():
@@ -342,8 +340,6 @@ def test_perf_trend_skips_tiny_documents_by_default(tmp_path):
 # rollout pivot (deployment mix)
 # ----------------------------------------------------------------------
 def test_rollout_pivot_view(tmp_path):
-    from repro.analysis.results import format_rollout, rollout_pivot
-
     def mix_cell(topology, fraction, ratio):
         return {
             "scenario": "coexistence",
@@ -366,14 +362,14 @@ def test_rollout_pivot_view(tmp_path):
     path = tmp_path / "coexistence_sweep.json"
     path.write_text(json.dumps(doc))
     rs = ResultSet.load(str(path))
-    rows, cols, table = rollout_pivot(rs)
+    rows, cols, table = rs.view("rollout")
     assert rows == [0.25, 0.5]
     assert cols == ["dumbbell", "fattree"]
     assert table == [[1.2, 1.5], [1.0, 1.1]]
-    lines = format_rollout(rs)
+    lines = rs.format_view("rollout")
     assert lines[0].startswith("cross_group_ratio")
     with pytest.raises(ValueError, match="coexistence"):
-        rollout_pivot(ResultSet([]))
+        ResultSet([]).view("rollout")
 
 
 def test_cell_param_falls_back_to_provenance_config():

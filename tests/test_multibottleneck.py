@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.analysis.results import ResultSet, parking_lot_pivot
+from repro.analysis.results import ResultSet
 from repro.experiments.multibottleneck import (
     MultiBottleneckConfig,
     run_multi_bottleneck,
@@ -93,7 +93,7 @@ def test_sweep_persists_and_loads_through_results_api(tmp_path):
     rs = ResultSet.load(path)
     assert len(rs) == 4
     assert rs.scenarios() == ["multi_bottleneck"]
-    rows, cols, table = parking_lot_pivot(rs, metric="e2e_bottleneck_share")
+    rows, cols, table = rs.view("parking_lot", metric="e2e_bottleneck_share")
     assert rows == [2, 3]
     assert cols == ["powertcp", "theta-powertcp"]
     assert all(v is not None and v > 0 for row in table for v in row)
