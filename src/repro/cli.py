@@ -342,20 +342,20 @@ def cmd_sweep(args) -> None:
 def cmd_campaign(args) -> int:
     """Run a fault-tolerant campaign from a manifest file."""
     from repro.analysis.results import ResultSet, format_failure_report
-    from repro.campaign import load_manifest, run_campaign
+    from repro.campaign import Campaign, load_manifest
 
     try:
-        manifest = load_manifest(args.manifest)
+        campaign = Campaign(  # the constructor validates the worker count
+            load_manifest(args.manifest),
+            workers=args.workers,
+            out=args.out,
+            force=args.force,
+            quiet=args.quiet,
+            manifest_path=args.manifest,
+        )
     except ValueError as exc:
         raise SystemExit(str(exc))
-    report = run_campaign(
-        manifest,
-        workers=args.workers,
-        out=args.out,
-        force=args.force,
-        quiet=args.quiet,
-        manifest_path=args.manifest,
-    )
+    report = campaign.run()
     if report.interrupted:
         print(
             f"campaign interrupted: "

@@ -16,6 +16,10 @@ back to the pure-Python heap, and only an explicit
 
 :func:`force_unavailable` simulates the no-compiler install (the loader
 failure branch) for tests, without any environment-variable switches.
+
+Why it is kept: whole-CLI wall heap / compiled = 1.08-1.24 on the four
+simulation-bound e2e workloads, compiled faster in 23 of 24 interleaved
+cold pairs (protocol and table: ``benchmarks/perf/README.md``).
 """
 
 from __future__ import annotations

@@ -411,14 +411,6 @@ class PacketPool:
             return rec
         return HopRecord(qlen, ts_ns, tx_bytes, bandwidth_bps, port_id)
 
-    def recycle_hop(self, rec: HopRecord) -> None:
-        """Return one hop record to the free list without a carrier packet.
-
-        Used by train truncation: records pre-allocated for packets that
-        end up returned to the queue were never attached to anything.
-        """
-        self._hops.append(rec)
-
     # -- release -------------------------------------------------------
     def release(self, pkt: Packet) -> None:
         """Recycle the shell only; any hop list is detached, not recycled

@@ -8,16 +8,13 @@ single labeled port (``net.port("bottleneck")``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from repro.routing.registry import make_policy
 from repro.sim.buffer import SharedBuffer
 from repro.sim.engine import Simulator
-from repro.sim.host import Host
-from repro.sim.port import EgressPort
 from repro.sim.switch import Switch
-from repro.topology.network import Network, path_base_rtt_ns
+from repro.topology.network import Network
 from repro.topology.registry import register_topology
 from repro.units import GBPS, USEC
 
@@ -42,6 +39,14 @@ class DumbbellParams:
     routing: str = "ecmp"
     routing_params: Optional[dict] = None
 
+    def __post_init__(self):
+        for side in ("left_hosts", "right_hosts"):
+            if getattr(self, side) < 1:
+                raise ValueError(
+                    f"{side} must be >= 1, got {getattr(self, side)} (a "
+                    "dumbbell needs a host on each side of the bottleneck)"
+                )
+
 
 @register_topology(
     "dumbbell",
@@ -53,99 +58,33 @@ def build_dumbbell(sim: Simulator, params: Optional[DumbbellParams] = None) -> N
     p = params or DumbbellParams()
     net = Network(sim, name="dumbbell")
     net.host_bw_bps = p.host_bw_bps
+    policy = net.use_routing(p.routing, p.routing_params)
 
-    routing_spec = make_policy(p.routing, **(p.routing_params or {}))
-
-    def _policy():
-        return None if routing_spec.is_default_ecmp else routing_spec.create()
-
-    left = Switch(sim, switch_id=0, name="left",
-                  buffer=SharedBuffer(p.buffer_bytes, p.dt_alpha), policy=_policy())
-    right = Switch(sim, switch_id=1, name="right",
-                   buffer=SharedBuffer(p.buffer_bytes, p.dt_alpha), policy=_policy())
-    net.add_switch(left)
-    net.add_switch(right)
-
-    def make_host(host_id: int, switch: Switch) -> Host:
-        host = Host(sim, host_id)
-        nic = EgressPort(
-            sim,
-            p.host_bw_bps,
-            p.host_link_delay_ns,
-            peer=switch,
-            name=f"nic-{host_id}",
+    def switch(switch_id: int, name: str) -> Switch:
+        return net.add_switch(
+            Switch(sim, switch_id, name,
+                   buffer=SharedBuffer(p.buffer_bytes, p.dt_alpha), policy=policy())
         )
-        host.attach_nic(nic)
-        downlink = switch.add_port(
-            EgressPort(
-                sim,
-                p.host_bw_bps,
-                p.host_link_delay_ns,
-                peer=host,
+
+    left, right = switch(0, "left"), switch(1, "right")
+    for side, count in ((left, p.left_hosts), (right, p.right_hosts)):
+        for _ in range(count):
+            net.attach_host(
+                side, p.host_bw_bps, p.host_link_delay_ns,
                 int_stamping=p.int_stamping,
-                name=f"{switch.name}-down-{host_id}",
             )
-        )
-        switch.set_route(host_id, (downlink,))
-        net.add_host(host)
-        return host
-
-    left_hosts = [make_host(i, left) for i in range(p.left_hosts)]
-    right_hosts = [
-        make_host(p.left_hosts + i, right) for i in range(p.right_hosts)
-    ]
-
-    bottleneck = left.add_port(
-        EgressPort(
-            sim,
-            p.bottleneck_bw_bps,
-            p.bottleneck_delay_ns,
-            peer=right,
-            int_stamping=p.int_stamping,
-            name="bottleneck",
-        )
+    bottleneck, reverse = net.link(
+        left, right, p.bottleneck_bw_bps, p.bottleneck_delay_ns,
+        names=("bottleneck", "bottleneck-reverse"), int_stamping=p.int_stamping,
     )
-    reverse = right.add_port(
-        EgressPort(
-            sim,
-            p.bottleneck_bw_bps,
-            p.bottleneck_delay_ns,
-            peer=left,
-            int_stamping=p.int_stamping,
-            name="bottleneck-reverse",
-        )
-    )
-    for host in right_hosts:
-        left.set_route(host.host_id, (bottleneck,))
-    for host in left_hosts:
-        right.set_route(host.host_id, (reverse,))
-
     net.label_port("bottleneck", bottleneck)
     net.label_port("bottleneck-reverse", reverse)
-    net.base_rtt_ns = path_base_rtt_ns(
-        [p.host_bw_bps, p.bottleneck_bw_bps, p.host_bw_bps],
-        [p.host_link_delay_ns, p.bottleneck_delay_ns, p.host_link_delay_ns],
-        p.mtu_payload,
-    )
-    cross_profile = (
-        (p.host_bw_bps, p.bottleneck_bw_bps, p.host_bw_bps),
-        (p.host_link_delay_ns, p.bottleneck_delay_ns, p.host_link_delay_ns),
-    )
-    local_profile = (
-        (p.host_bw_bps, p.host_bw_bps),
-        (p.host_link_delay_ns, p.host_link_delay_ns),
-    )
-
-    def path_profile(src: int, dst: int):
-        same_side = (src < p.left_hosts) == (dst < p.left_hosts)
-        return local_profile if same_side else cross_profile
-
-    net.path_profile_fn = path_profile
-    net.sender_hosts = [h.host_id for h in left_hosts]
-    net.receiver_hosts = [h.host_id for h in right_hosts]
+    net.install_routes()
+    # Base RTT: any left-to-right pair crosses the bottleneck.
+    net.base_rtt_ns = net.path_rtt_ns(0, p.left_hosts, p.mtu_payload)
+    net.sender_hosts = list(range(p.left_hosts))
+    net.receiver_hosts = list(range(p.left_hosts, p.left_hosts + p.right_hosts))
     net.bottleneck_label = "bottleneck"
     net.shared_bottleneck = True
-    net.routing_name = routing_spec.name
-    net.routing_params = dict(routing_spec.params)
     net.extras["params"] = p
     return net

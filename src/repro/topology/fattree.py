@@ -17,13 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.routing.registry import make_policy
 from repro.sim.buffer import SharedBuffer
 from repro.sim.engine import Simulator
-from repro.sim.host import Host
 from repro.sim.port import EgressPort
 from repro.sim.switch import Switch
-from repro.topology.network import Network, path_base_rtt_ns
+from repro.topology.network import Network
 from repro.topology.registry import register_topology
 from repro.units import GBPS, USEC
 
@@ -76,11 +74,6 @@ class FatTreeParams:
         return down / up
 
 
-def _switch_buffer(p: FatTreeParams, total_bw_bps: float) -> SharedBuffer:
-    capacity = int(p.buffer_bytes_per_gbps * total_bw_bps / GBPS)
-    return SharedBuffer(max(capacity, 100_000), p.dt_alpha)
-
-
 @register_topology(
     "fattree",
     params_cls=FatTreeParams,
@@ -97,259 +90,77 @@ def build_fattree(sim: Simulator, params: Optional[FatTreeParams] = None) -> Net
     p = params or FatTreeParams()
     net = Network(sim, name="fattree")
     net.host_bw_bps = p.host_bw_bps
+    policy = net.use_routing(p.routing, p.routing_params)
 
-    # Resolve the routing policy once (unknown names/params fail here);
-    # parameterless ECMP passes policy=None so every switch keeps the
-    # inline byte-identical fast path.  Policy *instances* are
-    # per-switch (pins, cursors, and counters live in the switch).
-    routing_spec = make_policy(p.routing, **(p.routing_params or {}))
+    # --- nodes (switch ids are dense: ToRs, then aggs, then cores) ----
+    def switch(name: str, total_bw_bps: float) -> Switch:
+        capacity = int(p.buffer_bytes_per_gbps * total_bw_bps / GBPS)
+        return net.add_switch(
+            Switch(
+                sim,
+                len(net.switches),
+                name,
+                buffer=SharedBuffer(max(capacity, 100_000), p.dt_alpha),
+                policy=policy(),
+            )
+        )
 
-    def _policy():
-        return None if routing_spec.is_default_ecmp else routing_spec.create()
-
-    switch_ids = iter(range(1_000_000))
-
-    # --- nodes ------------------------------------------------------
     tor_bw = p.hosts_per_tor * p.host_bw_bps + p.aggs_per_pod * p.fabric_bw_bps
     agg_bw = (p.tors_per_pod + p.num_cores) * p.fabric_bw_bps
     core_bw = p.num_pods * p.aggs_per_pod * p.fabric_bw_bps
-
-    tors: List[Switch] = [
-        net.add_switch(
-            Switch(
-                sim,
-                next(switch_ids),
-                f"tor{t}",
-                buffer=_switch_buffer(p, tor_bw),
-                policy=_policy(),
-            )
-        )
-        for t in range(p.num_tors)
-    ]
-    aggs: List[List[Switch]] = [
-        [
-            net.add_switch(
-                Switch(
-                    sim,
-                    next(switch_ids),
-                    f"agg{pod}-{a}",
-                    buffer=_switch_buffer(p, agg_bw),
-                    policy=_policy(),
-                )
-            )
-            for a in range(p.aggs_per_pod)
-        ]
+    tors = [switch(f"tor{t}", tor_bw) for t in range(p.num_tors)]
+    aggs = [
+        [switch(f"agg{pod}-{a}", agg_bw) for a in range(p.aggs_per_pod)]
         for pod in range(p.num_pods)
     ]
-    cores: List[Switch] = [
-        net.add_switch(
-            Switch(
-                sim,
-                next(switch_ids),
-                f"core{c}",
-                buffer=_switch_buffer(p, core_bw),
-                policy=_policy(),
-            )
-        )
-        for c in range(p.num_cores)
-    ]
+    cores = [switch(f"core{c}", core_bw) for c in range(p.num_cores)]
 
     # --- hosts and ToR downlinks -------------------------------------
     for host_id in range(p.num_hosts):
-        tor = tors[p.tor_of_host(host_id)]
-        host = Host(sim, host_id)
-        host.attach_nic(
-            EgressPort(
-                sim,
-                p.host_bw_bps,
-                p.host_link_delay_ns,
-                peer=tor,
-                name=f"nic-{host_id}",
-            )
+        net.attach_host(
+            tors[p.tor_of_host(host_id)],
+            p.host_bw_bps,
+            p.host_link_delay_ns,
+            int_stamping=p.int_stamping,
         )
-        downlink = tor.add_port(
-            EgressPort(
-                sim,
-                p.host_bw_bps,
-                p.host_link_delay_ns,
-                peer=host,
-                int_stamping=p.int_stamping,
-                name=f"{tor.name}-down-{host_id}",
-            )
-        )
-        tor.set_route(host_id, (downlink,))
-        net.add_host(host)
 
     # --- ToR <-> Agg links -------------------------------------------
     tor_uplinks: List[List[EgressPort]] = [[] for _ in range(p.num_tors)]
-    agg_downlinks = {}  # (pod, a, tor_in_pod) -> port
     for pod in range(p.num_pods):
         for t in range(p.tors_per_pod):
             tor_index = pod * p.tors_per_pod + t
-            tor = tors[tor_index]
             for a, agg in enumerate(aggs[pod]):
-                up = tor.add_port(
-                    EgressPort(
-                        sim,
-                        p.fabric_bw_bps,
-                        p.tor_agg_delay_ns,
-                        peer=agg,
-                        int_stamping=p.int_stamping,
-                        name=f"tor{tor_index}-up{a}",
-                    )
+                label = f"tor{tor_index}-up{a}"
+                up, _ = net.link(
+                    tors[tor_index],
+                    agg,
+                    p.fabric_bw_bps,
+                    p.tor_agg_delay_ns,
+                    names=(label, f"agg{pod}-{a}-down{t}"),
+                    int_stamping=p.int_stamping,
                 )
-                tor_uplinks[tor_index].append(up)
-                net.label_port(f"tor{tor_index}-up{a}", up)
-                down = agg.add_port(
-                    EgressPort(
-                        sim,
-                        p.fabric_bw_bps,
-                        p.tor_agg_delay_ns,
-                        peer=tor,
-                        int_stamping=p.int_stamping,
-                        name=f"agg{pod}-{a}-down{t}",
-                    )
-                )
-                agg_downlinks[(pod, a, t)] = down
+                tor_uplinks[tor_index].append(net.label_port(label, up))
 
     # --- Agg <-> Core links ------------------------------------------
-    agg_uplinks = {}  # (pod, a) -> list of ports to cores
-    core_downlinks = {}  # (c, pod) -> list of ports (one per agg)
     for pod in range(p.num_pods):
         for a, agg in enumerate(aggs[pod]):
-            ups = []
             for c, core in enumerate(cores):
-                up = agg.add_port(
-                    EgressPort(
-                        sim,
-                        p.fabric_bw_bps,
-                        p.agg_core_delay_ns,
-                        peer=core,
-                        int_stamping=p.int_stamping,
-                        name=f"agg{pod}-{a}-up{c}",
-                    )
+                net.link(
+                    agg,
+                    core,
+                    p.fabric_bw_bps,
+                    p.agg_core_delay_ns,
+                    names=(f"agg{pod}-{a}-up{c}", f"core{c}-down{pod}-{a}"),
+                    int_stamping=p.int_stamping,
                 )
-                ups.append(up)
-                down = core.add_port(
-                    EgressPort(
-                        sim,
-                        p.fabric_bw_bps,
-                        p.agg_core_delay_ns,
-                        peer=agg,
-                        int_stamping=p.int_stamping,
-                        name=f"core{c}-down{pod}-{a}",
-                    )
-                )
-                core_downlinks.setdefault((c, pod), []).append(down)
-            agg_uplinks[(pod, a)] = ups
 
-    # --- routing tables ----------------------------------------------
-    for host_id in range(p.num_hosts):
-        dst_tor = p.tor_of_host(host_id)
-        dst_pod = p.pod_of_host(host_id)
-        dst_tor_in_pod = dst_tor % p.tors_per_pod
-        for tor_index, tor in enumerate(tors):
-            if tor_index == dst_tor:
-                continue  # downlink route already set
-            tor.set_route(host_id, tuple(tor_uplinks[tor_index]))
-        for pod in range(p.num_pods):
-            for a, agg in enumerate(aggs[pod]):
-                if pod == dst_pod:
-                    agg.set_route(host_id, (agg_downlinks[(pod, a, dst_tor_in_pod)],))
-                else:
-                    agg.set_route(host_id, tuple(agg_uplinks[(pod, a)]))
-        for c, core in enumerate(cores):
-            core.set_route(host_id, tuple(core_downlinks[(c, dst_pod)]))
+    # Rows in wiring order: ToR -> its uplinks by agg, agg -> cores by
+    # index (or the one downlink), core -> the dst pod's aggs.
+    net.install_routes()
+    # Base RTT: first to last host is the longest path the shape has
+    # (inter-pod; same-pod or same-ToR on a one-pod / one-ToR tree).
+    net.base_rtt_ns = net.path_rtt_ns(0, p.num_hosts - 1, p.mtu_payload)
 
-    # --- per-pair base RTTs for ideal-FCT denominators ----------------
-    same_tor_rtt = path_base_rtt_ns(
-        [p.host_bw_bps, p.host_bw_bps],
-        [p.host_link_delay_ns, p.host_link_delay_ns],
-        p.mtu_payload,
-    )
-    same_pod_rtt = path_base_rtt_ns(
-        [p.host_bw_bps, p.fabric_bw_bps, p.fabric_bw_bps, p.host_bw_bps],
-        [
-            p.host_link_delay_ns,
-            p.tor_agg_delay_ns,
-            p.tor_agg_delay_ns,
-            p.host_link_delay_ns,
-        ],
-        p.mtu_payload,
-    )
-
-    def path_rtt(src: int, dst: int) -> int:
-        if p.tor_of_host(src) == p.tor_of_host(dst):
-            return same_tor_rtt
-        if p.pod_of_host(src) == p.pod_of_host(dst):
-            return same_pod_rtt
-        return net.base_rtt_ns
-
-    net.path_rtt_fn = path_rtt
-
-    _profiles = {
-        "tor": (
-            (p.host_bw_bps, p.host_bw_bps),
-            (p.host_link_delay_ns, p.host_link_delay_ns),
-        ),
-        "pod": (
-            (p.host_bw_bps, p.fabric_bw_bps, p.fabric_bw_bps, p.host_bw_bps),
-            (
-                p.host_link_delay_ns,
-                p.tor_agg_delay_ns,
-                p.tor_agg_delay_ns,
-                p.host_link_delay_ns,
-            ),
-        ),
-        "inter": (
-            (
-                p.host_bw_bps,
-                p.fabric_bw_bps,
-                p.fabric_bw_bps,
-                p.fabric_bw_bps,
-                p.fabric_bw_bps,
-                p.host_bw_bps,
-            ),
-            (
-                p.host_link_delay_ns,
-                p.tor_agg_delay_ns,
-                p.agg_core_delay_ns,
-                p.agg_core_delay_ns,
-                p.tor_agg_delay_ns,
-                p.host_link_delay_ns,
-            ),
-        ),
-    }
-
-    def path_profile(src: int, dst: int):
-        if p.tor_of_host(src) == p.tor_of_host(dst):
-            return _profiles["tor"]
-        if p.pod_of_host(src) == p.pod_of_host(dst):
-            return _profiles["pod"]
-        return _profiles["inter"]
-
-    net.path_profile_fn = path_profile
-
-    # --- base RTT: worst case is the inter-pod path -------------------
-    net.base_rtt_ns = path_base_rtt_ns(
-        [
-            p.host_bw_bps,
-            p.fabric_bw_bps,
-            p.fabric_bw_bps,
-            p.fabric_bw_bps,
-            p.fabric_bw_bps,
-            p.host_bw_bps,
-        ],
-        [
-            p.host_link_delay_ns,
-            p.tor_agg_delay_ns,
-            p.agg_core_delay_ns,
-            p.agg_core_delay_ns,
-            p.tor_agg_delay_ns,
-            p.host_link_delay_ns,
-        ],
-        p.mtu_payload,
-    )
     # Pairing policy: seeded host-level permutations (derangements), the
     # canonical fabric stress — no receiver NIC is oversubscribed, so
     # contention lands on the oversubscribed ToR uplinks.  Counts beyond
@@ -365,8 +176,6 @@ def build_fattree(sim: Simulator, params: Optional[FatTreeParams] = None) -> Net
         return pairs[:count]
 
     net.pair_policy_fn = fattree_pairs
-    net.routing_name = routing_spec.name
-    net.routing_params = dict(routing_spec.params)
     net.extras["params"] = p
     net.extras["tor_uplinks"] = tor_uplinks
     net.extras["tors"] = tors

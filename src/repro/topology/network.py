@@ -1,11 +1,16 @@
-"""The built-network container shared by all topology builders."""
+"""The built-network container shared by all topology builders.
+
+A fabric is nodes plus links: builders wire switches with ``attach_host``
+and ``link``; ``install_routes`` derives the tables, and per-pair RTTs and
+ideal FCTs follow them (``docs/INVARIANTS.md#derived-routing``).
+"""
 
 from __future__ import annotations
 
 import random
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.routing.registry import Requirements as RoutingRequirements
+from repro.routing.registry import Requirements as RoutingRequirements, make_policy
 from repro.sim.engine import Simulator
 from repro.sim.host import Host
 from repro.sim.packet import ACK_BYTES, HEADER_BYTES
@@ -83,14 +88,9 @@ class Network:
         self.switches: List[Switch] = []
         self.host_bw_bps: float = 0.0
         self.base_rtt_ns: int = 0
-        #: per-pair base RTT (src, dst) -> ns; defaults to base_rtt_ns.
-        #: Used for *ideal-FCT* denominators, so slowdown is >= 1 even on
-        #: shorter-than-worst-case paths.  CC configuration still uses the
-        #: network-wide max, as the paper does.
-        self.path_rtt_fn = None
-        #: per-pair hop profile (src, dst) -> (rates_bps, prop_delays_ns)
-        #: for exact ideal-FCT computation; optional.
-        self.path_profile_fn = None
+        #: (first switch, dst) -> hop profile past the NIC, filled lazily
+        #: by :meth:`path_profile`.
+        self._profiles: Dict[Tuple[Switch, int], Tuple[tuple, tuple]] = {}
         #: optional interesting ports registered by builders, keyed by label
         #: (e.g. "bottleneck", "tor0-up0") for probes and experiments.
         self.labeled_ports: Dict[str, EgressPort] = {}
@@ -128,9 +128,8 @@ class Network:
         """The network's share of :meth:`Simulator.close` (call that).
 
         Closes every host and switch (and through them every port) and
-        drops the node, label and extras tables and the builder's path
-        closures.  Scalar metadata (``base_rtt_ns``, ``host_bw_bps``,
-        ...) stays readable.
+        drops the node, label, extras and hop-profile tables.  Scalar
+        metadata (``base_rtt_ns``, ``host_bw_bps``, ...) stays readable.
         """
         for host in self.hosts:
             host.close()
@@ -140,18 +139,103 @@ class Network:
         self.switches.clear()
         self.labeled_ports.clear()
         self.extras.clear()
-        self.path_rtt_fn = self.path_profile_fn = self.pair_policy_fn = None
+        self._profiles.clear()
+        self.pair_policy_fn = None
 
-    def add_host(self, host: Host) -> Host:
-        """Register a host (ids must match list positions)."""
-        assert host.host_id == len(self.hosts), "host ids must be dense"
-        self.hosts.append(host)
-        return host
-
+    # -- wiring primitives ---------------------------------------------
     def add_switch(self, switch: Switch) -> Switch:
         """Register a switch."""
         self.switches.append(switch)
         return switch
+
+    def use_routing(self, name: str, params: Optional[dict] = None):
+        """Resolve the routing policy once; returns the per-switch factory.
+
+        Unknown names/params fail here.  Parameterless ECMP yields
+        ``policy=None`` so every switch keeps the inline byte-identical
+        fast path.  Policy *instances* are per-switch (pins, cursors,
+        and counters live in the switch).
+        """
+        spec = make_policy(name, **(params or {}))
+        self.routing_name = spec.name
+        self.routing_params = dict(spec.params)
+        return (lambda: None) if spec.is_default_ecmp else spec.create
+
+    def attach_host(
+        self, switch: Switch, rate_bps: float, delay_ns: int, int_stamping: bool = False
+    ) -> Host:
+        """Hang the next host (ids are dense) off ``switch``.
+
+        Creates the NIC ``nic-<id>``, then the switch's downlink
+        ``<switch>-down-<id>`` (only the downlink stamps INT).
+        """
+        sim = self.sim
+        host = Host(sim, len(self.hosts))
+        host.attach_nic(
+            EgressPort(sim, rate_bps, delay_ns, peer=switch, name=f"nic-{host.host_id}")
+        )
+        switch.add_port(
+            EgressPort(
+                sim, rate_bps, delay_ns, peer=host, int_stamping=int_stamping,
+                name=f"{switch.name}-down-{host.host_id}",
+            )
+        )
+        self.hosts.append(host)
+        return host
+
+    def link(
+        self, a: Switch, b: Switch, rate_bps: float, delay_ns: int,
+        names: Tuple[str, str], int_stamping: bool = False, **port_kwargs
+    ) -> Tuple[EgressPort, EgressPort]:
+        """One bidirectional link: the ``a -> b`` port, then its twin.
+
+        ``names`` are the (forward, reverse) port names; ``port_kwargs``
+        reach both :class:`EgressPort` constructors.
+        """
+
+        def port(src: Switch, dst: Switch, name: str) -> EgressPort:
+            return src.add_port(
+                EgressPort(
+                    self.sim, rate_bps, delay_ns, peer=dst,
+                    int_stamping=int_stamping, name=name, **port_kwargs,
+                )
+            )
+
+        return port(a, b, names[0]), port(b, a, names[1])
+
+    def install_routes(self) -> None:
+        """Derive every switch's route table from the wiring.
+
+        One BFS per *edge switch* (a switch with hosts attached) over
+        the switch graph (links are bidirectional: :meth:`link` makes
+        both ports); the row of switch ``s`` towards that edge holds,
+        in port-add order, every port whose peer switch is one hop
+        closer — all shortest paths, in the builder's wiring order (the
+        order the flow hash indexes).  Call after wiring and before any
+        circuit comes up: a port without a peer is no link.
+        """
+        uplinks = {
+            s: [p for p in s.ports if isinstance(p.peer, Switch)]
+            for s in self.switches
+        }
+        for edge in self.switches:
+            downlinks = [p for p in edge.ports if isinstance(p.peer, Host)]
+            if not downlinks:
+                continue
+            dist = {edge: 0}
+            queue = [edge]
+            for switch in queue:  # grows while iterated: the BFS queue
+                for port in uplinks[switch]:
+                    if port.peer not in dist:
+                        dist[port.peer] = dist[switch] + 1
+                        queue.append(port.peer)
+            for down in downlinks:
+                edge.set_route(down.peer.host_id, (down,))
+            for switch in queue[1:]:
+                closer = dist[switch] - 1
+                row = tuple(p for p in uplinks[switch] if dist[p.peer] == closer)
+                for down in downlinks:
+                    switch.set_route(down.peer.host_id, row)
 
     def host(self, host_id: int) -> Host:
         """Look up a host by id."""
@@ -259,24 +343,41 @@ class Network:
             if getattr(s, "policy", None) is not None
         )
 
-    def path_rtt_ns(self, src: int, dst: int) -> int:
-        """Base RTT of the (src, dst) path; the network max if unknown."""
-        if self.path_rtt_fn is not None:
-            return self.path_rtt_fn(src, dst)
-        return self.base_rtt_ns
+    def path_profile(self, src: int, dst: int) -> Tuple[tuple, tuple]:
+        """Hop profile ``(rates_bps, prop_delays_ns)`` of the (src, dst) path.
+
+        The NIC, then each switch's first candidate towards ``dst`` —
+        exact wherever equal-cost paths are link-for-link alike.
+        """
+        nic = self.hosts[src].nic
+        key = (nic.peer, dst)
+        hops = self._profiles.get(key)
+        if hops is None:
+            rates, delays = [], []
+            node = nic.peer
+            while isinstance(node, Switch):
+                port = node.candidates(dst)[0]
+                rates.append(port.rate_bps)
+                delays.append(port.prop_delay_ns)
+                node = port.peer
+            hops = self._profiles[key] = (tuple(rates), tuple(delays))
+        return (nic.rate_bps,) + hops[0], (nic.prop_delay_ns,) + hops[1]
+
+    def path_rtt_ns(self, src: int, dst: int, mtu_payload: int = 1000) -> int:
+        """Base RTT of the (src, dst) path.
+
+        Used for *ideal-FCT* denominators, so slowdown is >= 1 even on
+        shorter-than-worst-case paths.  CC configuration still uses the
+        network-wide max (``base_rtt_ns``), as the paper does.
+        """
+        return path_base_rtt_ns(*self.path_profile(src, dst), mtu_payload)
 
     def ideal_fct_ns(
         self, src: int, dst: int, size_bytes: int, mtu_payload: int = 1000
     ) -> int:
-        """Store-and-forward lower-bound FCT for a flow on this network.
-
-        Uses the exact hop profile when the builder registered one; falls
-        back to a single-hop model at the host line rate otherwise.
-        """
-        if self.path_profile_fn is not None:
-            rates, props = self.path_profile_fn(src, dst)
-            return path_ideal_fct_ns(rates, props, size_bytes, mtu_payload)
-        return self.base_rtt_ns + tx_time_ns(size_bytes, self.host_bw_bps)
+        """Store-and-forward lower-bound FCT for a flow on this network."""
+        rates, props = self.path_profile(src, dst)
+        return path_ideal_fct_ns(rates, props, size_bytes, mtu_payload)
 
     def total_drops(self) -> int:
         """Packets dropped across all switch ports (DT rejections)."""

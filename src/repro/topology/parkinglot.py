@@ -24,16 +24,13 @@ then the end-to-end sink, then one cross sink per segment.
 from __future__ import annotations
 
 from collections.abc import Sequence as AbcSequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
-from repro.routing.registry import make_policy
 from repro.sim.buffer import SharedBuffer
 from repro.sim.engine import Simulator
-from repro.sim.host import Host
-from repro.sim.port import EgressPort
 from repro.sim.switch import Switch
-from repro.topology.network import Network, path_base_rtt_ns, path_ideal_fct_ns
+from repro.topology.network import Network
 from repro.topology.registry import register_topology
 from repro.units import GBPS, USEC
 
@@ -138,110 +135,41 @@ def build_parking_lot(
     p = params or ParkingLotParams()
     net = Network(sim, name="parking-lot")
     net.host_bw_bps = p.host_bw_bps
-
-    routing_spec = make_policy(p.routing, **(p.routing_params or {}))
-
-    def _policy():
-        return None if routing_spec.is_default_ecmp else routing_spec.create()
+    policy = net.use_routing(p.routing, p.routing_params)
 
     switches = [
         net.add_switch(
             Switch(sim, i, f"s{i}",
                    buffer=SharedBuffer(p.buffer_bytes, p.dt_alpha),
-                   policy=_policy())
+                   policy=policy())
         )
         for i in range(p.segments + 1)
     ]
 
-    def add_host(host_id: int, switch: Switch) -> Host:
-        host = Host(sim, host_id)
-        host.attach_nic(
-            EgressPort(
-                sim, p.host_bw_bps, p.host_link_delay_ns, peer=switch,
-                name=f"nic-{host_id}",
-            )
+    # Hosts in id order (see the module docstring): the e2e source and
+    # the cross sources at each segment's head switch, then the e2e sink
+    # at the last switch and the cross sinks one switch past their source.
+    attach_points = [switches[0]] + switches[:-1] + [switches[-1]] + switches[1:]
+    for switch in attach_points:
+        net.attach_host(
+            switch, p.host_bw_bps, p.host_link_delay_ns, int_stamping=p.int_stamping
         )
-        downlink = switch.add_port(
-            EgressPort(
-                sim, p.host_bw_bps, p.host_link_delay_ns, peer=host,
-                int_stamping=p.int_stamping, name=f"{switch.name}-down-{host_id}",
-            )
-        )
-        switch.set_route(host_id, (downlink,))
-        return host
-
-    # Hosts must be added in id order (Network asserts density).
-    hosts_plan = [(p.e2e_src, switches[0])]
-    hosts_plan += [(p.cross_src(i), switches[i]) for i in range(p.segments)]
-    hosts_plan += [(p.e2e_dst, switches[p.segments])]
-    hosts_plan += [(p.cross_dst(i), switches[i + 1]) for i in range(p.segments)]
-    hosts_plan.sort(key=lambda pair: pair[0])
-    host_switch = {}
-    for host_id, switch in hosts_plan:
-        net.add_host(add_host(host_id, switch))
-        host_switch[host_id] = switch
 
     # Segment links (forward) and their reverse twins for ACKs.
     segment_delays = p.segment_delays_ns
     for i in range(p.segments):
-        forward = switches[i].add_port(
-            EgressPort(
-                sim, p.segment_bw_bps[i], segment_delays[i],
-                peer=switches[i + 1], int_stamping=p.int_stamping,
-                name=f"link{i}",
-            )
-        )
-        reverse = switches[i + 1].add_port(
-            EgressPort(
-                sim, p.segment_bw_bps[i], segment_delays[i],
-                peer=switches[i], int_stamping=p.int_stamping,
-                name=f"link{i}-rev",
-            )
+        forward, reverse = net.link(
+            switches[i], switches[i + 1], p.segment_bw_bps[i], segment_delays[i],
+            names=(f"link{i}", f"link{i}-rev"), int_stamping=p.int_stamping,
         )
         net.label_port(f"link{i}", forward)
         net.label_port(f"link{i}-rev", reverse)
 
     # Routing: every switch forwards "rightward" to hosts attached at or
     # beyond the next switch, "leftward" for the way back.
-    def switch_index_of(host_id: int) -> int:
-        return switches.index(host_switch[host_id])
-
-    for host_id in range(p.num_hosts):
-        target = switch_index_of(host_id)
-        for index, switch in enumerate(switches):
-            if index == target:
-                continue  # downlink route already installed
-            if index < target:
-                next_port = next(
-                    port for port in switch.ports if port.name == f"link{index}"
-                )
-            else:
-                next_port = next(
-                    port
-                    for port in switch.ports
-                    if port.name == f"link{index - 1}-rev"
-                )
-            switch.set_route(host_id, (next_port,))
-
+    net.install_routes()
     # Base RTT: the end-to-end path (the longest one).
-    e2e_rates = [p.host_bw_bps] + list(p.segment_bw_bps) + [p.host_bw_bps]
-    e2e_props = (
-        [p.host_link_delay_ns] + segment_delays + [p.host_link_delay_ns]
-    )
-    net.base_rtt_ns = path_base_rtt_ns(e2e_rates, e2e_props, p.mtu_payload)
-
-    def path_profile(src: int, dst: int):
-        lo = min(switch_index_of(src), switch_index_of(dst))
-        hi = max(switch_index_of(src), switch_index_of(dst))
-        rates = [p.host_bw_bps] + list(p.segment_bw_bps[lo:hi]) + [p.host_bw_bps]
-        props = (
-            [p.host_link_delay_ns]
-            + segment_delays[lo:hi]
-            + [p.host_link_delay_ns]
-        )
-        return rates, props
-
-    net.path_profile_fn = path_profile
+    net.base_rtt_ns = net.path_rtt_ns(p.e2e_src, p.e2e_dst, p.mtu_payload)
     net.sender_hosts = [p.e2e_src] + [p.cross_src(i) for i in range(p.segments)]
     net.receiver_hosts = [p.e2e_dst] + [
         p.cross_dst(i) for i in range(p.segments)
@@ -260,8 +188,6 @@ def build_parking_lot(
         ]
 
     net.pair_policy_fn = parking_lot_pairs
-    net.routing_name = routing_spec.name
-    net.routing_params = dict(routing_spec.params)
     net.extras["params"] = p
     net.extras["switches"] = switches
     return net

@@ -18,15 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.routing.registry import make_policy
 from repro.sim.buffer import SharedBuffer
 from repro.sim.circuit import CircuitPort, CircuitSchedule, RotorController
 from repro.sim.engine import Simulator
-from repro.sim.host import Host
 from repro.sim.packet import DATA
 from repro.sim.port import EgressPort
 from repro.sim.switch import Switch
-from repro.topology.network import Network, path_base_rtt_ns
+from repro.topology.network import Network
 from repro.topology.registry import register_topology
 from repro.units import GBPS, USEC
 
@@ -117,63 +115,42 @@ def build_rdcn(sim: Simulator, params: Optional[RdcnParams] = None) -> Network:
     p = params or RdcnParams()
     net = Network(sim, name="rdcn")
     net.host_bw_bps = p.host_bw_bps
+    policy = net.use_routing(p.routing, p.routing_params)
 
     schedule = CircuitSchedule(p.num_tors, p.day_ns, p.night_ns)
-
-    routing_spec = make_policy(p.routing, **(p.routing_params or {}))
-
-    def _policy():
-        return None if routing_spec.is_default_ecmp else routing_spec.create()
-
-    packet_switch = Switch(
-        sim,
-        switch_id=10_000,
-        name="packet-core",
-        buffer=SharedBuffer(p.buffer_bytes, p.dt_alpha),
-        policy=_policy(),
-    )
-    net.add_switch(packet_switch)
-
-    tors: List[RdcnToR] = []
-    for t in range(p.num_tors):
-        tor = RdcnToR(
+    packet_switch = net.add_switch(
+        Switch(
             sim,
-            switch_id=t,
-            name=f"rtor{t}",
-            tor_id=t,
-            schedule=schedule,
-            prebuffer_ns=p.prebuffer_ns,
-            params=p,
+            switch_id=10_000,
+            name="packet-core",
             buffer=SharedBuffer(p.buffer_bytes, p.dt_alpha),
+            policy=policy(),
         )
-        tors.append(tor)
-        net.add_switch(tor)
+    )
+    tors: List[RdcnToR] = [
+        net.add_switch(
+            RdcnToR(
+                sim,
+                switch_id=t,
+                name=f"rtor{t}",
+                tor_id=t,
+                schedule=schedule,
+                prebuffer_ns=p.prebuffer_ns,
+                params=p,
+                buffer=SharedBuffer(p.buffer_bytes, p.dt_alpha),
+            )
+        )
+        for t in range(p.num_tors)
+    ]
 
     # Hosts and downlinks.
     for host_id in range(p.num_tors * p.hosts_per_tor):
-        tor = tors[p.tor_of_host(host_id)]
-        host = Host(sim, host_id)
-        host.attach_nic(
-            EgressPort(
-                sim,
-                p.host_bw_bps,
-                p.host_link_delay_ns,
-                peer=tor,
-                name=f"nic-{host_id}",
-            )
+        net.attach_host(
+            tors[p.tor_of_host(host_id)],
+            p.host_bw_bps,
+            p.host_link_delay_ns,
+            int_stamping=p.int_stamping,
         )
-        downlink = tor.add_port(
-            EgressPort(
-                sim,
-                p.host_bw_bps,
-                p.host_link_delay_ns,
-                peer=host,
-                int_stamping=p.int_stamping,
-                name=f"{tor.name}-down-{host_id}",
-            )
-        )
-        tor.set_route(host_id, (downlink,))
-        net.add_host(host)
 
     # Circuit uplinks (VOQ ports) and packet-network links.
     circuit_ports: List[CircuitPort] = []
@@ -188,73 +165,31 @@ def build_rdcn(sim: Simulator, params: Optional[RdcnParams] = None) -> Network:
             name=f"circuit{t}",
             record_queuing=p.record_queuing,
         )
-        tor.add_port(circuit)
-        tor.circuit_port = circuit
+        tor.circuit_port = tor.add_port(circuit)
         circuit_ports.append(circuit)
         net.label_port(f"circuit{t}", circuit)
 
-        pkt_up = tor.add_port(
-            EgressPort(
-                sim,
-                p.packet_bw_bps,
-                p.tor_link_delay_ns,
-                peer=packet_switch,
-                int_stamping=p.int_stamping,
-                name=f"tor{t}-pktup",
-                record_queuing=p.record_queuing,
-            )
+        tor.packet_port, _ = net.link(
+            tor,
+            packet_switch,
+            p.packet_bw_bps,
+            p.tor_link_delay_ns,
+            names=(f"tor{t}-pktup", f"pktcore-down{t}"),
+            int_stamping=p.int_stamping,
+            record_queuing=p.record_queuing,
         )
-        tor.packet_port = pkt_up
-        net.label_port(f"tor{t}-pktup", pkt_up)
+        net.label_port(f"tor{t}-pktup", tor.packet_port)
 
-        pkt_down = packet_switch.add_port(
-            EgressPort(
-                sim,
-                p.packet_bw_bps,
-                p.tor_link_delay_ns,
-                peer=tor,
-                int_stamping=p.int_stamping,
-                name=f"pktcore-down{t}",
-                record_queuing=p.record_queuing,
-            )
-        )
-        for host_id in range(t * p.hosts_per_tor, (t + 1) * p.hosts_per_tor):
-            packet_switch.set_route(host_id, (pkt_down,))
-
+    # Routes before the rotor starts: circuit ports have no peer yet, so
+    # the derived tables (and the base RTT) describe the packet network
+    # (the always-available path).  The ToR rows for remote hosts are
+    # unused: RdcnToR.receive steers remote traffic itself.
+    net.install_routes()
+    net.base_rtt_ns = net.path_rtt_ns(
+        0, p.num_tors * p.hosts_per_tor - 1, p.mtu_payload
+    )
     controller = RotorController(sim, schedule, circuit_ports, tors)
     controller.start()
-
-    # Base RTT over the packet network (the always-available path).
-    net.base_rtt_ns = path_base_rtt_ns(
-        [p.host_bw_bps, p.packet_bw_bps, p.packet_bw_bps, p.host_bw_bps],
-        [
-            p.host_link_delay_ns,
-            p.tor_link_delay_ns,
-            p.tor_link_delay_ns,
-            p.host_link_delay_ns,
-        ],
-        p.mtu_payload,
-    )
-    packet_profile = (
-        (p.host_bw_bps, p.packet_bw_bps, p.packet_bw_bps, p.host_bw_bps),
-        (
-            p.host_link_delay_ns,
-            p.tor_link_delay_ns,
-            p.tor_link_delay_ns,
-            p.host_link_delay_ns,
-        ),
-    )
-    local_profile = (
-        (p.host_bw_bps, p.host_bw_bps),
-        (p.host_link_delay_ns, p.host_link_delay_ns),
-    )
-
-    def path_profile(src: int, dst: int):
-        if p.tor_of_host(src) == p.tor_of_host(dst):
-            return local_profile
-        return packet_profile
-
-    net.path_profile_fn = path_profile
 
     # Pairing policy: shift each source one ToR to the right, so every
     # pair crosses the circuit/packet fabric (never stays rack-local).
@@ -265,8 +200,6 @@ def build_rdcn(sim: Simulator, params: Optional[RdcnParams] = None) -> Network:
         ]
 
     net.pair_policy_fn = rdcn_pairs
-    net.routing_name = routing_spec.name
-    net.routing_params = dict(routing_spec.params)
     net.extras["params"] = p
     net.extras["schedule"] = schedule
     net.extras["controller"] = controller

@@ -155,3 +155,28 @@ def test_coexistence_sweep_roundtrip(tmp_path, capsys):
     doc2 = json.loads(out_path.read_text())
     second = {c["params"]["algorithm_b"]: c["metrics"] for c in doc2["cells"]}
     assert first == second
+
+
+def test_campaign_zero_workers_is_a_usage_error(tmp_path):
+    """``--workers 0`` exits like ``sweep --jobs 0``: one line, no traceback."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({
+        "scenario": "incast", "grid": {"fanout": [2]},
+        "out": str(tmp_path / "out.json"),
+    }))
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "campaign", str(manifest), "--workers", "0"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode != 0
+    assert proc.stderr.strip() == "workers must be >= 1"
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert not os.path.exists(tmp_path / "out.json")

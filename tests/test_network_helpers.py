@@ -43,12 +43,12 @@ def test_ideal_fct_monotone_in_size():
     assert ideals == sorted(ideals)
 
 
-def test_network_ideal_fct_fallback_without_profile():
+def test_dumbbell_ideal_fct_respects_path():
     sim = Simulator()
     net = build_dumbbell(sim)
-    net.path_profile_fn = None
-    value = net.ideal_fct_ns(0, 2, 10_000)
-    assert value > net.base_rtt_ns
+    same_switch = net.ideal_fct_ns(0, 1, 10_000)  # both on the left switch
+    cross = net.ideal_fct_ns(0, 2, 10_000)  # over the bottleneck
+    assert cross > same_switch
 
 
 def test_fattree_path_rtts_ordered():
