@@ -13,9 +13,15 @@ directory so the checked-out tree stays clean):
    still complete (failed cells present with error provenance), and the
    failure report listing exactly the injected cells.
 
+Both phases also check the on-disk format end to end: the merged
+document and every shard file — streamed cell by cell by the real
+orchestrator — must be byte for byte the ``indent=1, sort_keys=True``
+encoding of what they parse to.
+
 Any assertion failure exits non-zero, turning the CI job red.
 """
 
+import glob
 import json
 import os
 import subprocess
@@ -55,6 +61,24 @@ def check(condition, message):
         raise SystemExit(f"campaign smoke FAILED: {message}")
 
 
+def check_documents(manifest):
+    """The merged output and all shard files are in the canonical format."""
+    stem = os.path.splitext(manifest["out"])[0]
+    shard_paths = sorted(glob.glob(f"{stem}.shard-*-of-*.json"))
+    check(
+        len(shard_paths) == manifest["shards"],
+        f"{len(shard_paths)} shard files, wanted {manifest['shards']}",
+    )
+    for path in [manifest["out"]] + shard_paths:
+        with open(path) as handle:
+            text = handle.read()
+        check(
+            text == json.dumps(json.loads(text), indent=1, sort_keys=True) + "\n",
+            f"{os.path.basename(path)} is not the indent=1, sort_keys=True "
+            "encoding of its own content",
+        )
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         # -- phase 1: every injected fault recovers under retry --------
@@ -78,6 +102,7 @@ def main():
             not os.path.exists(manifest["out"].replace(".json", ".failures.json")),
             "all-recovered campaign left a failure report behind",
         )
+        check_documents(manifest)
         print(f"phase 1 ok: 8/8 cells recovered, retries carry provenance")
 
         # -- phase 2: always-failing cells exhaust retries -------------
@@ -102,11 +127,20 @@ def main():
         check(os.path.exists(failures_path), "failure report not written")
         with open(failures_path) as handle:
             report = json.load(handle)
+        grid_size = 1
+        for values in manifest["grid"].values():
+            grid_size *= len(values)
+        check(
+            report["total_cells"] == grid_size,
+            f"failure report counts {report['total_cells']} cells in a "
+            f"grid of {grid_size}",
+        )
         injected = sorted(f["params"]["x"] for f in report["failures"])
         check(
             report["failed_cells"] == 2 and injected == [1, 2],
             f"failure report lists {injected}, wanted the injected [1, 2]",
         )
+        check_documents(manifest)
         print("phase 2 ok: exhausted retries reported with provenance")
     print("campaign smoke PASSED")
 

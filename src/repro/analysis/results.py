@@ -174,20 +174,11 @@ class ResultSet:
         killed mid-append) is tolerated; later duplicates of a cell win
         (a retry that eventually succeeded journals the success last).
         """
+        # Imported here: the campaign package imports this module.
+        from repro.campaign.journal import iter_records
+
         by_key: Dict[str, ResultCell] = {}
-        try:
-            with open(path) as handle:
-                lines = handle.readlines()
-        except OSError:
-            return cls()
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue  # torn tail from a killed writer
+        for record in iter_records(path):
             if record.get("event") != "cell_ok":
                 continue
             cell = record.get("cell")
@@ -213,52 +204,20 @@ class ResultSet:
     ) -> "ResultSet":
         """Merge the per-shard files a ``sweep --shard I/N`` run persisted.
 
-        Shards are named ``<base>.shard-I-of-N.json``; ``base`` narrows
-        the merge to one sweep's shards (e.g. ``"coexistence_sweep"`` —
-        the stem without ``.json``), otherwise every shard file under
-        ``directory`` merges.  Raises when shard files disagree on the
-        shard count or indices are missing (a partial merge would
-        silently under-report the grid); duplicate cells across shards
-        (same scenario + overrides) are dropped.
+        The files are those :func:`shard_files` accepts (it raises on an
+        incomplete or conflicting set — a partial merge would silently
+        under-report the grid); duplicate cells across shards (same
+        scenario + overrides) are dropped.
         """
-        pattern = f"{base or '*'}.shard-*-of-*.json"
-        paths = sorted(glob.glob(os.path.join(directory, pattern)))
-        if not paths:
-            raise ValueError(
-                f"no shard files matching {pattern!r} under {directory!r}"
-            )
-        shard_re = re.compile(r"\.shard-(\d+)-of-(\d+)\.json$")
-        #: stem -> set of (index, count) pairs seen in file names
-        by_stem: Dict[str, set] = {}
         merged = cls()
         seen = set()
-        for path in paths:
-            match = shard_re.search(path)
-            if match is None:
-                continue
-            index, count = int(match.group(1)), int(match.group(2))
-            stem = path[: match.start()]
-            by_stem.setdefault(stem, set()).add((index, count))
+        for path in shard_files(directory, base):
             for cell in cls.load(path).cells:
                 key = _cell_key(cell.scenario, cell.overrides)
                 if key in seen:
                     continue
                 seen.add(key)
                 merged.cells.append(cell)
-        for stem, pairs in by_stem.items():
-            counts = {count for _index, count in pairs}
-            if len(counts) > 1:
-                raise ValueError(
-                    f"{stem}: shard files disagree on the shard count "
-                    f"({sorted(counts)})"
-                )
-            count = counts.pop()
-            indices = {index for index, _count in pairs}
-            missing = sorted(set(range(1, count + 1)) - indices)
-            if missing:
-                raise ValueError(
-                    f"{stem}: missing shard(s) {missing} of {count}"
-                )
         return merged
 
     # -- querying ------------------------------------------------------
@@ -426,6 +385,49 @@ class ResultSet:
         return subset.format_pivot(row_key, col_key, metric, agg)
 
 
+def shard_files(directory: str, base: Optional[str] = None) -> List[str]:
+    """The complete shard-file sets under ``directory``, sorted.
+
+    Shards are named ``<base>.shard-I-of-N.json``; ``base`` narrows the
+    listing to one sweep's shards (e.g. ``"coexistence_sweep"`` — the
+    stem without ``.json``), otherwise every shard file under
+    ``directory`` is listed.  Raises when there is none, when the files
+    of one stem disagree on the shard count, or when indices are missing.
+    """
+    pattern = f"{base or '*'}.shard-*-of-*.json"
+    shard_re = re.compile(r"\.shard-(\d+)-of-(\d+)\.json$")
+    #: stem -> set of (index, count) pairs seen in file names
+    by_stem: Dict[str, set] = {}
+    paths = []
+    for path in sorted(glob.glob(os.path.join(directory, pattern))):
+        match = shard_re.search(path)
+        if match is None:
+            continue
+        paths.append(path)
+        by_stem.setdefault(path[: match.start()], set()).add(
+            (int(match.group(1)), int(match.group(2)))
+        )
+    if not paths:
+        raise ValueError(
+            f"no shard files matching {pattern!r} under {directory!r}"
+        )
+    for stem, pairs in by_stem.items():
+        counts = {count for _index, count in pairs}
+        if len(counts) > 1:
+            raise ValueError(
+                f"{stem}: shard files disagree on the shard count "
+                f"({sorted(counts)})"
+            )
+        count = counts.pop()
+        indices = {index for index, _count in pairs}
+        missing = sorted(set(range(1, count + 1)) - indices)
+        if missing:
+            raise ValueError(
+                f"{stem}: missing shard(s) {missing} of {count}"
+            )
+    return paths
+
+
 def merge_shards(directory: str, base: Optional[str] = None) -> ResultSet:
     """Module-level alias of :meth:`ResultSet.merge_shards`."""
     return ResultSet.merge_shards(directory, base)
@@ -454,8 +456,13 @@ def merge_campaign(
     return merged
 
 
-def failure_report(results: ResultSet) -> Dict[str, Any]:
+def failure_report(
+    results: ResultSet, total_cells: Optional[int] = None
+) -> Dict[str, Any]:
     """A JSON-able report of every non-ok cell in a result set.
+
+    ``total_cells`` is the size of the grid when ``results`` holds only
+    part of it (the orchestrator passes just the non-ok cells).
 
     The campaign orchestrator persists this next to the merged output
     (``<stem>.failures.json``); each entry carries the cell's params,
@@ -476,7 +483,7 @@ def failure_report(results: ResultSet) -> Dict[str, Any]:
             }
         )
     return {
-        "total_cells": len(results),
+        "total_cells": len(results) if total_cells is None else total_cells,
         "failed_cells": len(entries),
         "failures": entries,
     }

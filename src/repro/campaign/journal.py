@@ -3,8 +3,11 @@
 Contract: ``docs/INVARIANTS.md#journal-contract``.  The journal is the
 campaign's only incremental record: every completed cell is appended
 (one self-contained JSON object per line, flushed and optionally
-fsynced) *before* it is counted done; the shard documents are written
-once, when the run finishes or drains.  A campaign killed at any point
+fsynced) *before* it is counted done.  While a run lasts it is also
+where the payloads live — the orchestrator keeps the byte offset
+:meth:`Journal.append` returns and reads the record back
+(:meth:`Journal.read`) when the shard and merged documents are derived
+from it, once, as the run finishes or drains.  A campaign killed at any point
 — including ``kill -9`` mid-append — resumes from the journal (plus
 whatever shard files an earlier run left): a torn final line is simply
 ignored (the cell re-runs), and replay is idempotent because records
@@ -28,36 +31,62 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Tuple
 
 
 class Journal:
-    """Append-only JSON-lines writer with torn-tail-tolerant replay."""
+    """Append-only JSON-lines writer that can read its own records back."""
 
     def __init__(self, path: str, *, fsync: bool = True):
         self.path = path
         self.fsync = fsync
         self._handle = None
+        self._reader = None
 
     def _ensure_open(self):
         if self._handle is None:
             parent = os.path.dirname(os.path.abspath(self.path))
             os.makedirs(parent, exist_ok=True)
-            self._handle = open(self.path, "a")
+            # Binary, positioned at the end: tell() is then the byte
+            # offset the next record starts at, also in a resumed journal.
+            handle = open(self.path, "a+b")
+            if handle.seek(0, os.SEEK_END):
+                handle.seek(-1, os.SEEK_END)
+                if handle.read(1) != b"\n":
+                    # A writer killed mid-append left a torn tail; end
+                    # that line so the next record is not lost with it.
+                    handle.write(b"\n")
+            self._handle = handle
         return self._handle
 
-    def append(self, record: Dict[str, Any]) -> None:
-        """Durably append one record (flush; fsync unless disabled)."""
+    def append(self, record: Dict[str, Any], *, durable: bool = True) -> int:
+        """Append one record; returns the byte offset it starts at.
+
+        Flushed always, and fsynced unless the journal was opened with
+        ``fsync=False`` or ``durable=False`` says the record only copies
+        what another file already holds durably.
+        """
         handle = self._ensure_open()
-        handle.write(json.dumps(record, sort_keys=True) + "\n")
+        offset = handle.tell()
+        handle.write(json.dumps(record, sort_keys=True).encode() + b"\n")
         handle.flush()
-        if self.fsync:
+        if self.fsync and durable:
             os.fsync(handle.fileno())
+        return offset
+
+    def read(self, offset: int) -> Dict[str, Any]:
+        """The record :meth:`append` (or :func:`replay_offsets`) put at
+        ``offset``."""
+        if self._reader is None:
+            self._reader = open(self.path, "rb")
+        self._reader.seek(offset)
+        return json.loads(self._reader.readline())
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        for handle in (self._handle, self._reader):
+            if handle is not None:
+                handle.close()
+        self._handle = self._reader = None
 
     def delete(self) -> None:
         """Remove the journal file (after a clean, fully merged finish)."""
@@ -74,41 +103,41 @@ class Journal:
         self.close()
 
 
-def iter_records(path: str) -> Iterator[Dict[str, Any]]:
-    """Replay a journal, skipping blank/torn lines.
+def _scan(path: str) -> Iterator[Tuple[int, Dict[str, Any]]]:
+    """``(byte offset, record)`` of every parsable line, read lazily.
 
-    Any line that fails to parse is dropped rather than fatal: the only
-    way a line goes bad is a writer killed mid-append (necessarily the
-    tail) or byte corruption — in both cases the affected cell simply
-    re-runs, which is always safe.
+    Any line that fails to parse (blank, torn, corrupt) is dropped
+    rather than fatal: the only way a line goes bad is a writer killed
+    mid-append or byte corruption — in both cases the affected cell
+    simply re-runs, which is always safe.
     """
     try:
-        with open(path) as handle:
-            lines = handle.readlines()
+        handle = open(path, "rb")
     except OSError:
         return
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError:
-            continue
-        if isinstance(record, dict):
-            yield record
+    with handle:
+        offset = 0
+        for line in handle:
+            start, offset = offset, offset + len(line)
+            try:
+                record = json.loads(line)
+            except ValueError:
+                continue
+            if isinstance(record, dict):
+                yield start, record
 
 
-def replay_cells(path: str) -> Dict[str, Dict[str, Any]]:
-    """Terminal cell records by identity key, later records winning.
+def iter_records(path: str) -> Iterator[Dict[str, Any]]:
+    """Replay a journal, skipping blank/torn lines; never holds the file."""
+    for _offset, record in _scan(path):
+        yield record
 
-    Returns ``key -> cell dict`` for every ``cell_ok``/``cell_failed``
-    record, where the key is the canonical (scenario, overrides) JSON —
-    the same identity the sweep cache uses, so recovered cells slot
-    straight into the resume bookkeeping.
-    """
-    cells: Dict[str, Dict[str, Any]] = {}
-    for record in iter_records(path):
+
+def _terminal_cells(path: str) -> Iterator[Tuple[int, str, Dict[str, Any]]]:
+    """``(offset, identity key, cell dict)`` of every ``cell_ok``/
+    ``cell_failed`` record; the key is the canonical (scenario,
+    overrides) JSON — the same identity the sweep cache uses."""
+    for offset, record in _scan(path):
         if record.get("event") not in ("cell_ok", "cell_failed"):
             continue
         cell = record.get("cell")
@@ -122,8 +151,19 @@ def replay_cells(path: str) -> Dict[str, Dict[str, Any]]:
             sort_keys=True,
             default=repr,
         )
-        cells[key] = cell
-    return cells
+        yield offset, key, cell
+
+
+def replay_cells(path: str) -> Dict[str, Dict[str, Any]]:
+    """Terminal cell records by identity key, later records winning."""
+    return {key: cell for _offset, key, cell in _terminal_cells(path)}
+
+
+def replay_offsets(path: str) -> Dict[str, int]:
+    """Where each cell's last terminal record starts (for
+    :meth:`Journal.read`), by identity key — the resume bookkeeping
+    without the payloads."""
+    return {key: offset for offset, key, _cell in _terminal_cells(path)}
 
 
 def manifest_shas(path: str) -> List[str]:

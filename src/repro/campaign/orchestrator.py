@@ -25,11 +25,13 @@ Failure model, end to end:
   finish under their timeouts), persist, print the resume command; a
   second SIGINT reclaims the workers immediately.
 
-At the end the orchestrator auto-merges the shard files
-(journal-aware), verifies the merged cell set matches the expanded grid
-exactly, writes the merged output and a failure report atomically, and
-deletes the journal — the shard files and merged document then own the
-results.
+Results flow through the orchestrator, they do not live in it: a settled
+cell's payload goes to the journal and the cell keeps only the record's
+byte offset.  At the end one pass reads each record back and streams it
+into the cell's shard document and the merged one; the merged document is
+committed only once the shard files on disk were verified to hold exactly
+the expanded grid, then the failure report is written and the journal
+deleted — the shard files and merged document then own the results.
 """
 
 from __future__ import annotations
@@ -42,16 +44,22 @@ import sys
 import threading
 import time
 import warnings
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.analysis.results import ResultSet, failure_report, merge_campaign
+from repro.analysis.results import ResultSet, failure_report, shard_files
 from repro.campaign import journal as journal_mod
 from repro.campaign.executor import Executor, LocalPoolExecutor, WorkerEvent
 from repro.campaign.manifest import CampaignManifest, shard_of
 from repro.campaign.progress import ProgressTracker
 from repro.campaign.retry import RetryPolicy
-from repro.persist import atomic_write_json, load_json_or_none
+from repro.persist import (
+    CellDocumentWriter,
+    atomic_write_json,
+    encode_cell,
+    load_json_or_none,
+)
 from repro.scenarios.base import config_to_jsonable
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.sweep import (
@@ -86,10 +94,9 @@ class CampaignCell:
     status: str = "pending"  # pending | running | ok | failed | timeout
     attempts: int = 0
     error: Optional[Dict[str, Any]] = None
-    #: the persisted sweep-format cell dict, once terminal
-    doc: Optional[Dict[str, Any]] = None
+    #: where the journal holds the sweep-format cell dict, once terminal
+    offset: Optional[int] = None
     duration_s: Optional[float] = None
-    source: str = "fresh"  # fresh | cache | journal
     #: live task ids (>1 while a speculative duplicate runs)
     live_tasks: Set[int] = field(default_factory=set)
 
@@ -189,19 +196,19 @@ class Campaign:
             )
         self.report.total_cells = len(self.cells)
 
-    def _adopt(self, cell: CampaignCell, doc: Dict[str, Any], source: str) -> None:
-        cell.status = "ok"
-        cell.doc = doc
-        cell.attempts = doc.get("attempts", 1)
-        cell.source = source
-
     def _consult_caches(self) -> None:
         """Mark cells already completed: merged output, shard files,
-        then the journal (the only record of an unfinished run)."""
+        then the journal (the only record of an unfinished run).
+
+        A cell adopted from a document is copied into the journal, so
+        that every settled cell is one journal offset whatever its
+        source; a copy the journal already holds is not made twice.
+        """
         if self.force:
             return
         scenario = get_scenario(self.manifest.scenario)
         by_key = {c.key: c for c in self.cells}
+        journaled = journal_mod.replay_offsets(self.journal_file())
         paths = [self.out_path] + [
             self.shard_path(s) for s in range(1, self.manifest.shards + 1)
         ]
@@ -210,35 +217,55 @@ class Campaign:
             if doc is None:
                 continue
             for cell_doc in doc.get("cells", []):
-                self._consider_cached(scenario, by_key, cell_doc, "cache")
-        for cell_doc in journal_mod.replay_cells(self.journal_file()).values():
-            self._consider_cached(scenario, by_key, cell_doc, "journal")
+                cell = self._reusable(scenario, by_key, cell_doc)
+                if cell is None:
+                    continue
+                offset = journaled.get(cell.key)
+                if (
+                    offset is None
+                    or self._journal.read(offset).get("cell") != cell_doc
+                ):
+                    # Not fsynced: ``path`` holds the cell until the
+                    # document replacing it has been.
+                    offset = self._journal.append(
+                        {"event": "cell_ok", "cell": cell_doc}, durable=False
+                    )
+                self._adopt(cell, cell_doc, offset)
+                self.report.reused_cache += 1
+        for offset in journaled.values():
+            cell_doc = self._journal.read(offset)["cell"]
+            cell = self._reusable(scenario, by_key, cell_doc)
+            if cell is not None:
+                self._adopt(cell, cell_doc, offset)
+                self.report.recovered_journal += 1
 
-    def _consider_cached(
+    def _reusable(
         self,
         scenario,
         by_key: Dict[str, CampaignCell],
         cell_doc: Dict[str, Any],
-        source: str,
-    ) -> None:
+    ) -> Optional[CampaignCell]:
+        """The still-open grid cell a persisted cell dict settles, if any."""
         overrides = cell_doc.get("overrides")
         if overrides is None:
-            return
+            return None
         if cell_doc.get("status", "ok") != "ok":
-            return  # failed/timeout cells always re-run on resume
+            return None  # failed/timeout cells always re-run on resume
         cell = by_key.get(cell_key(cell_doc.get("scenario", ""), overrides))
         if cell is None or cell.terminal:
-            return
+            return None
         if not validate_cached_cell(
             scenario, cell.overrides, cell_doc.get("provenance", {})
         ):
             self.report.stale_dropped += 1
-            return
-        self._adopt(cell, cell_doc, source)
-        if source == "journal":
-            self.report.recovered_journal += 1
-        else:
-            self.report.reused_cache += 1
+            return None
+        return cell
+
+    @staticmethod
+    def _adopt(cell: CampaignCell, doc: Dict[str, Any], offset: int) -> None:
+        cell.status = "ok"
+        cell.offset = offset
+        cell.attempts = doc.get("attempts", 1)
 
     # -- cell documents -------------------------------------------------
     def _ok_doc(
@@ -267,10 +294,9 @@ class Campaign:
         }
 
     # -- persistence ---------------------------------------------------
-    def _document(
-        self, cells: List[Dict[str, Any]], **campaign: Any
-    ) -> Dict[str, Any]:
-        """A sweep-format document (one shard's, or the merged one)."""
+    def _header(self, **campaign: Any) -> Dict[str, Any]:
+        """A sweep-format document (one shard's, or the merged one)
+        without its cells."""
         spec = self.manifest.to_spec()
         return {
             "scenario": spec.scenario,
@@ -278,53 +304,56 @@ class Campaign:
             "base": config_to_jsonable(spec.base),
             "seed": spec.seed,
             "campaign": {"manifest_sha": self.manifest.sha(), **campaign},
-            "cells": cells,
         }
 
-    def _flush(self) -> None:
-        """Atomically write every shard document from memory.
+    def _persist(self) -> None:
+        """Derive the documents from the journal, in one pass.
 
         Called once per ``run()``, after the workers stopped: while cells
-        are still running the journal alone holds their results.
+        are still running the journal alone holds their results.  Every
+        settled cell is read back, encoded once and streamed into its
+        shard document and — unless the run was interrupted — the merged
+        one, which is committed only after the shard files passed
+        :meth:`_verify_shards`; then the failure report is written.
         """
-        for shard in range(1, self.manifest.shards + 1):
-            cells = [
-                c.doc
-                for c in self.cells
-                if c.shard == shard and c.terminal and c.doc is not None
+        shards = self.manifest.shards
+        failed: List[Dict[str, Any]] = []
+        with ExitStack() as uncommitted:  # aborts whatever did not commit
+            shard_docs = [
+                uncommitted.enter_context(
+                    CellDocumentWriter(
+                        self.shard_path(shard),
+                        self._header(shard=[shard, shards]),
+                    )
+                )
+                for shard in range(1, shards + 1)
             ]
-            atomic_write_json(
-                self.shard_path(shard),
-                self._document(cells, shard=[shard, self.manifest.shards]),
-            )
-
-    def _merge_and_report(self) -> None:
-        """Auto-merge shards (journal-aware), verify, persist outputs."""
-        directory = os.path.dirname(os.path.abspath(self.out_path))
-        stem = os.path.splitext(os.path.basename(self.out_path))[0]
-        merged = merge_campaign(directory, stem, journal=self.journal_file())
-        merged_keys = {
-            cell_key(c.scenario, c.overrides) for c in merged.cells
-        }
-        expected = {c.key for c in self.cells}
-        missing = expected - merged_keys
-        if missing:
-            raise CampaignError(
-                f"merge incomplete: {len(missing)} of {len(expected)} cells "
-                "absent from the merged shard set"
-            )
-        extra = merged_keys - expected
-        if extra:
-            warnings.warn(
-                f"campaign merge: {len(extra)} cell(s) in the shard files "
-                "do not belong to this manifest's grid (edited grid?); "
-                "they are excluded from the merged output",
-                stacklevel=2,
-            )
-        doc = self._document([c.doc for c in self.cells if c.doc is not None])
-        atomic_write_json(self.out_path, doc)
-        report = failure_report(ResultSet.from_doc(doc, self.out_path))
-        if report["failed_cells"]:
+            merged = None
+            if not self.report.interrupted:
+                merged = uncommitted.enter_context(
+                    CellDocumentWriter(self.out_path, self._header())
+                )
+            for cell in self.cells:
+                if cell.offset is None:
+                    continue
+                doc = self._journal.read(cell.offset)["cell"]
+                block = encode_cell(doc)
+                shard_docs[cell.shard - 1].add_encoded(block)
+                if merged is not None:
+                    merged.add_encoded(block)
+                if cell.status != "ok":
+                    failed.append(doc)
+            for shard_doc in shard_docs:
+                shard_doc.commit()
+            if merged is None:
+                return
+            self._verify_shards()
+            merged.commit()
+        report = failure_report(
+            ResultSet.from_doc({"cells": failed}, self.out_path),
+            total_cells=len(self.cells),
+        )
+        if failed:
             atomic_write_json(self.failures_file(), report)
             self.report.failures_path = self.failures_file()
         else:
@@ -334,10 +363,50 @@ class Campaign:
                 pass
         self.report.merged = True
 
+    def _verify_shards(self) -> None:
+        """The shard files on disk must hold exactly the expanded grid."""
+        directory = os.path.dirname(os.path.abspath(self.out_path))
+        stem = os.path.splitext(os.path.basename(self.out_path))[0]
+        found: Set[str] = set()
+        for path in shard_files(directory, stem):
+            # one shard's parse at a time; only the keys outlive it
+            found.update(
+                cell_key(c.scenario, c.overrides)
+                for c in ResultSet.load(path).cells
+            )
+        expected = {c.key for c in self.cells}
+        missing = expected - found
+        if missing:
+            raise CampaignError(
+                f"merge incomplete: {len(missing)} of {len(expected)} cells "
+                "absent from the shard files"
+            )
+        extra = found - expected
+        if extra:
+            warnings.warn(
+                f"campaign merge: {len(extra)} cell(s) in the shard files "
+                "do not belong to this manifest's grid (edited grid?); "
+                "they are excluded from the merged output",
+                stacklevel=2,
+            )
+
     # -- the run loop --------------------------------------------------
     def run(self) -> CampaignReport:
         self.manifest.import_modules()
         self._expand()
+        self._journal = journal_mod.Journal(
+            self.journal_file(), fsync=self.manifest.journal_fsync
+        )
+        try:
+            self._run()
+        finally:
+            # Closed, never deleted here: whatever went wrong, the next
+            # invocation resumes from it.
+            self._journal.close()
+        return self.report
+
+    def _run(self) -> None:
+        shas = journal_mod.manifest_shas(self.journal_file())
         self._consult_caches()
 
         shard_totals: Dict[int, int] = {}
@@ -353,7 +422,6 @@ class Campaign:
                 self._progress.cell_done(cell.shard, ok=True, duration_s=None)
 
         remaining = [c for c in self.cells if not c.terminal]
-        shas = journal_mod.manifest_shas(self.journal_file())
         if shas and shas[-1] != self.manifest.sha():
             warnings.warn(
                 "campaign journal was written by a different manifest "
@@ -361,9 +429,6 @@ class Campaign:
                 "resume is safe, but review the manifest edit",
                 stacklevel=2,
             )
-        self._journal = journal_mod.Journal(
-            self.journal_file(), fsync=self.manifest.journal_fsync
-        )
         event = "campaign_resume" if (shas or self.report.reused_cache) else "campaign_start"
         self._journal.append(
             {
@@ -380,11 +445,11 @@ class Campaign:
                 self._drive(remaining)
         finally:
             self.executor.shutdown()
-        self._flush()
         self.report.ok = sum(1 for c in self.cells if c.status == "ok")
         self.report.failed = sum(
             1 for c in self.cells if c.status in ("failed", "timeout")
         )
+        self._persist()
 
         if self.report.interrupted:
             self._journal.append(
@@ -392,13 +457,11 @@ class Campaign:
                     1 for c in self.cells if not c.terminal
                 )}
             )
-            self._journal.close()
             self._say(
                 f"interrupted — progress persisted; resume with: "
                 f"{self.resume_command()}"
             )
         else:
-            self._merge_and_report()
             self._journal.append(
                 {
                     "event": "campaign_complete",
@@ -407,7 +470,6 @@ class Campaign:
                 }
             )
             self._journal.delete()
-        return self.report
 
     def _say(self, message: str) -> None:
         if not self.quiet:
@@ -545,7 +607,6 @@ class Campaign:
             cell.duration_s = duration_s
             cell.status = "ok"
             unfinished -= 1
-            cell.doc = self._ok_doc(cell, payload.get("result") or {})
             # Kill any speculative duplicate still chewing on this cell.
             for other in sorted(cell.live_tasks):
                 worker_id = task_worker.get(other)
@@ -553,7 +614,12 @@ class Campaign:
                     self.executor.kill_worker(worker_id)
                 forget_task(other)
             cell.live_tasks.clear()
-            self._journal.append({"event": "cell_ok", "cell": cell.doc})
+            cell.offset = self._journal.append(
+                {
+                    "event": "cell_ok",
+                    "cell": self._ok_doc(cell, payload.get("result") or {}),
+                }
+            )
             self._progress.cell_done(cell.shard, ok=True, duration_s=duration_s)
 
         def settle_failure(
@@ -581,8 +647,9 @@ class Campaign:
             cell.status = "timeout" if timed_out else "failed"
             unfinished -= 1
             cell.error = error
-            cell.doc = self._failed_doc(cell)
-            self._journal.append({"event": "cell_failed", "cell": cell.doc})
+            cell.offset = self._journal.append(
+                {"event": "cell_failed", "cell": self._failed_doc(cell)}
+            )
             self._progress.cell_done(cell.shard, ok=False, duration_s=None)
 
         try:

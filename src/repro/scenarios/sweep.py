@@ -28,9 +28,9 @@ import os
 import warnings
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.persist import atomic_write_json, load_json_or_none
+from repro.persist import CellDocumentWriter, load_json_or_none
 from repro.scenarios.base import Scenario, ScenarioResult, config_to_jsonable
 from repro.scenarios.registry import get_scenario
 
@@ -106,6 +106,15 @@ def cell_key(scenario: str, overrides: Dict[str, Any]) -> str:
 
 
 _cell_key = cell_key
+
+
+def _params_key(cell: Dict[str, Any]) -> str:
+    """Identity of a persisted cell from before cells recorded their
+    ``overrides``: scenario + grid params."""
+    return json.dumps(
+        {"scenario": cell.get("scenario"), "params": cell.get("params")},
+        sort_keys=True,
+    )
 
 
 @dataclass
@@ -233,12 +242,17 @@ class SweepResult:
             raise KeyError(f"{len(matches)} cells match {params!r}")
         return matches[0]
 
-    def to_json_dict(self) -> Dict[str, Any]:
+    def _header(self) -> Dict[str, Any]:
         return {
             "scenario": self.spec.scenario,
             "grid": config_to_jsonable(self.spec.grid),
             "base": config_to_jsonable(self.spec.base),
             "seed": self.spec.seed,
+        }
+
+    def to_json_dict(self) -> Dict[str, Any]:
+        return {
+            **self._header(),
             "cells": [self._cell_json(c) for c in self.cells],
         }
 
@@ -292,19 +306,31 @@ class SweepResult:
             parent = os.path.dirname(path)
             if parent:
                 os.makedirs(parent, exist_ok=True)
-        doc = self.to_json_dict()
-        if keep_existing:
-            doc["cells"].extend(self._foreign_cells(path, doc["cells"]))
-        self.persisted_cell_count = len(doc["cells"])
-        # tmp + os.replace: a run killed mid-persist can never leave a
-        # torn document behind (docs/INVARIANTS.md#atomic-persistence) —
-        # the file doubles as the incremental cache, so corruption here
-        # would silently cost every previously executed cell.
-        return atomic_write_json(path, doc)
+        # Streamed cell by cell, under the tmp + os.replace rule: a run
+        # killed mid-persist can never leave a torn document behind
+        # (docs/INVARIANTS.md#atomic-persistence) — the file doubles as
+        # the incremental cache, so corruption here would silently cost
+        # every previously executed cell.
+        with CellDocumentWriter(path, self._header()) as out:
+            current, current_params = set(), set()
+            for cell in self.cells:
+                doc = self._cell_json(cell)
+                if keep_existing:
+                    current.add(_cell_key(doc["scenario"], doc["overrides"]))
+                    current_params.add(_params_key(doc))
+                out.add(doc)
+            if keep_existing:
+                for doc in self._foreign_cells(path, current, current_params):
+                    out.add(doc)
+            self.persisted_cell_count = out.count
+            return out.commit()
 
     @staticmethod
-    def _foreign_cells(path: str, current_cells: List[Dict]) -> List[Dict]:
-        """Cells in the existing file at ``path`` outside this sweep.
+    def _foreign_cells(
+        path: str, current: Set[str], current_params: Set[str]
+    ) -> List[Dict]:
+        """Cells in the existing file at ``path`` outside this sweep,
+        whose cells have the identities ``current`` / ``current_params``.
 
         Pre-incremental files (cells without an ``overrides`` key) are
         preserved too, deduplicated against this sweep by (scenario,
@@ -313,17 +339,6 @@ class SweepResult:
         old = load_json_or_none(path, label="sweep cache")
         if old is None:
             return []
-
-        def params_key(cell: Dict) -> str:
-            return json.dumps(
-                {"scenario": cell.get("scenario"), "params": cell.get("params")},
-                sort_keys=True,
-            )
-
-        current = {
-            _cell_key(c["scenario"], c["overrides"]) for c in current_cells
-        }
-        current_params = {params_key(c) for c in current_cells}
         kept = []
         for cell in old.get("cells", []):
             if "scenario" not in cell:
@@ -331,7 +346,7 @@ class SweepResult:
             if "overrides" in cell:
                 if _cell_key(cell["scenario"], cell["overrides"]) not in current:
                     kept.append(cell)
-            elif params_key(cell) not in current_params:
+            elif _params_key(cell) not in current_params:
                 kept.append(cell)
         return kept
 

@@ -9,19 +9,24 @@ replay with execution counts verified via the scenario's cross-process
 attempt counters.
 """
 
+import gc
 import json
 import os
 import signal
 import subprocess
 import sys
 import time
+import tracemalloc
+import warnings
 
 import pytest
 
 import repro.scenarios.faulty  # registers the "faulty" scenario  # noqa: F401
+from repro import persist as persist_mod
 from repro.analysis.results import ResultSet, failure_report
 from repro.campaign import (
     Campaign,
+    CampaignError,
     CampaignManifest,
     Executor,
     LimitsPolicy,
@@ -209,6 +214,32 @@ class TestJournal:
     def test_missing_journal_is_empty(self, tmp_path):
         assert journal_mod.replay_cells(str(tmp_path / "none.jsonl")) == {}
 
+    def test_append_offsets_read_back_also_in_a_resumed_journal(self, tmp_path):
+        path = str(tmp_path / "j.jsonl")
+        records = [
+            {"event": "cell_ok",
+             "cell": {"scenario": "s", "overrides": {"x": x}, "pad": "é" * x}}
+            for x in range(4)
+        ]
+        with journal_mod.Journal(path, fsync=False) as journal:
+            offsets = [journal.append(record) for record in records[:2]]
+        with journal_mod.Journal(path, fsync=False) as journal:  # a resume
+            offsets += [journal.append(record) for record in records[2:]]
+            assert offsets[0] == 0 and offsets == sorted(set(offsets))
+            assert [journal.read(o) for o in reversed(offsets)] == records[::-1]
+            # the replay finds the same offsets without holding payloads
+            assert sorted(journal_mod.replay_offsets(path).values()) == offsets
+
+    def test_resume_after_a_torn_tail_keeps_the_next_record(self, tmp_path):
+        path = str(tmp_path / "j.jsonl")
+        with open(path, "w") as handle:  # a write the kill tore mid-line
+            handle.write('{"event": "cell_ok", "cell": {"scen')
+        record = {"event": "campaign_resume", "manifest_sha": "abc"}
+        with journal_mod.Journal(path, fsync=False) as journal:
+            offset = journal.append(record)
+            assert journal.read(offset) == record
+        assert list(journal_mod.iter_records(path)) == [record]
+
     def test_derived_paths(self):
         assert journal_mod.journal_path("a/b.json") == "a/b.journal.jsonl"
         assert journal_mod.failures_path("a/b.json") == "a/b.failures.json"
@@ -357,9 +388,12 @@ class _FakeExecutor(Executor):
     """In-process pool: every ``events()`` call finishes the task of the
     lowest busy worker; submits and results go to a shared ``log``."""
 
-    def __init__(self, log, on_events=None):
+    def __init__(self, log, on_events=None, result=None):
         self.log = log
         self.on_events = on_events
+        #: a canned cell result returned (as a fresh copy per task, like a
+        #: worker's parsed reply) instead of executing the scenario
+        self.result = result
         self.count = 0
         self.busy = {}  # worker_id -> task
 
@@ -386,10 +420,14 @@ class _FakeExecutor(Executor):
         worker_id = min(self.busy)
         task = self.busy.pop(worker_id)
         self.log.append(("result", worker_id))
+        if self.result is None:
+            reply = _execute(task)
+        else:
+            reply = {"id": task["id"], "ok": True, "result": self.result}
         return [
             WorkerEvent(
                 "result", worker_id, task_id=task["id"],
-                payload=json.loads(json.dumps(_execute(task))),
+                payload=json.loads(json.dumps(reply)),
             )
         ]
 
@@ -406,12 +444,17 @@ class TestJournalOnlyPersistence:
     def test_shards_written_once_and_only_after_the_workers_stopped(
         self, tmp_path, monkeypatch, sigint_at_poll
     ):
-        writes, seen_while_running, polls = [], [], []
-        real_write = orchestrator_mod.atomic_write_json
+        steps, seen_while_running, polls = [], [], []
+        real_commit = persist_mod.CellDocumentWriter.commit
+        real_verify = Campaign._verify_shards
 
-        def recording_write(path, doc, **kwargs):
-            writes.append(path)
-            return real_write(path, doc, **kwargs)
+        def recording_commit(writer):
+            steps.append(writer.path)
+            return real_commit(writer)
+
+        def recording_verify(campaign):
+            real_verify(campaign)
+            steps.append("verified")
 
         def on_events():
             polls.append(None)
@@ -421,7 +464,10 @@ class TestJournalOnlyPersistence:
             if len(polls) == sigint_at_poll:
                 signal.raise_signal(signal.SIGINT)  # first SIGINT: drain
 
-        monkeypatch.setattr(orchestrator_mod, "atomic_write_json", recording_write)
+        monkeypatch.setattr(
+            persist_mod.CellDocumentWriter, "commit", recording_commit
+        )
+        monkeypatch.setattr(Campaign, "_verify_shards", recording_verify)
         doc = _manifest_doc(tmp_path, {"x": list(range(1, 41))}, shards=2)
         campaign = Campaign(
             manifest_from_dict(doc), quiet=True,
@@ -432,15 +478,96 @@ class TestJournalOnlyPersistence:
         assert seen_while_running == []
         if sigint_at_poll is None:
             assert report.complete and report.executed == 40
-            assert writes == shard_paths + [doc["out"]]
+            # the merged output: after every shard, and after they verified
+            assert steps == shard_paths + ["verified", doc["out"]]
         else:
             assert report.interrupted and 0 < report.ok < 40
-            assert writes == shard_paths
+            assert steps == shard_paths
+            assert not os.path.exists(doc["out"])
             persisted = sum(
                 len(ResultSet.load(path)) for path in shard_paths
             )
             journaled = journal_mod.replay_cells(campaign.journal_file())
             assert persisted == len(journaled) == report.ok
+        assert not [n for n in os.listdir(str(tmp_path)) if n.endswith(".tmp")]
+
+    @staticmethod
+    def _peak_bytes(tmp_path, cells, shards):
+        """tracemalloc peak of one campaign over ~10 KB canned results."""
+        result = {
+            "scenario": "faulty",
+            "metrics": {"x": 1.0},
+            "series": {"pad": [i / 7 for i in range(520)]},
+            "provenance": {},
+        }
+        assert 9_000 < len(json.dumps(result)) < 12_000
+        doc = _manifest_doc(
+            tmp_path, {"x": list(range(cells))}, shards=shards,
+            out=str(tmp_path / f"grid{cells}.json"),
+        )
+        campaign = Campaign(
+            manifest_from_dict(doc), quiet=True,
+            executor=_FakeExecutor([], result=result),
+        )
+        gc.collect()
+        tracemalloc.start()
+        try:
+            report = campaign.run()
+            _now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.complete and report.executed == cells
+        return campaign, peak
+
+    def test_parent_memory_is_flat_in_grid_size(self, tmp_path):
+        """Payloads flow through the orchestrator: eight times the cells
+        (at the same cells per shard — verification parses one shard at a
+        time) may not take 1.5x the memory."""
+        _small, small_peak = self._peak_bytes(tmp_path, 200, shards=1)
+        big, big_peak = self._peak_bytes(tmp_path, 1600, shards=8)
+        assert big_peak <= 1.5 * small_peak, (small_peak, big_peak)
+        # a settled cell is an offset into the journal, not a payload
+        for cell in big.cells:
+            assert isinstance(cell.offset, int)
+            assert not any(
+                isinstance(value, (dict, list)) and value
+                for name, value in vars(cell).items()
+                if name not in ("params", "overrides")
+            )
+        with open(big.out_path) as handle:
+            assert len(json.load(handle)["cells"]) == 1600
+
+    def test_journal_is_closed_when_the_merge_raises_and_resume_recovers(
+        self, tmp_path, monkeypatch
+    ):
+        def broken_verify(_campaign):
+            raise CampaignError("merge incomplete: injected")
+
+        doc = _manifest_doc(tmp_path, {"x": [1, 2, 3]}, shards=2)
+        campaign = Campaign(
+            manifest_from_dict(doc), quiet=True, executor=_FakeExecutor([])
+        )
+        monkeypatch.setattr(Campaign, "_verify_shards", broken_verify)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(CampaignError, match="injected"):
+                campaign.run()
+            journal_file = campaign.journal_file()
+            del campaign
+            gc.collect()  # an unclosed handle would warn here
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+        # The merged output was not committed and nothing half-written is
+        # left; the journal survived and still holds every cell.
+        assert not os.path.exists(doc["out"])
+        assert not [n for n in os.listdir(str(tmp_path)) if n.endswith(".tmp")]
+        assert len(journal_mod.replay_cells(journal_file)) == 3
+        monkeypatch.undo()
+        report = run_campaign(
+            manifest_from_dict(doc), quiet=True, executor=_FakeExecutor([])
+        )
+        assert report.complete and report.executed == 0
+        assert report.reused_cache + report.recovered_journal == 3
+        assert not os.path.exists(journal_file)
 
     def test_freed_worker_is_refilled_before_its_result_is_journaled(
         self, tmp_path, monkeypatch
@@ -449,9 +576,9 @@ class TestJournalOnlyPersistence:
         real_append = journal_mod.Journal.append
         real_done = ProgressTracker.cell_done
 
-        def logging_append(journal, record):
+        def logging_append(journal, record, **kwargs):
             log.append((record["event"],))
-            real_append(journal, record)
+            return real_append(journal, record, **kwargs)
 
         def logging_done(tracker, *args, **kwargs):
             log.append(("counted",))

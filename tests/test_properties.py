@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import json
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from repro.analysis.stats import percentile
 from repro.cc.homa import HomaReceiver, srpt_first
 from repro.core.power import normalized_power_from_hop
 from repro.fluid.laws import GRADIENT_LAW, POWER_LAW, QUEUE_LAW
+from repro.persist import CellDocumentWriter
 from repro.sim.buffer import SharedBuffer
 from repro.sim.engine import Simulator
 from repro.sim.packet import HopRecord, Packet
@@ -405,3 +407,66 @@ def test_homa_srpt_first_is_the_prefix_of_the_full_sort(sizes, rng, data):
         messages, key=lambda r: (r.remaining_bytes, r.flow.flow_id)
     )
     assert srpt_first(iter(messages), k) == ranked[:k]
+
+
+# ----------------------------------------------------------------------
+# Persistence: the streamed cell document is the whole-document encoding
+# ----------------------------------------------------------------------
+#: text that looks like the document's own structure, next to arbitrary
+#: (non-ASCII, multi-line) strings
+_TEXT = st.text(max_size=12) | st.sampled_from(
+    ['"cells": []', '\n "cells": []', ' "cells": [\n', "cells", "é\n ]", "\\n"]
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | _TEXT
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=12,
+)
+_HEADERS = st.dictionaries(
+    _TEXT.filter(lambda key: key != "cells"), _JSON, max_size=5
+)
+
+
+@given(_HEADERS, st.lists(_JSON, max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_streamed_cell_document_equals_the_whole_document_dump(
+    tmp_path_factory, header, cells
+):
+    path = str(tmp_path_factory.mktemp("doc") / "doc.json")
+    with CellDocumentWriter(path, header) as out:
+        for cell in cells:
+            out.add(cell)
+        out.commit()
+    with open(path) as handle:
+        text = handle.read()
+    assert text == json.dumps(
+        {**header, "cells": cells}, indent=1, sort_keys=True
+    ) + "\n"
+
+
+def test_streamed_cell_document_nested_cells_key_and_empty_containers(tmp_path):
+    header = {
+        "campaign": {"cells": [], "shard": [1, 2]},
+        "grid": {},
+        "note": 'a line\n "cells": []',
+    }
+    cells = [{"cells": [], "series": {}, "m": [[], {}]}, {}, []]
+    for count in range(len(cells) + 1):
+        path = str(tmp_path / f"doc{count}.json")
+        with CellDocumentWriter(path, header) as out:
+            for cell in cells[:count]:
+                out.add(cell)
+            out.commit()
+        with open(path) as handle:
+            assert handle.read() == json.dumps(
+                {**header, "cells": cells[:count]}, indent=1, sort_keys=True
+            ) + "\n"
+
+
+def test_streamed_cell_document_rejects_a_header_with_cells(tmp_path):
+    path = tmp_path / "doc.json"
+    with pytest.raises(ValueError, match="cells"):
+        CellDocumentWriter(str(path), {"seed": 1, "cells": [1]})
+    assert list(tmp_path.iterdir()) == []

@@ -349,6 +349,21 @@ def test_persist_keep_existing_preserves_foreign_cells(tmp_path):
     assert [c["params"]["fanout"] for c in doc["cells"]] == [2]
 
 
+def test_persist_keep_existing_appends_foreign_cells_in_the_same_format(tmp_path):
+    path = str(tmp_path / "incast_sweep.json")
+    run_sweep("incast", grid={"fanout": [2, 3]}, base=TINY_INCAST).persist(path)
+    narrow = run_sweep("incast", grid={"fanout": [3]}, base=TINY_INCAST)
+    narrow.persist(path, keep_existing=True)
+    assert narrow.persisted_cell_count == 2
+    text = open(path).read()
+    doc = json.loads(text)
+    # this sweep's cells first, the carried-over ones after them ...
+    assert [c["params"]["fanout"] for c in doc["cells"]] == [3, 2]
+    assert doc["grid"] == {"fanout": [3]}
+    # ... in the one on-disk format every cell document has
+    assert text == json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
 def test_persist_keep_existing_preserves_old_format_cells(tmp_path):
     path = tmp_path / "incast_sweep.json"
     sweep = run_sweep("incast", grid={"fanout": [2]}, base=TINY_INCAST)

@@ -6,7 +6,12 @@ import os
 
 import pytest
 
-from repro.persist import atomic_write_json, atomic_write_text, load_json_or_none
+from repro.persist import (
+    CellDocumentWriter,
+    atomic_write_json,
+    atomic_write_text,
+    load_json_or_none,
+)
 from repro.scenarios import get_scenario
 from repro.scenarios.sweep import (
     SweepRunner,
@@ -46,6 +51,34 @@ class TestAtomicPersist:
             atomic_write_json(path, {"bad": object()})
         assert load_json_or_none(path) == {"a": 1}  # old doc untouched
         assert sorted(os.listdir(str(tmp_path))) == ["doc.json"]  # no tmp
+
+    def test_streamed_document_appears_only_at_commit(self, tmp_path):
+        path = str(tmp_path / "doc.json")
+        with CellDocumentWriter(path, {"seed": 1}) as out:
+            out.add({"a": 1})
+            out.add({"a": 2})
+            assert not os.path.exists(path)  # nothing visible before commit
+            out.commit()
+        assert load_json_or_none(path) == {"seed": 1, "cells": [{"a": 1}, {"a": 2}]}
+        assert sorted(os.listdir(str(tmp_path))) == ["doc.json"]  # no tmp
+
+    def test_streamed_write_failing_between_cells_leaves_target_intact(
+        self, tmp_path
+    ):
+        path = str(tmp_path / "doc.json")
+        atomic_write_json(path, {"seed": 0, "cells": []})
+        with pytest.raises(TypeError):
+            with CellDocumentWriter(path, {"seed": 1}) as out:
+                out.add({"a": 1})
+                out.add({"bad": object()})
+                out.commit()
+        assert load_json_or_none(path) == {"seed": 0, "cells": []}
+        assert sorted(os.listdir(str(tmp_path))) == ["doc.json"]  # no tmp
+        # leaving the block without committing writes nothing either
+        with CellDocumentWriter(path, {"seed": 2}) as out:
+            out.add({"a": 1})
+        assert load_json_or_none(path) == {"seed": 0, "cells": []}
+        assert sorted(os.listdir(str(tmp_path))) == ["doc.json"]
 
     def test_missing_file_is_silent_none(self, tmp_path):
         assert load_json_or_none(str(tmp_path / "absent.json")) is None
