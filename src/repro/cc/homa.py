@@ -28,8 +28,8 @@ best overcommitment level in their setup was 1.
 
 from __future__ import annotations
 
-from heapq import nsmallest
-from typing import Dict, Iterable, List
+from heapq import heapify, heappop, heappush, nsmallest
+from typing import Dict, Iterable, List, Tuple
 
 from repro.cc.registry import (
     HOMA_TRANSPORT,
@@ -130,11 +130,14 @@ class HomaReceiver(Receiver):
             end = self._ooo_ranges.get(pkt.seq, 0)
             if pkt.end_seq > end:
                 self._ooo_ranges[pkt.seq] = pkt.end_seq
+        before = self.rcv_nxt
         super().on_packet(pkt)
         self._absorb_buffered()
         if self.flow.finish_ns is not None:
             self.scheduler.remove(self)
         elif self.needs_grant:
+            if self.rcv_nxt != before:
+                self.scheduler.reranked(self)
             self.scheduler.poke()
 
     def _absorb_buffered(self) -> None:
@@ -172,9 +175,10 @@ def srpt_first(receivers: Iterable[HomaReceiver], k: int) -> List[HomaReceiver]:
 
     SRPT with a deterministic flow-id tiebreak, so equal-remaining
     messages are served round-robin-stably rather than arbitrarily.
-    Equal to ``sorted(receivers, key=...)[:k]`` without ordering the
-    messages beyond rank ``k`` — the pacer looks at ``overcommitment``
-    (default 1) of possibly hundreds, once per grant tick.
+    Equal to ``sorted(receivers, key=...)[:k]``.  This is the definition;
+    the pacer keeps the same order incrementally
+    (:meth:`HomaGrantScheduler._candidates`) and the tests hold it to
+    this function grant for grant.
     """
     return nsmallest(k, receivers, key=_srpt_key)
 
@@ -203,6 +207,10 @@ class HomaGrantScheduler:
         self.overcommitment = overcommitment
         self.mtu_payload = mtu_payload
         self.active: Dict[int, HomaReceiver] = {}
+        #: heap of ``_srpt_key`` entries: the current key of every active
+        #: message, plus keys that went stale when their message received
+        #: more data (skipped when they surface, swept when they pile up)
+        self._ranked: List[Tuple[int, int]] = []
         self.grants_sent = 0
         self._tick_ns = tx_time_ns(mtu_payload + 48, host.nic.rate_bps)
         self._running = False
@@ -212,7 +220,16 @@ class HomaGrantScheduler:
     def add(self, receiver: HomaReceiver) -> None:
         """Track a new incoming message that will need grants."""
         self.active[receiver.flow.flow_id] = receiver
+        heappush(self._ranked, _srpt_key(receiver))
         self.poke()
+
+    def reranked(self, receiver: HomaReceiver) -> None:
+        """``receiver.rcv_nxt`` advanced: file its new, smaller key."""
+        ranked = self._ranked
+        heappush(ranked, _srpt_key(receiver))
+        if len(ranked) > 2 * len(self.active) + 64:
+            ranked[:] = map(_srpt_key, self.active.values())
+            heapify(ranked)
 
     def remove(self, receiver: HomaReceiver) -> None:
         """Stop tracking a completed (or fully granted) message."""
@@ -225,12 +242,28 @@ class HomaGrantScheduler:
             self.sim.after(self._tick_ns, self._tick)
 
     # ------------------------------------------------------------------
+    def _candidates(self) -> List[HomaReceiver]:
+        """``srpt_first(self.active.values(), self.overcommitment)``
+        without keying every active message once per MTU time: pop until
+        ``overcommitment`` current keys have surfaced, then put those
+        back."""
+        ranked = self._ranked
+        active = self.active
+        current = []
+        while ranked and len(current) < self.overcommitment:
+            key = heappop(ranked)
+            receiver = active.get(key[1])
+            if receiver is not None and key == _srpt_key(receiver):
+                current.append(key)
+        for key in current:
+            heappush(ranked, key)
+        return [active[flow_id] for _, flow_id in current]
+
     def _tick(self) -> None:
         self._running = False
         if not self.active:
             return
-        candidates = srpt_first(self.active.values(), self.overcommitment)
-        for rank, receiver in enumerate(candidates):
+        for rank, receiver in enumerate(self._candidates()):
             if not receiver.needs_grant:
                 continue
             outstanding = receiver.granted - receiver.rcv_nxt

@@ -3,7 +3,10 @@
 The driver owns flow lifecycle: it schedules flow starts on the event
 loop, instantiates the right transport endpoints (window-based sender or
 HOMA's receiver-driven pair), switches on the network features the
-deployed algorithms need, and collects completed flows for FCT analysis.
+deployed algorithms need, collects completed flows for FCT analysis, and
+retires a flow's endpoints once they can no longer be observed — memory
+follows the flows in flight, not the flows that ran (see
+``docs/INVARIANTS.md``, "Flow lifetime").
 
 Algorithms are resolved through :mod:`repro.cc.registry` and may differ
 *per flow* — the deployment question PowerTCP §6 raises (incremental
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Mapping, Optional, Union
 
+from repro.cc.base import CongestionControl
 from repro.cc.homa import HomaGrantScheduler, HomaReceiver, HomaSender
 from repro.cc.registry import AlgorithmSpec, Requirements, make_algorithm
 from repro.topology.network import Network
@@ -241,6 +245,7 @@ class FlowDriver:
 
     def _launch(self, flow: Flow) -> None:
         spec = self._spec_for(flow)
+        flow.algorithm = spec.name
         if spec.is_homa:
             self._launch_homa(flow, spec)
         else:
@@ -256,11 +261,12 @@ class FlowDriver:
             reorder_tolerant=self._reorder_tolerant,
             on_complete=self._on_complete,
         )
+        cc = spec.make_cc(flow, self.net)
         sender = Sender(
             self.sim,
             self.net.host(flow.src),
             flow,
-            spec.make_cc(flow, self.net),
+            cc,
             base_rtt_ns=self.net.base_rtt_ns,
             mtu_payload=self.mtu_payload,
             int_enabled=spec.needs_int,
@@ -268,6 +274,13 @@ class FlowDriver:
             rto_ns=self.rto_ns,
             dup_ack_threshold=(
                 REORDER_DUP_ACK_THRESHOLD if self._reorder_tolerant else None
+            ),
+            # A law that reacts to CNPs (DCQCN restarts its timers) would
+            # see a late one; its flows keep their endpoints until close().
+            on_complete=(
+                self._retire
+                if type(cc).on_cnp is CongestionControl.on_cnp
+                else None
             ),
         )
         self.senders[flow.flow_id] = sender
@@ -332,6 +345,27 @@ class FlowDriver:
     def _on_complete(self, flow: Flow) -> None:
         self.completed.append(flow)
 
+    def _retire(self, flow: Flow) -> None:
+        """The final cumulative ACK reached a window sender: let go of
+        the flow's endpoints.
+
+        The sender always goes — done, it ignores whatever still arrives,
+        and :meth:`Host.receive` does the same for a flow it no longer
+        knows.  The receiver goes only when nothing can reach or read it
+        any more: every segment was sent exactly once (so none is still
+        in flight behind the final ACK) and none arrived out of order (the
+        count ``lb_matrix`` sums over ``receivers`` after the run).
+        """
+        flow_id = flow.flow_id
+        sender = self.senders.pop(flow_id)
+        self._flow_specs.pop(flow_id, None)
+        sender.cc = None  # rate-based laws point back at their sender
+        sender.host.unregister(flow_id)
+        receiver = self.receivers[flow_id]
+        if flow.retransmissions == 0 and receiver.out_of_order == 0:
+            del self.receivers[flow_id]
+            receiver.host.unregister(flow_id)
+
     # ------------------------------------------------------------------
     def run(self, until_ns: Optional[int] = None) -> None:
         """Run the event loop (forever if no horizon given)."""
@@ -354,10 +388,13 @@ class FlowDriver:
     def close(self) -> None:
         """The driver's share of :meth:`Simulator.close` (call that).
 
-        Every receiver holds ``self._on_complete``, rate-based CC laws
-        hold their sender and HOMA receivers and their grant scheduler
-        hold each other, so the endpoint and scheduler maps go, each
-        sender lets go of its CC object and each scheduler of its active
+        Finished window flows were retired as they completed
+        (:meth:`_retire`); what is left are the flows still running, DCQCN
+        and HOMA flows, and receivers that saw loss or reordering.  Every
+        receiver holds ``self._on_complete``, rate-based CC laws hold
+        their sender and HOMA receivers and their grant scheduler hold
+        each other, so the endpoint and scheduler maps go, each sender
+        lets go of its CC object and each scheduler of its active
         messages.  ``flows`` / ``completed`` — the plain records results
         are built from — stay.
         """

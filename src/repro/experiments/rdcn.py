@@ -18,7 +18,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional
 
-from repro.analysis.stats import percentile
+from repro.analysis.stats import Distribution
 from repro.experiments.driver import FlowDriver
 from repro.scenarios import registry as scenario_registry
 from repro.scenarios.base import Scenario
@@ -191,13 +191,13 @@ def run_rdcn(config: RdcnConfig) -> RdcnResult:
 
     # Tail queuing latency across circuit VOQs, ToR packet uplinks, and
     # the packet core (Fig. 8b's y-axis).
-    delays: List[int] = []
-    for label, port in net.labeled_ports.items():
-        delays.extend(port.queuing_delays_ns)
+    delays = Distribution()
+    for port in net.labeled_ports.values():
+        delays.merge(port.queuing_delays_ns)
     for port in net.extras["packet_switch"].ports:
-        delays.extend(port.queuing_delays_ns)
+        delays.merge(port.queuing_delays_ns)
     if delays:
-        result.tail_queuing_latency_ns = percentile(delays, 99.0)
+        result.tail_queuing_latency_ns = delays.percentile(99.0)
 
     total_received = sum(f.bytes_received for f in flows)
     result.mean_goodput_bps = total_received * 8e9 / config.duration_ns

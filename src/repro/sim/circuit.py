@@ -218,7 +218,9 @@ class CircuitPort(EgressPort):
                 )
             )
         if self.record_queuing and pkt.kind == DATA:
-            self.queuing_delays_ns.append(now - pkt.enqueue_ts)
+            delays = self.queuing_delays_ns
+            delay = now - pkt.enqueue_ts
+            delays[delay] = delays.get(delay, 0) + 1
         ser = self._ser_cache.get(size)
         if ser is None:
             ser = self._ser_cache[size] = tx_time_ns(size, self.rate_bps)

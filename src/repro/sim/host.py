@@ -14,14 +14,14 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
-from repro.sim.packet import Packet
+from repro.sim.packet import Packet, get_pool
 from repro.sim.port import EgressPort
 
 
 class Host:
     """A server with one NIC."""
 
-    __slots__ = ("sim", "host_id", "name", "nic", "endpoints", "rx_packets", "default_handler")
+    __slots__ = ("sim", "host_id", "name", "nic", "endpoints", "rx_packets", "late_packets", "default_handler")
 
     def __init__(self, sim, host_id: int, name: str = ""):
         self.sim = sim
@@ -30,6 +30,9 @@ class Host:
         self.nic: Optional[EgressPort] = None
         self.endpoints: Dict[int, object] = {}
         self.rx_packets = 0
+        #: packets that arrived for a flow with no endpoint here (an ACK or
+        #: CNP still in flight when its flow was retired)
+        self.late_packets = 0
         self.default_handler: Optional[Callable[[Packet], None]] = None
 
     def attach_nic(self, nic: EgressPort) -> EgressPort:
@@ -45,7 +48,8 @@ class Host:
         self.endpoints[flow_id] = endpoint
 
     def unregister(self, flow_id: int) -> None:
-        """Remove a completed flow's endpoint."""
+        """Remove a completed flow's endpoint; what still arrives for the
+        flow is counted in ``late_packets`` and recycled."""
         self.endpoints.pop(flow_id, None)
 
     def close(self) -> None:
@@ -70,7 +74,11 @@ class Host:
             endpoint.on_packet(pkt)
         elif self.default_handler is not None:
             self.default_handler(pkt)
-        # Packets for unknown flows (e.g. late ACKs after teardown) are dropped.
+        else:
+            # Nobody is left to consume it: do what the finished endpoint
+            # did with a late packet — nothing, and recycle the shell.
+            self.late_packets += 1
+            get_pool(self.sim).release_with_hops(pkt)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Host({self.name})"

@@ -268,9 +268,12 @@ class PacketPool:
       the list itself — callers must guarantee nothing retains them.
       Congestion-control laws therefore must **copy** any INT values they
       need beyond ``on_ack`` (see :class:`repro.cc.base.AckFeedback`);
-    * packets that die anywhere else (drops, unknown-flow arrivals) are
-      simply left to the garbage collector — correctness never depends on
-      a release happening.
+    * a packet arriving for a flow with no endpoint (late ACKs and CNPs
+      of a retired flow) is released by :meth:`Host.receive
+      <repro.sim.host.Host.receive>`;
+    * packets that die anywhere else (drops) are simply left to the
+      garbage collector — correctness never depends on a release
+      happening.
     """
 
     __slots__ = ("_packets", "_hops", "_lists")

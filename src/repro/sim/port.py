@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import random
 import weakref
-from array import array
 from collections import deque
 from heapq import heappush
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.sim.engine import Simulator
 from repro.sim.packet import DATA, HopRecord, Packet, get_pool
@@ -39,6 +38,12 @@ _port_counter = 0
 #: deterministic across runs (unlike the global port_id counter, which
 #: keeps incrementing across simulators in one process)
 _anon_ports = weakref.WeakKeyDictionary()
+
+#: serialization-time memo, line rate -> {packet size: ns}.  A pure
+#: function of (size, rate), so every port of one rate reads one table —
+#: web-search tails put ~1,000 distinct sizes through each of a fat-tree's
+#: 64 ports.  Bounded by rates x wire sizes, whatever runs in the process.
+_ser_caches: Dict[float, Dict[int, int]] = {}
 
 
 def _next_port_id() -> int:
@@ -111,8 +116,11 @@ class EgressPort:
     int_stamping:
         whether this port appends INT records to INT-enabled packets.
     record_queuing:
-        when True, per-packet queueing delays are appended to
-        ``queuing_delays_ns`` (used for the Fig. 8b tail-latency metric).
+        when True, every data packet's queueing delay is counted in
+        ``queuing_delays_ns``, a ``delay -> packets`` mapping (the Fig. 8b
+        tail-latency metric; :class:`repro.analysis.stats.Distribution`
+        reads percentiles off it).  Its size follows the range of delays
+        the buffer allows, not the number of packets sent.
     """
 
     __slots__ = (
@@ -185,12 +193,12 @@ class EgressPort:
         self.marks = 0
         self.max_qlen_bytes = 0
         self.record_queuing = record_queuing
-        self.queuing_delays_ns = array("q")
+        self.queuing_delays_ns: Dict[int, int] = {}
         self._nonempty = 0  # bitmask of non-empty priority queues
         self._pool = get_pool(sim)
         #: serialization-time memo: packet size -> ns at this port's rate
         #: (the rate is fixed for the port's lifetime)
-        self._ser_cache = {}
+        self._ser_cache = _ser_caches.setdefault(rate_bps, {})
         #: cached bound methods for the per-packet events — recreating a
         #: bound method per heappush is a measurable allocation on the
         #: hot path
@@ -306,7 +314,9 @@ class EgressPort:
                 hop = HopRecord(qlen, now, tx_bytes, self.rate_bps, self.port_id)
             hops.append(hop)
         if self.record_queuing and pkt.kind == DATA:
-            self.queuing_delays_ns.append(now - pkt.enqueue_ts)
+            delays = self.queuing_delays_ns
+            delay = now - pkt.enqueue_ts
+            delays[delay] = delays.get(delay, 0) + 1
         cache = self._ser_cache
         try:
             ser = cache[size]

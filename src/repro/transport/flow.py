@@ -27,6 +27,9 @@ class Flow:
     bytes_received: int = 0
     retransmissions: int = 0
     tag: str = ""
+    #: canonical name of the congestion-control law that ran the flow (set
+    #: by the driver at launch; the record outlives its endpoints)
+    algorithm: str = ""
 
     @property
     def completed(self) -> bool:

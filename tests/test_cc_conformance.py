@@ -1,6 +1,6 @@
 """Parametrized conformance suite over every registered CC algorithm.
 
-Three contracts every scheme must honour:
+Four contracts every scheme must honour:
 
 * under a synthetic ACK stream (varying RTT, ECN marks, INT telemetry,
   CNPs), the installed window stays within the scheme's own
@@ -10,13 +10,18 @@ Three contracts every scheme must honour:
   acknowledgments carry no telemetry, and schemes that do not declare
   INT run on plain ACKs without raising;
 * every registered alias resolves to the same entry as the canonical
-  name.
+  name;
+* retiring a finished flow's endpoints (``FlowDriver._retire``) leaves
+  the event count, every flow record and every port counter as they are
+  with the endpoints kept until ``close()``.
 
 Schemes without a standalone per-flow CC object are exercised where the
 contract applies: HOMA has no CC class (receiver-driven) and reTCP needs
 a built RDCN (``requires_network``), so neither joins the synthetic-ACK
 stream test.
 """
+
+import dataclasses
 
 import pytest
 
@@ -28,8 +33,11 @@ from repro.cc.registry import (
     load_builtin_algorithms,
     make_algorithm,
 )
+from repro.experiments.driver import FlowDriver
+from repro.experiments.rdcn import scaled_rdcn
 from repro.sim.engine import Simulator, engine_defaults
-from repro.sim.packet import HopRecord
+from repro.sim.packet import HopRecord, PacketPool
+from repro.topology.registry import build_topology, make_topology_params
 from repro.units import GBPS, USEC
 
 
@@ -194,3 +202,104 @@ def test_aliases_resolve_to_the_canonical_entry(name):
 def test_make_algorithm_rejects_a_bogus_parameter(name):
     with pytest.raises(TypeError, match=name):
         make_algorithm(name, definitely_not_a_parameter=1)
+
+
+# ----------------------------------------------------------------------
+# Retiring a finished flow's endpoints changes nothing observable
+# (docs/INVARIANTS.md, "Flow lifetime")
+# ----------------------------------------------------------------------
+def _lossy_network(sim, law: str, routing: str):
+    """A fat-tree whose buffers drop a 32:1 incast; reTCP, which reads a
+    circuit schedule off its network, gets the small RDCN instead."""
+    if get_algorithm(law).requires_network:
+        params = dataclasses.replace(scaled_rdcn(), routing=routing)
+        return build_topology(sim, "rdcn", params), params.hosts_per_tor
+    params = make_topology_params(
+        "fattree", num_pods=2, hosts_per_tor=11, host_bw_bps=10 * GBPS,
+        fabric_bw_bps=10 * GBPS, buffer_bytes_per_gbps=400, routing=routing,
+    )
+    return build_topology(sim, "fattree", params), params.hosts_per_tor
+
+
+def _run_churn(law: str, routing: str, pool_guard) -> dict:
+    """Everything observable about an incast plus a staggered batch of
+    short inter-rack flows, run to a horizon well past the last RTO."""
+    sim = Simulator()
+    net, per_rack = _lossy_network(sim, law, routing)
+    driver = FlowDriver(net, law)
+    hosts = len(net.hosts)
+    for src in range(per_rack, min(hosts, per_rack + 32)):
+        driver.start_flow(src, 0, 30_000, at_ns=0)
+    for i in range(40):
+        src = (7 * i) % hosts
+        dst = (src + per_rack + (3 * i) % (hosts - 2 * per_rack + 1)) % hosts
+        driver.start_flow(
+            src, dst, 2_000 + 500 * (i % 9), at_ns=20_000 + 5_000 * i
+        )
+    driver.run(until_ns=40_000_000)
+    pool_guard(sim.pool)
+    ports = [p for s in net.switches for p in s.ports]
+    ports += [h.nic for h in net.hosts]
+    observed = {
+        "events": sim.events_processed,
+        "all_completed": all(f.completed for f in driver.flows),
+        "flows": [dataclasses.astuple(f) for f in driver.flows],
+        "ports": [
+            (p.name, p.tx_bytes, p.drops, p.marks, p.max_qlen_bytes)
+            for p in ports
+        ],
+        "endpoints": sum(len(h.endpoints) for h in net.hosts),
+        "late_packets": sum(h.late_packets for h in net.hosts),
+    }
+    sim.close()
+    return observed
+
+
+@pytest.fixture
+def pool_guard(monkeypatch):
+    """Fail the moment a packet shell is released while already free."""
+    free = set()
+    blank = PacketPool._blank
+
+    def checked_blank(self, *args):
+        pkt = blank(self, *args)
+        free.discard(id(pkt))
+        return pkt
+
+    def checked(release):
+        def method(self, pkt):
+            assert id(pkt) not in free, f"{pkt!r} released twice"
+            free.add(id(pkt))
+            release(self, pkt)
+        return method
+
+    monkeypatch.setattr(PacketPool, "_blank", checked_blank)
+    monkeypatch.setattr(PacketPool, "release", checked(PacketPool.release))
+    monkeypatch.setattr(
+        PacketPool, "release_with_hops", checked(PacketPool.release_with_hops)
+    )
+
+    def at_end(pool):
+        assert {id(p) for p in pool._packets} == free
+        free.clear()
+
+    return at_end
+
+
+@pytest.mark.parametrize("routing", ["ecmp", "spray"])
+@pytest.mark.parametrize("law", [n for n, _ in all_entries()])
+def test_retiring_finished_flows_changes_nothing_observable(
+    law, routing, pool_guard, monkeypatch
+):
+    if law == "homa" and routing == "spray":
+        pytest.skip("the driver rejects HOMA on a packet-spraying fabric")
+    retired = _run_churn(law, routing, pool_guard)
+    monkeypatch.setattr(FlowDriver, "_retire", lambda self, flow: None)
+    kept = _run_churn(law, routing, pool_guard)
+
+    assert kept["all_completed"]
+    assert kept["late_packets"] == 0 and kept["endpoints"] == 2 * len(kept["flows"])
+    if law not in ("homa", "dcqcn"):  # those two wait for close()
+        assert retired["endpoints"] < kept["endpoints"]
+    for key in ("events", "flows", "ports"):
+        assert retired[key] == kept[key], key

@@ -4,7 +4,7 @@ import pytest
 
 from repro.sim.circuit import CircuitPort, CircuitSchedule, RotorController
 from repro.sim.engine import Simulator
-from repro.sim.packet import Packet
+from repro.sim.packet import HEADER_BYTES, Packet
 from repro.units import GBPS, USEC
 
 
@@ -130,6 +130,24 @@ def test_voq_int_stamp_reports_own_voq():
     sim.run()
     # first's stamp sees only its own VOQ (second waiting), not 'other'.
     assert first.int_hops[0].qlen == second.size
+
+
+def test_voq_port_counts_queuing_delays_like_the_base_port():
+    # tests/test_port.py::test_record_queuing_delays on the VOQ transmit
+    # path: the two recording sites must not drift.
+    sim = Simulator()
+    port = CircuitPort(
+        sim, 8 * GBPS, 100, tor_id=0, dst_tor_of=lambda host: host // 10,
+        record_queuing=True,
+    )
+    port.enqueue(Packet.data(1, 0, 10, 0, 1000 - HEADER_BYTES))
+    port.enqueue(Packet.data(1, 0, 10, 1, 1000 - HEADER_BYTES))
+    port.enqueue(Packet.ack(Packet.data(2, 10, 0, 0, 1000), 1000, now=0))
+    port.activate(1, Sink(sim))
+    sim.run()
+    # one data packet went straight out, one waited one serialization;
+    # the ACK behind them is not a sample
+    assert port.queuing_delays_ns == {0: 1, 1000: 1}
 
 
 # ----------------------------------------------------------------------

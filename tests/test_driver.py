@@ -91,8 +91,9 @@ def test_int_disabled_for_delay_based():
     sim, net = make_net()
     driver = FlowDriver(net, "theta-powertcp")
     flow = driver.start_flow(0, 2, 10_000, at_ns=0)
-    driver.run(until_ns=1 * MSEC)
+    driver.run(until_ns=0)  # launched; a finished flow's sender is retired
     sender = driver.senders[flow.flow_id]
+    driver.run(until_ns=1 * MSEC)
     assert not sender.int_enabled
 
 
@@ -143,16 +144,12 @@ def test_cc_params_rejected_with_bound_spec_mapping_and_callable():
 # Per-flow algorithm mixing
 # ----------------------------------------------------------------------
 def test_tag_mapping_assigns_per_flow_algorithms():
-    from repro.core.powertcp import PowerTcp
-    from repro.cc.dcqcn import Dcqcn
-
     sim, net = make_net(left=4)
     driver = FlowDriver(net, {"new": "powertcp", "old": "dcqcn"})
     a = driver.start_flow(0, 4, 20_000, at_ns=0, tag="new")
     b = driver.start_flow(1, 4, 20_000, at_ns=0, tag="old")
     driver.run(until_ns=2 * MSEC)
-    assert isinstance(driver.senders[a.flow_id].cc, PowerTcp)
-    assert isinstance(driver.senders[b.flow_id].cc, Dcqcn)
+    assert (a.algorithm, b.algorithm) == ("powertcp", "dcqcn")
     assert a.completed and b.completed
 
 
@@ -161,6 +158,8 @@ def test_mixed_requirements_union_enables_int_and_ecn():
     driver = FlowDriver(net, {"new": "powertcp", "old": "dcqcn"})
     a = driver.start_flow(0, 4, 20_000, at_ns=0, tag="new")
     b = driver.start_flow(1, 4, 20_000, at_ns=0, tag="old")
+    driver.run(until_ns=0)  # launched; a finished flow's sender is retired
+    senders = dict(driver.senders)
     driver.run(until_ns=2 * MSEC)
     # Union: PowerTCP's INT stamping and DCQCN's ECN marking both active.
     assert driver.requirements.int_stamping
@@ -170,10 +169,10 @@ def test_mixed_requirements_union_enables_int_and_ecn():
             assert port.ecn is not None
             assert port.int_stamping
     # Per-flow features stay per-flow: only the PowerTCP sender echoes INT.
-    assert driver.senders[a.flow_id].int_enabled
-    assert not driver.senders[b.flow_id].int_enabled
-    assert driver.senders[b.flow_id].ecn_capable
-    assert not driver.senders[a.flow_id].ecn_capable
+    assert senders[a.flow_id].int_enabled
+    assert not senders[b.flow_id].int_enabled
+    assert senders[b.flow_id].ecn_capable
+    assert not senders[a.flow_id].ecn_capable
 
 
 def test_unmatched_tag_raises_eagerly():
@@ -189,9 +188,7 @@ def test_mapping_fallback_group():
     driver = FlowDriver(net, {"new": "powertcp", "*": "timely"})
     flow = driver.start_flow(0, 2, 10_000, at_ns=0, tag="anything")
     driver.run(until_ns=1 * MSEC)
-    from repro.cc.timely import Timely
-
-    assert isinstance(driver.senders[flow.flow_id].cc, Timely)
+    assert flow.algorithm == "timely"
 
 
 def test_callable_assignment_resolves_eagerly_per_flow():
@@ -217,14 +214,12 @@ def test_callable_assignment_typo_fails_at_start_flow():
 
 
 def test_start_flow_algorithm_override():
-    from repro.cc.swift import Swift
-
     sim, net = make_net(left=3)
     driver = FlowDriver(net, "powertcp")
     flow = driver.start_flow(0, 3, 10_000, at_ns=0, algorithm="swift")
     other = driver.start_flow(1, 3, 10_000, at_ns=0)
     driver.run(until_ns=2 * MSEC)
-    assert isinstance(driver.senders[flow.flow_id].cc, Swift)
+    assert flow.algorithm == "swift"
     assert set(driver.deployed) == {"powertcp", "swift"}
     assert flow.completed and other.completed
 
@@ -250,7 +245,4 @@ def test_homa_and_window_transports_can_mix():
     driver.run(until_ns=2 * MSEC)
     assert a.completed and b.completed
     assert len(driver._homa_schedulers) == 1
-    from repro.cc.homa import HomaSender
-
-    assert isinstance(driver.senders[a.flow_id], HomaSender)
-    assert not isinstance(driver.senders[b.flow_id], HomaSender)
+    assert (a.algorithm, b.algorithm) == ("homa", "powertcp")

@@ -1,7 +1,13 @@
 """Unit/functional tests for the HOMA receiver-driven transport."""
 
+import pytest
+
+from repro.cc.homa import HomaGrantScheduler, srpt_first
 from repro.experiments.driver import FlowDriver
+from repro.scenarios.registry import get_scenario
 from repro.sim.engine import Simulator
+from repro.sim.host import Host
+from repro.sim.packet import GRANT
 from repro.topology.dumbbell import DumbbellParams, build_dumbbell
 from repro.units import GBPS, MSEC
 
@@ -107,3 +113,66 @@ def test_homa_receiver_buffers_out_of_order():
     assert receiver.rcv_nxt == 0  # buffered, not advanced
     receiver.on_packet(Packet.data(flow.flow_id, 0, 3, seq=0, payload=1000))
     assert receiver.rcv_nxt == 2000  # gap filled + buffered range absorbed
+
+
+# ----------------------------------------------------------------------
+# The incremental SRPT order is srpt_first, grant for grant
+# ----------------------------------------------------------------------
+GRANT_CELLS = [
+    # the benchmark's two homa cells (the 255:1 one drops and times out)
+    ("incast", dict(fanout=64, burst_bytes=60_000, duration_ns=9 * MSEC)),
+    ("incast", dict(fanout=255, burst_bytes=60_000, duration_ns=9 * MSEC)),
+    # benchmarks/test_fig10_11_homa_incast.py
+    ("incast", dict(fanout=64, burst_bytes=60_000, duration_ns=10 * MSEC,
+                    cc_params={"overcommitment": 4})),
+    ("incast", dict(fanout=10, burst_bytes=200_000, duration_ns=4 * MSEC,
+                    cc_params={"overcommitment": 6})),
+    # benchmarks/test_fig9_homa_oc.py
+    ("fairness", dict(homa_overcommit=2)),
+    ("fairness", dict(homa_overcommit=5)),
+]
+
+
+@pytest.mark.parametrize(
+    "scenario, overrides", GRANT_CELLS,
+    ids=[f"{s}-{i}" for i, (s, _) in enumerate(GRANT_CELLS)],
+)
+def test_grant_sequence_is_the_srpt_first_reference(
+    scenario, overrides, monkeypatch
+):
+    grants = []
+    send = Host.send
+
+    def logging_send(self, pkt):
+        if pkt.kind == GRANT:
+            grants.append(
+                (self.sim.now, pkt.flow_id, pkt.grant_bytes, pkt.sched_priority)
+            )
+        send(self, pkt)
+
+    monkeypatch.setattr(Host, "send", logging_send)
+    run = lambda: get_scenario(scenario).run(algorithm="homa", **overrides)
+    result = run()
+    incremental, grants[:] = list(grants), []
+    monkeypatch.setattr(
+        HomaGrantScheduler, "_candidates",
+        lambda self: srpt_first(self.active.values(), self.overcommitment),
+    )
+    reference = run()
+    assert len(incremental) > 100 and incremental == grants
+    assert result.metrics == reference.metrics
+    assert (
+        result.provenance["events_processed"]
+        == reference.provenance["events_processed"]
+    )
+
+
+def test_stale_srpt_keys_are_swept():
+    sim, net, driver = homa_net(left=3)
+    driver.start_flow(0, 3, 5_000_000, at_ns=0)
+    driver.start_flow(1, 3, 4_000_000, at_ns=0)
+    driver.run(until_ns=3 * MSEC)  # thousands of segments, two messages
+    scheduler = driver._homa_schedulers[3]
+    assert len(scheduler.active) == 2
+    assert len(scheduler._ranked) <= 2 * 2 + 65
+    assert scheduler._candidates() == srpt_first(scheduler.active.values(), 1)

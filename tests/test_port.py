@@ -192,8 +192,8 @@ def test_record_queuing_delays():
     port.enqueue(data(seq=0, payload=1000 - HEADER_BYTES))
     port.enqueue(data(seq=1, payload=1000 - HEADER_BYTES))
     sim.run()
-    assert port.queuing_delays_ns[0] == 0
-    assert port.queuing_delays_ns[1] == 1000  # waited one serialization
+    # one packet went straight out, one waited one serialization
+    assert port.queuing_delays_ns == {0: 1, 1000: 1}
 
 
 def test_ecn_config_validation():

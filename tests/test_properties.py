@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compiled_support import require_compiled
-from repro.analysis.stats import percentile
-from repro.cc.homa import HomaReceiver, srpt_first
+from repro.analysis.stats import Distribution, percentile
+from repro.cc.homa import HomaGrantScheduler, HomaReceiver, srpt_first
 from repro.core.power import normalized_power_from_hop
 from repro.fluid.laws import GRADIENT_LAW, POWER_LAW, QUEUE_LAW
 from repro.persist import CellDocumentWriter
@@ -407,6 +407,89 @@ def test_homa_srpt_first_is_the_prefix_of_the_full_sort(sizes, rng, data):
         messages, key=lambda r: (r.remaining_bytes, r.flow.flow_id)
     )
     assert srpt_first(iter(messages), k) == ranked[:k]
+
+
+class _Downlink:
+    """The one thing the grant scheduler reads off its host before a tick."""
+
+    class nic:
+        rate_bps = 10 * GBPS
+
+
+@given(
+    st.integers(1, 4),
+    # (message slot, what happens to it): it arrives, receives 1-3 KB, or
+    # completes.  Few slots and sizes => ties and plenty of stale keys
+    # (the sweep that bounds them is tests/test_homa.py's).
+    st.lists(
+        st.tuples(st.integers(0, 5), st.sampled_from("+123x")),
+        max_size=300,
+    ),
+)
+def test_homa_incremental_srpt_order_is_srpt_first(overcommitment, steps):
+    scheduler = HomaGrantScheduler(
+        Simulator(), _Downlink, overcommitment=overcommitment
+    )
+    messages = {}
+    for flow_id, step in steps:
+        message = messages.get(flow_id)
+        if step == "+":
+            if message is None:
+                message = messages[flow_id] = _Message(
+                    flow_id, 1000 * (40 + flow_id % 3), 0
+                )
+                scheduler.add(message)
+        elif message is not None and flow_id in scheduler.active:
+            if step == "x":
+                scheduler.remove(message)
+            elif message.remaining_bytes > 3000:
+                message.rcv_nxt += 1000 * int(step)
+                scheduler.reranked(message)
+        assert scheduler._candidates() == srpt_first(
+            scheduler.active.values(), overcommitment
+        )
+
+
+# ----------------------------------------------------------------------
+# Distribution: percentiles of a counted multiset are percentile()'s
+# ----------------------------------------------------------------------
+_SAMPLES = st.lists(
+    # small values (cached int objects), values past 256 (not cached),
+    # negatives, and a narrow band so that equal samples are common
+    st.integers(-5, 5) | st.integers(-10**12, 10**12) | st.integers(300, 310),
+    min_size=1,
+    max_size=60,
+)
+_PCT = st.sampled_from([0, 50, 99, 99.9, 100]) | st.floats(0.0, 100.0)
+
+
+@given(_SAMPLES, _PCT)
+def test_distribution_percentile_is_bit_identical_to_percentile(values, pct):
+    counted = Distribution(values)
+    assert len(counted) == len(values)
+    got, want = counted.percentile(pct), percentile(values, pct)
+    assert got == want and type(got) is type(want)
+
+
+@given(_SAMPLES, _SAMPLES, _PCT)
+def test_distribution_merge_is_concatenation(left, right, pct):
+    merged = Distribution(left)
+    merged.merge(Distribution(right).counts)
+    merged.merge({})  # a port that recorded nothing
+    assert merged.counts == Distribution(left + right).counts
+    assert merged.percentile(pct) == percentile(left + right, pct)
+
+
+def test_distribution_rejects_what_percentile_rejects():
+    for bad in (lambda: Distribution().percentile(50.0),
+                lambda: percentile([], 50.0)):
+        with pytest.raises(ValueError, match="empty"):
+            bad()
+    for bad in (lambda: Distribution([1, 2]).percentile(100.5),
+                lambda: percentile([1, 2], 100.5)):
+        with pytest.raises(ValueError, match="pct"):
+            bad()
+    assert not Distribution() and Distribution([7])
 
 
 # ----------------------------------------------------------------------
