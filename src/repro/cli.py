@@ -258,7 +258,9 @@ def cmd_run(args) -> None:
         raise SystemExit(str(exc))
     result = scenario.run(config=config)
     if args.json:
-        print(json.dumps(result.to_json_dict(), indent=1, sort_keys=True))
+        # streamed: the document's text is never held whole (same bytes)
+        json.dump(result.to_json_dict(), sys.stdout, indent=1, sort_keys=True)
+        sys.stdout.write("\n")
         return
     prov = result.provenance
     print(f"scenario={result.scenario} algorithm={prov['algorithm']} "

@@ -115,12 +115,24 @@ class EgressPort:
         optional ECN marking configuration applied to ECN-capable packets.
     int_stamping:
         whether this port appends INT records to INT-enabled packets.
+    name:
+        stable label; it also seeds the port's ECN generator.  An unnamed
+        port is seeded ``port#<n>`` from a per-simulator construction
+        counter instead, so identical runs draw identical marks.
+    rng:
+        optional ECN-marking generator to use instead of the seeded one;
+        ``port.rng`` returns whichever applies.
     record_queuing:
         when True, every data packet's queueing delay is counted in
         ``queuing_delays_ns``, a ``delay -> packets`` mapping (the Fig. 8b
         tail-latency metric; :class:`repro.analysis.stats.Distribution`
         reads percentiles off it).  Its size follows the range of delays
         the buffer allows, not the number of packets sent.
+
+    A port costs what it carries: each priority's queue is created by the
+    first packet of that priority, and the ECN generator by the first
+    marking decision (its seed is fixed at construction, so when other
+    ports first mark does not change this port's sequence).
     """
 
     __slots__ = (
@@ -133,7 +145,8 @@ class EgressPort:
         "int_stamping",
         "name",
         "port_id",
-        "rng",
+        "_rng",
+        "_rng_seed",
         "queues",
         "qlen_bytes",
         "tx_bytes",
@@ -182,9 +195,15 @@ class EgressPort:
         # is stable across runs; the global port_id counter is not, and
         # seeding from it would make identical runs diverge.  Unnamed
         # ports fall back to a per-simulator construction counter, so two
-        # anonymous ports never share a mark sequence.
-        self.rng = rng if rng is not None else random.Random(name or _anon_seed(sim))
-        self.queues: List[deque] = [deque() for _ in range(NUM_PRIORITIES)]
+        # anonymous ports never share a mark sequence.  The seed is taken
+        # here, so that counter advances in construction order; the
+        # generator (2.5 KB of state) is built by the first marking
+        # decision (``rng``), which most ports never make.
+        self._rng = rng
+        self._rng_seed = None if rng is not None else name or _anon_seed(sim)
+        #: one FIFO per strict priority, created by the first packet of
+        #: that priority (most ports only ever see priority 0)
+        self.queues: List[Optional[deque]] = [None] * NUM_PRIORITIES
         self.qlen_bytes = 0
         self.tx_bytes = 0
         self.busy = False
@@ -204,6 +223,18 @@ class EgressPort:
         #: hot path
         self._deliver = peer.receive if peer is not None else None
         self._finish_cb = self._finish_tx
+
+    @property
+    def rng(self) -> random.Random:
+        """The ECN-marking generator, built from its fixed seed on first use."""
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = random.Random(self._rng_seed)
+        return rng
+
+    @rng.setter
+    def rng(self, rng: random.Random) -> None:
+        self._rng = rng
 
     # ------------------------------------------------------------------
     def connect(self, peer, prop_delay_ns: Optional[int] = None) -> None:
@@ -262,7 +293,10 @@ class EgressPort:
 
         pkt.enqueue_ts = self.sim.now
         priority = pkt.priority
-        self.queues[priority].append(pkt)
+        queue = self.queues[priority]
+        if queue is None:
+            queue = self.queues[priority] = deque()
+        queue.append(pkt)
         self._nonempty |= 1 << priority
         qlen = self.qlen_bytes + size
         self.qlen_bytes = qlen

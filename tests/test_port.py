@@ -1,14 +1,17 @@
 """Unit tests for egress ports: serialization, priorities, ECN, INT."""
 
 import random
+import tracemalloc
 
 import pytest
 
+from repro.experiments.driver import FlowDriver
 from repro.sim.buffer import SharedBuffer
 from repro.sim.engine import Simulator
 from repro.sim.packet import HEADER_BYTES, Packet
 from repro.sim.port import EcnConfig, EgressPort
-from repro.units import GBPS
+from repro.topology.registry import build_topology
+from repro.units import GBPS, MSEC
 
 
 class Sink:
@@ -201,3 +204,106 @@ def test_ecn_config_validation():
         EcnConfig(2000, 1000, 0.1)
     with pytest.raises(ValueError):
         EcnConfig(0, 10, 1.5)
+
+
+# ----------------------------------------------------------------------
+# A port costs what it carries: queues and the ECN generator on demand
+# ----------------------------------------------------------------------
+def _all_ports(net):
+    return [h.nic for h in net.hosts] + [p for s in net.switches for p in s.ports]
+
+
+def test_fan_in_costs_under_1500_bytes_per_port_before_traffic():
+    sim = Simulator()
+    tracemalloc.start()
+    try:
+        net = build_topology(sim, "dumbbell", left_hosts=256, right_hosts=1)
+        traced = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    ports = _all_ports(net)
+    assert len(ports) == 516
+    # eight empty deques and a seeded Mersenne Twister per port read
+    # ~9.9 KB here; hosts and switches included it is now ~0.93 KB
+    assert traced / len(ports) < 1_500
+    sim.close()
+
+
+def _incast_255(law):
+    """A fig. 4 cell by hand: a long flow plus 255 60.5 KB bursts, 9 ms."""
+    sim = Simulator()
+    net = build_topology(sim, "dumbbell", left_hosts=256, right_hosts=1)
+    driver = FlowDriver(net, law)
+    driver.start_flow(0, 256, 10 ** 12, at_ns=0)
+    for src in range(1, 256):
+        driver.start_flow(src, 256, 60_500, at_ns=10 * net.base_rtt_ns)
+    driver.run(until_ns=9 * MSEC)
+    return sim, net
+
+
+def _priorities(port):
+    return {prio for prio, queue in enumerate(port.queues) if queue is not None}
+
+
+@pytest.mark.parametrize("law", ["powertcp", "dcqcn", "homa"])
+def test_255_to_1_builds_only_what_its_traffic_needs(law):
+    sim, net = _incast_255(law)
+    ports = _all_ports(net)
+    bottleneck = net.port("bottleneck")
+    with_rng = [p for p in ports if p._rng is not None]
+    if law == "dcqcn":
+        # the one queue above kmin, and it did mark
+        assert with_rng == [bottleneck] and bottleneck.marks > 0
+    else:
+        assert with_rng == []
+    if law == "homa":
+        held = [_priorities(p) for p in ports]
+        assert set().union(*held) == {0, 1, 2, 3}
+    else:
+        assert all(_priorities(p) == {0} for p in ports)
+    sim.close()
+
+
+def test_circuit_port_never_builds_a_priority_queue(monkeypatch):
+    from repro.experiments import rdcn
+
+    circuit_ports = []
+
+    def build(*args, **kwargs):
+        net = build_topology(*args, **kwargs)
+        circuit_ports.extend(net.extras["circuit_ports"])
+        return net
+
+    monkeypatch.setattr(rdcn, "build_topology", build)
+    rdcn.run_rdcn(rdcn.RdcnConfig(duration_ns=1 * MSEC, flows_per_pair=2))
+    assert any(port.tx_bytes for port in circuit_ports)  # they carried data
+    assert all(_priorities(port) == set() for port in circuit_ports)
+
+
+def test_lazy_generators_draw_in_seed_order_not_draw_order():
+    def draws(first):
+        sim = Simulator()
+        ports = {"a": EgressPort(sim, 1e9, 0), "b": EgressPort(sim, 1e9, 0)}
+        second = "b" if first == "a" else "a"
+        out = {}
+        for name in (first, second):
+            out[name] = [ports[name].rng.random() for _ in range(4)]
+        return out
+
+    in_order = draws("a")
+    assert draws("b") == in_order
+    # the seeds are the construction counter's, as they always were
+    for name, seed in (("a", "port#1"), ("b", "port#2")):
+        reference = random.Random(seed)
+        assert in_order[name] == [reference.random() for _ in range(4)]
+
+
+def test_an_explicit_generator_is_the_one_drawn():
+    sim = Simulator()
+    rng = random.Random(11)
+    port, _ = make_port(sim, rng=rng, ecn=EcnConfig(0, 10_000, 0.5))
+    assert port.rng is rng
+    before = rng.getstate()
+    for seq in range(3):  # the third finds 1,048 B queued: a RED draw
+        port.enqueue(data(seq=seq, ecn_capable=True))
+    assert port.rng is rng and rng.getstate() != before
