@@ -1,11 +1,12 @@
 """Fault-tolerant campaign orchestration for million-cell sweeps.
 
 ``python -m repro campaign manifest.json`` drives every grid cell to
-completion across a subprocess worker pool — retries, per-cell
-timeouts, worker respawn, straggler re-dispatch — journaling progress
-so a killed campaign resumes instead of restarting.  See
+completion across a pool of forked worker processes — retries,
+per-cell timeouts, worker respawn, straggler re-dispatch — journaling
+progress so a killed campaign resumes instead of restarting.  See
 ``docs/INVARIANTS.md`` (#journal-contract, #atomic-persistence,
-#subprocess-timeout-discipline) for the contracts this package keeps.
+#subprocess-timeout-discipline, #forked-workers) for the contracts this
+package keeps.
 """
 
 from repro.campaign.executor import Executor, LocalPoolExecutor, WorkerEvent

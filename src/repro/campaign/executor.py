@@ -1,12 +1,16 @@
-"""Pluggable cell executors; the local subprocess worker pool.
+"""Pluggable cell executors; the local forked worker pool.
 
 The orchestrator speaks to an :class:`Executor` — dispatch a cell,
 collect result/exit events, reclaim a worker — and never to processes
 directly, so an ssh or k8s backend is one subclass away.  The local
-implementation fans cells across long-lived ``python -m
-repro.campaign.worker`` subprocesses multiplexed with ``selectors``;
+implementation fans cells across long-lived worker processes, each
+forked from the orchestrator once the manifest is expanded (so it
+starts with ``repro``, the registries and the manifest's ``modules``
+already imported) and each running :func:`repro.campaign.worker.main`
+over its own stdin/stdout/stderr pipes, multiplexed with ``selectors``;
 simulations are single-threaded pure Python, so worker processes
-parallelize cells perfectly.
+parallelize cells perfectly.  What a worker inherits, resets and how it
+exits: ``docs/INVARIANTS.md#forked-workers``.
 
 Every blocking operation in this module carries an explicit timeout
 (``docs/INVARIANTS.md#subprocess-timeout-discipline``, enforced by the
@@ -17,13 +21,18 @@ forever.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import selectors
-import subprocess
+import signal
 import sys
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+import time
+import traceback
+from dataclasses import dataclass
+from typing import Any, Dict, List, NoReturn, Optional
+
+from repro.campaign import worker as worker_module
 
 #: cap on the retained per-worker stderr tail (crash provenance)
 _STDERR_TAIL_BYTES = 4096
@@ -73,9 +82,96 @@ class Executor:
         raise NotImplementedError
 
 
+class _ForkedProcess:
+    """A worker forked from this process, behind the part of the
+    ``subprocess.Popen`` interface the pool uses.  :meth:`wait` polls
+    ``waitpid(WNOHANG)`` up to its bound, so it never blocks unbounded."""
+
+    def __init__(self) -> None:
+        child_in, self_in = os.pipe()
+        self_out, child_out = os.pipe()
+        self_err, child_err = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (child_in, self_in, self_out, child_out, self_err, child_err):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            _run_worker(child_in, child_out, child_err)  # never returns
+        for fd in (child_in, child_out, child_err):
+            os.close(fd)
+        self.stdin = open(self_in, "wb", buffering=0)
+        self.stdout = open(self_out, "rb", buffering=0)
+        self.stderr = open(self_err, "rb", buffering=0)
+        self.returncode: Optional[int] = None
+
+    def poll(self) -> Optional[int]:
+        if self.returncode is None:
+            pid, status = os.waitpid(self.pid, os.WNOHANG)
+            if pid:
+                self.returncode = os.waitstatus_to_exitcode(status)
+        return self.returncode
+
+    def wait(self, timeout: float) -> Optional[int]:
+        """The exit code, or None if the worker outlived ``timeout``."""
+        deadline = time.monotonic() + timeout
+        delay = 0.0005
+        while self.poll() is None:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return None
+            time.sleep(min(delay, remaining))
+            delay = min(delay * 2, 0.05)
+        return self.returncode
+
+    def terminate(self) -> None:
+        self._signal(signal.SIGTERM)
+
+    def kill(self) -> None:
+        self._signal(signal.SIGKILL)
+
+    def _signal(self, signum: int) -> None:
+        if self.poll() is None:
+            os.kill(self.pid, signum)
+
+
+def _run_worker(stdin_fd: int, stdout_fd: int, stderr_fd: int) -> NoReturn:
+    """The forked child: become a worker on three fresh pipes, then leave
+    without running the orchestrator's exit path."""
+    # Held until os._exit: dropping the last reference to an inherited
+    # stream could flush the orchestrator's unwritten output twice.
+    inherited = (sys.stdin, sys.stdout, sys.stderr)
+    code = 1
+    try:
+        for fd, target in ((stdin_fd, 0), (stdout_fd, 1), (stderr_fd, 2)):
+            os.dup2(fd, target)
+        # This pipe's write end, the other workers' pipes, the journal,
+        # the selector: a worker holding any stdin write end would hide
+        # that stdin's EOF, which is how a worker learns it is orphaned.
+        os.closerange(3, os.sysconf("SC_OPEN_MAX"))
+        signal.signal(signal.SIGINT, signal.default_int_handler)
+        # closefd=False: 0/1/2 close with the process, so EOF on its
+        # stdout tells the orchestrator the worker is exiting
+        sys.stdin = open(0, "r", closefd=False)
+        sys.stdout, sys.stderr = (
+            io.TextIOWrapper(
+                open(fd, "wb", buffering=0, closefd=False),
+                write_through=True,
+                errors="backslashreplace",
+            )
+            for fd in (1, 2)
+        )
+        code = worker_module.main()
+    except BaseException:  # noqa: BLE001 - reported, then the exit code
+        traceback.print_exc()
+    finally:
+        os._exit(code)  # `inherited` stays referenced up to here
+
+
 @dataclass
 class _Worker:
-    proc: subprocess.Popen
+    proc: _ForkedProcess
     worker_id: int
     task_id: Optional[int] = None
     out_buf: bytes = b""
@@ -87,9 +183,12 @@ class _Worker:
 
 
 class LocalPoolExecutor(Executor):
-    """A pool of local worker subprocesses (stdin/stdout JSON lines)."""
+    """A pool of worker processes forked from this one (stdin/stdout JSON
+    lines)."""
 
     def __init__(self, *, grace_s: float = 5.0):
+        if not hasattr(os, "fork"):
+            raise RuntimeError("the local campaign worker pool needs os.fork (POSIX)")
         self.grace_s = grace_s
         self._workers: Dict[int, _Worker] = {}
         self._next_id = 1
@@ -99,29 +198,8 @@ class LocalPoolExecutor(Executor):
         self._pending: List[WorkerEvent] = []
 
     # -- spawning ------------------------------------------------------
-    def _worker_env(self) -> Dict[str, str]:
-        import repro
-
-        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        # The worker must resolve the same `repro` package as the
-        # orchestrator even when it was imported via sys.path rather
-        # than an installed distribution or an exported PYTHONPATH.
-        env = dict(os.environ)  # lint: disable=env-read
-        existing = env.get("PYTHONPATH", "")
-        paths = existing.split(os.pathsep) if existing else []
-        if src_dir not in paths:
-            env["PYTHONPATH"] = os.pathsep.join([src_dir] + paths)
-        return env
-
     def _spawn(self) -> _Worker:
-        proc = subprocess.Popen(
-            [sys.executable, "-u", "-m", "repro.campaign.worker"],
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            bufsize=0,
-            env=self._worker_env(),
-        )
+        proc = _ForkedProcess()
         worker = _Worker(proc=proc, worker_id=self._next_id)
         self._next_id += 1
         self._workers[worker.worker_id] = worker
@@ -172,6 +250,10 @@ class LocalPoolExecutor(Executor):
         self._pending = []
         for key, _mask in self._selector.select(timeout=max(0.0, timeout_s)):
             worker, stream = key.data
+            if worker.worker_id not in self._workers:
+                # Reaped by an earlier key of this batch (its stdout hit
+                # EOF before its stderr was read); _reap drained stderr.
+                continue
             try:
                 chunk = os.read(key.fileobj.fileno(), 65536)
             except OSError:
@@ -230,16 +312,7 @@ class LocalPoolExecutor(Executor):
             worker.err_tail = (worker.err_tail + chunk)[-_STDERR_TAIL_BYTES:]
         except (OSError, ValueError):
             pass
-        if worker.proc.poll() is None:
-            worker.proc.terminate()
-        try:
-            worker.proc.wait(timeout=self.grace_s)
-        except subprocess.TimeoutExpired:
-            worker.proc.kill()
-            try:
-                worker.proc.wait(timeout=self.grace_s)
-            except subprocess.TimeoutExpired:
-                pass
+        self._stop(worker.proc)
         self._close_pipes(worker)
         return WorkerEvent(
             kind="exit",
@@ -254,20 +327,20 @@ class LocalPoolExecutor(Executor):
         if worker is None:
             return None
         task_id = worker.task_id
-        worker.proc.terminate()
-        try:
-            worker.proc.wait(timeout=self.grace_s)
-        except subprocess.TimeoutExpired:
-            worker.proc.kill()
-            try:
-                worker.proc.wait(timeout=self.grace_s)
-            except subprocess.TimeoutExpired:
-                pass
+        self._stop(worker.proc)
         del self._workers[worker_id]
         self._unregister(worker.proc.stdout)
         self._unregister(worker.proc.stderr)
         self._close_pipes(worker)
         return task_id
+
+    def _stop(self, proc: _ForkedProcess) -> None:
+        """SIGTERM, then SIGKILL after ``grace_s``; gives up after
+        another ``grace_s`` (a worker stuck in the kernel)."""
+        proc.terminate()
+        if proc.wait(timeout=self.grace_s) is None:
+            proc.kill()
+            proc.wait(timeout=self.grace_s)
 
     @staticmethod
     def _close_pipes(worker: _Worker) -> None:
@@ -287,14 +360,9 @@ class LocalPoolExecutor(Executor):
             except OSError:
                 pass
         for worker in list(self._workers.values()):
-            try:
-                worker.proc.wait(timeout=self.grace_s)
-            except subprocess.TimeoutExpired:
+            if worker.proc.wait(timeout=self.grace_s) is None:
                 worker.proc.kill()
-                try:
-                    worker.proc.wait(timeout=self.grace_s)
-                except subprocess.TimeoutExpired:
-                    pass
+                worker.proc.wait(timeout=self.grace_s)
             self._unregister(worker.proc.stdout)
             self._unregister(worker.proc.stderr)
             self._close_pipes(worker)

@@ -15,7 +15,7 @@ Schema (all keys except ``scenario`` optional)::
       "seed":  1,
       "shards": 4,             // grid partition; one output file per
                                // shard, written when the run ends
-      "workers": 4,            // subprocess worker pool size
+      "workers": 4,            // worker pool size
       "modules": ["repro.scenarios.faulty"],  // extra scenario modules
       "out": "benchmarks/results/websearch_campaign.json",
       "journal_fsync": true,

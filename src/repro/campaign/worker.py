@@ -1,4 +1,9 @@
-"""Campaign worker: a long-lived subprocess executing cells one at a time.
+"""Campaign worker: a long-lived process executing cells one at a time.
+
+Each worker is forked from the orchestrator by
+:class:`repro.campaign.executor.LocalPoolExecutor`, which points its
+stdin/stdout/stderr at three fresh pipes and runs :func:`main` until
+the orchestrator sends ``shutdown`` or closes stdin.
 
 Protocol (line-delimited JSON over stdin/stdout)::
 
@@ -90,7 +95,3 @@ def main() -> int:
         protocol_out.write(payload + "\n")
         protocol_out.flush()
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
-    sys.exit(main())

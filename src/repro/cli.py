@@ -592,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign_p.add_argument(
         "--workers", type=int,
-        help="worker subprocess count (default: the manifest's)",
+        help="worker process count (default: the manifest's)",
     )
     campaign_p.add_argument(
         "--out", help="merged output path (default: the manifest's)"

@@ -30,6 +30,15 @@ _SUBPROCESS_CALLS = frozenset(
 _BLOCKING_METHODS = frozenset({"wait", "communicate", "result"})
 
 
+def _passes_wnohang(ctx: LintContext, node: ast.Call) -> bool:
+    """Whether an ``os.waitpid`` call's options name ``os.WNOHANG``."""
+    return any(
+        ctx.imports.dotted(sub) == "os.WNOHANG"
+        for arg in node.args[1:] + [kw.value for kw in node.keywords]
+        for sub in ast.walk(arg)
+    )
+
+
 def _has_timeout_kw(node: ast.Call) -> bool:
     return any(
         kw.arg == "timeout" or kw.arg is None  # **kwargs may carry it
@@ -47,7 +56,9 @@ class SubprocessTimeoutRule(Rule):
 
     Flags ``subprocess.run/call/check_call/check_output`` invocations and
     ``.wait()``/``.communicate()``/``.result()`` method calls without an
-    explicit ``timeout=`` keyword.  The method check is name-based (the
+    explicit ``timeout=`` keyword, ``os.waitpid()`` without ``os.WNOHANG``
+    and ``os.wait()`` (the pool's own process handle polls ``waitpid``
+    under a deadline instead).  The method check is name-based (the
     linter cannot type the receiver), which is the point: inside the
     orchestration layer *anything* named like a blocking wait must state
     its bound, so a wedged worker is always reclaimable by the
@@ -62,7 +73,16 @@ class SubprocessTimeoutRule(Rule):
             if not isinstance(node, ast.Call) or _has_timeout_kw(node):
                 continue
             dotted = ctx.imports.dotted(node.func)
-            if dotted in _SUBPROCESS_CALLS:
+            if dotted == "os.wait" or (
+                dotted == "os.waitpid" and not _passes_wnohang(ctx, node)
+            ):
+                yield self.finding(
+                    ctx,
+                    node,
+                    f"{dotted}() blocks until a child exits — poll "
+                    "os.waitpid(pid, os.WNOHANG) under a deadline instead",
+                )
+            elif dotted in _SUBPROCESS_CALLS:
                 yield self.finding(
                     ctx,
                     node,

@@ -20,6 +20,9 @@ counted across processes in ``state_dir`` via single-byte ``O_APPEND``
 writes — one file per cell, its size *is* the attempt count — so the
 same counters double as execution-count evidence for kill-and-resume
 tests (a journal-recovered cell's counter must not grow on resume).
+Each process that runs a cell also leaves an empty ``pid-<pid>`` file
+there (:func:`worker_pids`), so a test can watch the workers of a
+campaign it killed.
 """
 
 from __future__ import annotations
@@ -72,6 +75,15 @@ def attempt_count(state_dir: str, x: int, behavior: str) -> int:
         return 0
 
 
+def worker_pids(state_dir: str) -> List[int]:
+    """The pids of every process that ran a cell with this ``state_dir``."""
+    try:
+        names = os.listdir(state_dir)
+    except OSError:
+        return []
+    return sorted(int(name[4:]) for name in names if name.startswith("pid-"))
+
+
 def _record_attempt(config: FaultyConfig) -> int:
     """Bump this cell's attempt counter; returns the 1-based attempt.
 
@@ -83,6 +95,7 @@ def _record_attempt(config: FaultyConfig) -> int:
     if not config.state_dir:
         return 1
     os.makedirs(config.state_dir, exist_ok=True)
+    open(os.path.join(config.state_dir, f"pid-{os.getpid()}"), "a").close()
     path = counter_path(config.state_dir, config.x, config.behavior)
     fd = os.open(path, os.O_APPEND | os.O_CREAT | os.O_WRONLY)
     try:

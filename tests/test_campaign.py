@@ -30,6 +30,7 @@ from repro.campaign import (
     CampaignManifest,
     Executor,
     LimitsPolicy,
+    LocalPoolExecutor,
     RetryPolicy,
     WorkerEvent,
     load_manifest,
@@ -38,10 +39,11 @@ from repro.campaign import (
 )
 from repro.campaign import journal as journal_mod
 from repro.campaign import orchestrator as orchestrator_mod
+from repro.campaign import worker as worker_mod
 from repro.campaign.manifest import shard_of
 from repro.campaign.progress import ProgressTracker
 from repro.campaign.worker import _execute
-from repro.scenarios.faulty import attempt_count
+from repro.scenarios.faulty import attempt_count, worker_pids
 
 
 def _manifest_doc(tmp_path, grid, base=None, **extra):
@@ -69,6 +71,13 @@ def _run(tmp_path, grid, base=None, **extra):
     manifest = manifest_from_dict(_manifest_doc(tmp_path, grid, base, **extra))
     report = run_campaign(manifest, quiet=True)
     return manifest, report
+
+
+def _spawn_env():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
 
 
 def _load_cells(path):
@@ -501,9 +510,12 @@ class TestJournalOnlyPersistence:
             "provenance": {},
         }
         assert 9_000 < len(json.dumps(result)) < 12_000
+        # One worker: the fake pool always finishes its lowest busy
+        # worker, so a second one would hold its first cell until the
+        # 10 s cell timeout fired on a slow box (a retry, executed + 1).
         doc = _manifest_doc(
             tmp_path, {"x": list(range(cells))}, shards=shards,
-            out=str(tmp_path / f"grid{cells}.json"),
+            out=str(tmp_path / f"grid{cells}.json"), workers=1,
         )
         campaign = Campaign(
             manifest_from_dict(doc), quiet=True,
@@ -602,12 +614,6 @@ class TestJournalOnlyPersistence:
 
 
 class TestKillAndResume:
-    def _spawn_env(self):
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        return env
-
     def _journaled_ok(self, journal_path):
         return sum(
             1
@@ -624,7 +630,7 @@ class TestKillAndResume:
         journal_path = journal_mod.journal_path(doc["out"])
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "campaign", str(path), "--quiet"],
-            env=self._spawn_env(),
+            env=_spawn_env(),
         )
         deadline = time.monotonic() + 60
         while time.monotonic() < deadline:
@@ -660,7 +666,7 @@ class TestKillAndResume:
         journal_path = journal_mod.journal_path(doc["out"])
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "campaign", str(path), "--quiet"],
-            env=self._spawn_env(),
+            env=_spawn_env(),
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             text=True,
@@ -677,3 +683,181 @@ class TestKillAndResume:
         assert os.path.exists(journal_path)  # progress survived the drain
         report = run_campaign(manifest_from_dict(doc), quiet=True)
         assert report.complete and report.total_cells == 8
+
+
+def _alive(pid):
+    """Whether ``pid`` still runs (a zombie awaiting its reaper does not)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return True  # no /proc: signal 0 reached it
+
+
+def _wait_events(executor, kind, count, timeout_s=30.0):
+    seen = []
+    deadline = time.monotonic() + timeout_s
+    while len(seen) < count and time.monotonic() < deadline:
+        seen += [e for e in executor.events(0.1) if e.kind == kind]
+    assert len(seen) == count, f"saw {len(seen)} of {count} {kind!r} events"
+    return seen
+
+
+def _run_on_every_worker(executor, state_dir):
+    """One instant faulty cell per idle worker; returns the workers' pids."""
+    for task_id, _worker in enumerate(executor.idle_worker_ids(), 1):
+        task = {
+            "op": "run", "id": task_id, "scenario": "faulty",
+            "overrides": {"x": task_id, "state_dir": state_dir}, "modules": [],
+        }
+        assert executor.submit(task) is not None
+    results = _wait_events(executor, "result", task_id)
+    assert all(event.payload["ok"] for event in results)
+    return worker_pids(state_dir)
+
+
+class TestForkedWorkers:
+    """What a worker forked from the orchestrator keeps, drops and how it
+    leaves (docs/INVARIANTS.md#forked-workers)."""
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="reads /proc/<pid>/fd (Linux)"
+    )
+    def test_a_live_worker_holds_only_its_three_pipes(self, tmp_path):
+        executor = LocalPoolExecutor(grace_s=5.0)
+        try:
+            executor.ensure_workers(2)
+            # the second worker was forked while the first one's pipes,
+            # the selector and pytest's own files were open here
+            pids = _run_on_every_worker(executor, str(tmp_path / "state"))
+            assert len(pids) == 2
+            for pid in pids:
+                assert sorted(map(int, os.listdir(f"/proc/{pid}/fd"))) == [0, 1, 2]
+        finally:
+            executor.shutdown()
+
+    def test_workers_exit_when_the_orchestrator_is_killed(self, tmp_path):
+        doc = _manifest_doc(
+            tmp_path, {"x": list(range(1, 17))}, base={"work_s": 0.3},
+        )
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        state = str(tmp_path / "state")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "campaign", str(path), "--quiet"],
+            env=_spawn_env(),
+        )
+        pids = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(pids) < 2 and time.monotonic() < deadline:
+                time.sleep(0.05)
+                pids = worker_pids(state)
+            assert len(pids) == 2, "the campaign never ran cells on 2 workers"
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=30)
+            # EOF on stdin ends an idle worker; a busy one finishes its
+            # cell, fails to reply into the closed pipe and exits
+            deadline = time.monotonic() + 5
+            while any(map(_alive, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert [pid for pid in pids if _alive(pid)] == []
+        finally:
+            for pid in [proc.pid] + pids:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            proc.wait(timeout=30)
+
+    def test_a_worker_takes_sigint_as_keyboardinterrupt(self, tmp_path):
+        # the orchestrator forks while its draining SIGINT handler is set
+        previous = signal.signal(signal.SIGINT, lambda _signum, _frame: None)
+        executor = LocalPoolExecutor(grace_s=5.0)
+        try:
+            executor.ensure_workers(1)
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        try:
+            (pid,) = _run_on_every_worker(executor, str(tmp_path / "state"))
+            os.kill(pid, signal.SIGINT)
+            (event,) = _wait_events(executor, "exit", 1)
+        finally:
+            executor.shutdown()
+        assert event.returncode == 1
+        assert "KeyboardInterrupt" in event.stderr_tail
+
+    def test_a_worker_leaves_without_the_orchestrators_exit_path(self, tmp_path):
+        doc = _manifest_doc(tmp_path, {"x": [1, 2, 3, 4]})
+        log = str(tmp_path / "atexit.log")
+        script = (
+            "import atexit, json, os, sys\n"
+            "from repro.campaign import manifest_from_dict, run_campaign\n"
+            f"atexit.register(lambda: open({log!r}, 'a').write('%d\\n' % os.getpid()))\n"
+            "sys.stdout.write('written before the fork\\n')\n"
+            f"doc = json.loads({json.dumps(doc)!r})\n"
+            "report = run_campaign(manifest_from_dict(doc), quiet=True)\n"
+            "print('complete' if report.complete else 'incomplete')\n"
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script],
+            env=_spawn_env(),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        # the workers held the unflushed line too, and never wrote it
+        assert out == "written before the fork\ncomplete\n"
+        with open(log) as handle:
+            assert handle.read() == f"{proc.pid}\n"  # the orchestrator's only
+
+    def test_an_exception_escaping_main_exits_1_with_its_traceback(
+        self, monkeypatch
+    ):
+        def broken_main():
+            raise RuntimeError("the worker loop broke")
+
+        monkeypatch.setattr(worker_mod, "main", broken_main)
+        executor = LocalPoolExecutor(grace_s=5.0)
+        try:
+            executor.ensure_workers(1)
+            (event,) = _wait_events(executor, "exit", 1)
+        finally:
+            executor.shutdown()
+        assert event.returncode == 1
+        assert "Traceback" in event.stderr_tail
+        assert "RuntimeError: the worker loop broke" in event.stderr_tail
+
+    def test_both_pipes_of_a_dead_worker_in_one_poll_are_one_exit(
+        self, monkeypatch
+    ):
+        # A worker's exit closes its stdout and its stderr: one poll can
+        # return both, stdout first, and the reap on stdout's end of file
+        # closes the stderr the next key names.
+        monkeypatch.setattr(worker_mod, "main", lambda: os._exit(3))
+        executor = LocalPoolExecutor(grace_s=5.0)
+        try:
+            executor.ensure_workers(1)
+            time.sleep(0.5)  # both pipes are at end of file by now
+            select = executor._selector.select
+            monkeypatch.setattr(
+                executor._selector, "select",
+                lambda timeout=None: sorted(
+                    select(timeout), key=lambda item: item[0].data[1] != "out"
+                ),
+            )
+            (event,) = _wait_events(executor, "exit", 1)
+        finally:
+            executor.shutdown()
+        assert (event.returncode, event.stderr_tail) == (3, "")
+
+    def test_the_pool_needs_fork(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        with pytest.raises(RuntimeError, match="os.fork"):
+            LocalPoolExecutor()

@@ -98,6 +98,12 @@ BAD_EXPECTATIONS = {
         ("subprocess-timeout", 11),
         ("subprocess-timeout", 12),
     ],
+    ("repro", "campaign", "bad_waitpid.py"): [
+        ("subprocess-timeout", 8),
+        ("subprocess-timeout", 9),
+        ("subprocess-timeout", 10),
+        ("subprocess-timeout", 11),
+    ],
 }
 
 GOOD_FIXTURES = [
@@ -112,6 +118,7 @@ GOOD_FIXTURES = [
     ("repro", "fluid", "good_numpy_import.py"),
     ("repro", "scenarios", "good_pool_import.py"),
     ("repro", "campaign", "good_subprocess_timeout.py"),
+    ("repro", "campaign", "good_waitpid.py"),
 ]
 
 

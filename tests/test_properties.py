@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import enum
 import json
 import random
 
@@ -12,7 +13,7 @@ from repro.analysis.stats import Distribution, percentile
 from repro.cc.homa import HomaGrantScheduler, HomaReceiver, srpt_first
 from repro.core.power import normalized_power_from_hop
 from repro.fluid.laws import GRADIENT_LAW, POWER_LAW, QUEUE_LAW
-from repro.persist import CellDocumentWriter
+from repro.persist import CellDocumentWriter, dumps_document, encode_cell
 from repro.sim.buffer import SharedBuffer
 from repro.sim.engine import Simulator
 from repro.sim.packet import HopRecord, Packet
@@ -553,3 +554,104 @@ def test_streamed_cell_document_rejects_a_header_with_cells(tmp_path):
     with pytest.raises(ValueError, match="cells"):
         CellDocumentWriter(str(path), {"seed": 1, "cells": [1]})
     assert list(tmp_path.iterdir()) == []
+
+
+# ----------------------------------------------------------------------
+# The document encoder: json.dumps(indent=1, sort_keys=True), exactly
+# ----------------------------------------------------------------------
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 7
+
+
+#: everything the C encoder writes without a comma, a quote or a bracket
+_NUMBER = (
+    st.integers() | st.floats() | st.booleans() | st.none()
+    | st.sampled_from([_Level.LOW, _Level.HIGH, float("nan"), float("inf"),
+                       float("-inf")])
+)
+_TRICKY_TEXT = st.text(max_size=8) | st.sampled_from(
+    [",", "[", '"', "\n", "a,b", "[1,2]", '{"k": 1}', "1,\n 2"]
+)
+#: flat lists longer than 100 (a cell's series), repeating a short draw
+_LONG_FLAT = st.lists(_NUMBER, min_size=1, max_size=3).map(lambda xs: xs * 101)
+_DOC = st.recursive(
+    _NUMBER | _TRICKY_TEXT | _LONG_FLAT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_TRICKY_TEXT, inner, max_size=4)
+    | st.dictionaries(
+        st.integers() | st.floats(allow_nan=False) | st.booleans() | st.none(),
+        inner,
+        max_size=3,
+    ),
+    max_leaves=16,
+)
+
+
+def _assert_encodes_like_json(doc):
+    """Same text as json's indented, key-sorted dump, at the top and at
+    a cell's depth -- or the same TypeError where json raises one."""
+    try:
+        expected = json.dumps(doc, indent=1, sort_keys=True)
+    except TypeError:
+        with pytest.raises(TypeError):
+            dumps_document(doc)
+        with pytest.raises(TypeError):
+            encode_cell(doc)
+        return
+    assert dumps_document(doc) == expected
+    assert encode_cell(doc) == "  " + expected.replace("\n", "\n  ")
+
+
+@given(_DOC)
+@settings(max_examples=200, deadline=None)
+def test_dumps_document_is_json_dumps_indent_1_sort_keys(doc):
+    _assert_encodes_like_json(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        pytest.param([], id="empty-list"),
+        pytest.param({}, id="empty-dict"),
+        pytest.param((), id="empty-tuple"),
+        pytest.param([[], {}, ()], id="empties-in-a-list"),
+        pytest.param(
+            {"series": {"t": list(range(150)), "q": [i / 7 for i in range(150)]}},
+            id="long-flat-series",
+        ),
+        pytest.param(
+            [True, False, None, _Level.HIGH, 1, 2.5, float("nan"), float("-inf")],
+            id="bool-enum-nan-in-numbers",
+        ),
+        pytest.param([[1, 2], [3.5, [float("inf")]], (4,)], id="nested-numbers"),
+        pytest.param(["a,b", "[", '"', "x\ny"], id="tricky-strings"),
+        pytest.param({1: "int", 2: [1, 2]}, id="int-keys"),
+        pytest.param({1.5: 0, -2.0: {"k": [1]}}, id="float-keys"),
+        pytest.param({True: 1, False: 0}, id="bool-keys"),
+        pytest.param({None: [1, 2]}, id="none-key"),
+        pytest.param({"outer": {3: [1, 2], 1: {"x": ()}}}, id="nested-int-keys"),
+    ],
+)
+def test_dumps_document_named_cases(doc):
+    _assert_encodes_like_json(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        pytest.param(object(), id="object"),
+        pytest.param({"a": object()}, id="object-value"),
+        pytest.param([1, 2, object()], id="object-in-numbers"),
+        pytest.param([1, "a", {b"bytes"}], id="set-in-a-list"),
+        pytest.param({"m": [[1, 2], {"x": 1j}]}, id="complex-deep"),
+        pytest.param({1: "a", "b": 2}, id="int-and-str-keys"),
+        pytest.param({"outer": {None: 1, 2: 3}}, id="none-and-int-keys"),
+        pytest.param([{2.5: 1, "k": 2}], id="float-and-str-keys"),
+    ],
+)
+def test_dumps_document_raises_typeerror_where_json_does(doc):
+    with pytest.raises(TypeError):
+        json.dumps(doc, indent=1, sort_keys=True)
+    _assert_encodes_like_json(doc)
