@@ -1,10 +1,8 @@
-"""Shared helpers for the per-figure benchmark targets.
+"""Shared helper of the figure benchmarks: emit a regenerated series.
 
-Every bench regenerates one table/figure of the paper and *emits* the
-series it produces — both to the real stdout (so it survives pytest's
-capture into ``bench_output.txt``) and to ``benchmarks/results/<name>.txt``
-for later inspection.  EXPERIMENTS.md records the paper-vs-measured
-comparison of these outputs.
+``emit`` writes ``benchmarks/results/<name>.txt`` and queues the block
+for the terminal summary (see benchmarks/conftest.py).  The claims each
+series is checked against are in ``repro.figures``.
 """
 
 from __future__ import annotations
@@ -28,47 +26,3 @@ def emit(name: str, lines: Iterable[str]) -> None:
     SESSION_EMISSIONS.append((name, text))
     with open(os.path.join(RESULTS_DIR, f"{name}.txt"), "w") as handle:
         handle.write(text + "\n")
-
-
-def grid_sweep(scenario, grid, base=None, seed=1, persist=None):
-    """Run a parameter grid through the shared scenario SweepRunner.
-
-    Runs in-process (``jobs=1``) so every cell's raw experiment result
-    stays attached (``cell.result.raw``) for the benches' assertions.
-    Pin ``seed`` in ``base`` to bypass per-cell seed derivation when a
-    bench must reproduce the experiment module's historical defaults
-    (scenarios with a ``seed`` config field would otherwise get derived
-    per-cell seeds and drift from the committed series).
-
-    ``persist`` names a results document: the sweep JSON is written to
-    ``benchmarks/results/<persist>_sweep.json`` (untracked; regenerated
-    by every bench run) so each figure's grid loads back through
-    ``repro.analysis.results.ResultSet``.
-    """
-    from repro.scenarios.sweep import run_sweep
-
-    sweep = run_sweep(scenario, grid, base=base or {}, seed=seed)
-    if persist:
-        os.makedirs(RESULTS_DIR, exist_ok=True)
-        sweep.persist(os.path.join(RESULTS_DIR, f"{persist}_sweep.json"))
-    return sweep
-
-
-def once(benchmark, fn):
-    """Run an experiment exactly once under pytest-benchmark timing.
-
-    These are simulations, not microbenchmarks: a single round keeps the
-    suite's wall-clock sane while still recording how long each figure
-    takes to regenerate.
-    """
-    return benchmark.pedantic(fn, rounds=1, iterations=1)
-
-
-def fmt_gbps(bps: float) -> str:
-    """Format a bandwidth in Gbps."""
-    return f"{bps / 1e9:6.2f}G"
-
-
-def fmt_kb(nbytes: float) -> str:
-    """Format a byte count in KB."""
-    return f"{nbytes / 1000:8.1f}KB"

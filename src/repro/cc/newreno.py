@@ -5,7 +5,8 @@ NewReno flows fill the queue to maximum (say q_max) and then react by
 reducing windows by half.  Consequently, the bottleneck queue-length
 oscillates between q_max and q_max − b·τ" — i.e. a *standing queue* that
 violates the Eq. 1 near-zero-queue equilibrium.  NewReno is implemented
-so that claim is executable (see ``benchmarks/test_motivation.py``).
+so that claim is executable (claim
+``motivation.loss-based-standing-queue`` in ``repro.figures``).
 
 Loss-based TCP is ACK-clocked, not paced: the pacing rate is pinned to
 the host line rate and only the window gates transmission.

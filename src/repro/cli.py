@@ -6,13 +6,14 @@ Usage::
     python -m repro run websearch --algorithm hpcc --set load=0.4
     python -m repro sweep websearch --algorithms powertcp,hpcc \
         --loads 0.2,0.6 --jobs 4
-    python -m repro fig4 [--algorithms powertcp,hpcc] [--fanout 10]
+    python -m repro fig fig4_top_10to1 [--algorithms powertcp,hpcc]
 
 ``run`` executes one registered scenario and prints its metrics;
 ``sweep`` expands a parameter grid across worker processes (deterministic
-per-cell seeding) and persists JSON to ``benchmarks/results/``.  The
-legacy ``figN`` subcommands are thin aliases over the same experiment
-code paths and print the exact series the paper plots.
+per-cell seeding) and persists JSON to ``benchmarks/results/``.  ``fig``
+runs one entry of the figure table (``repro.figures``) -- a committed
+series, or every series of one figure -- and prints the series' exact
+bytes; the legacy ``fig2`` ... ``fig11`` subcommands are its aliases.
 """
 
 from __future__ import annotations
@@ -23,24 +24,6 @@ import json
 import sys
 from typing import Dict, List
 
-from repro.analysis.stats import percentile
-from repro.experiments.fairness import FairnessConfig, run_fairness
-from repro.experiments.incast import IncastConfig, run_incast
-from repro.experiments.rdcn import (
-    RdcnConfig,
-    run_rdcn,
-    scaled_prebuffer_ns,
-    scaled_rdcn,
-)
-from repro.experiments.websearch import WebsearchConfig, run_websearch
-from repro.fluid.laws import GRADIENT_LAW, POWER_LAW, QUEUE_LAW
-from repro.fluid.model import FluidParams
-from repro.fluid.phase import phase_portrait
-from repro.fluid.reaction import (
-    decrease_vs_buildup_rate,
-    decrease_vs_queue_length,
-    three_case_comparison,
-)
 from repro.cc.registry import ALGORITHMS, HOMA_TRANSPORT, algorithm_names
 from repro.registry import UnknownNameError
 from repro.routing.registry import POLICIES, policy_names
@@ -53,166 +36,10 @@ from repro.scenarios.sweep import (
     shard_results_path,
 )
 from repro.topology.registry import TOPOLOGIES, topology_names
-from repro.units import GBPS, MSEC, USEC
 
-DEFAULT_ALGOS = ["powertcp", "theta-powertcp", "hpcc", "dcqcn", "timely", "homa"]
-
-
-def _algos(args) -> List[str]:
-    return args.algorithms.split(",") if args.algorithms else DEFAULT_ALGOS
-
-
-# ----------------------------------------------------------------------
-# Legacy figure aliases (same series as always)
-# ----------------------------------------------------------------------
-def cmd_fig2(args) -> None:
-    """Fig. 2: reaction curves of the control-law taxonomy."""
-    b_Bps = 100 * GBPS / 8.0
-    tau = 20e-6
-    bdp = b_Bps * tau
-    print("Fig 2a — multiplicative decrease vs queue buildup rate:")
-    series = decrease_vs_buildup_rate(
-        bandwidth_Bps=b_Bps, tau_s=tau, queue_bytes=0.5 * bdp,
-        rate_multiples=[0, 1, 2, 4, 8],
-    )
-    for name, values in series.items():
-        print(f"  {name:14s} " + " ".join(f"{v:5.2f}" for v in values))
-    print("Fig 2b — multiplicative decrease vs queue length (xBDP 0..4):")
-    series = decrease_vs_queue_length(
-        bandwidth_Bps=b_Bps, tau_s=tau,
-        queue_lengths_bytes=[f * bdp for f in (0, 1, 2, 4)],
-    )
-    for name, values in series.items():
-        print(f"  {name:14s} " + " ".join(f"{v:5.2f}" for v in values))
-    print("Fig 2c — the three cases:")
-    for case in three_case_comparison(bandwidth_Bps=b_Bps, tau_s=tau):
-        print(
-            f"  {case.label:45s} V={case.voltage:5.2f} "
-            f"I={case.current:5.2f} P={case.power:6.2f}"
-        )
-
-
-def cmd_fig3(args) -> None:
-    """Fig. 3: phase portraits of the three law classes."""
-    params = FluidParams()
-    params.beta_bytes = 0.01 * params.bdp_bytes
-    for law in (QUEUE_LAW, GRADIENT_LAW, POWER_LAW):
-        portrait = phase_portrait(law, params)
-        print(
-            f"{law.name:14s} equilibrium-spread={portrait.equilibrium_spread():6.3f} "
-            f"throughput-loss-fraction={portrait.fraction_with_loss():5.0%}"
-        )
-
-
-def cmd_fig4(args) -> None:
-    """Fig. 4: incast reaction time series summary."""
-    for algo in _algos(args):
-        r = run_incast(
-            IncastConfig(algorithm=algo, fanout=args.fanout,
-                         duration_ns=args.duration_ms * MSEC)
-        )
-        print(
-            f"{algo:>15s} peakQ={r.peak_qlen_bytes/1000:7.1f}KB "
-            f"settledQ={r.mean_late_qlen()/1000:6.1f}KB "
-            f"burst-util={r.burst_utilization():5.2f} "
-            f"done={len(r.burst_fcts_ns)}/{r.fanout}"
-        )
-
-
-def cmd_fig5(args) -> None:
-    """Fig. 5: fairness under flow churn."""
-    for algo in _algos(args):
-        r = run_fairness(FairnessConfig(algorithm=algo))
-        epochs = " ".join(f"{j:5.3f}" for j in r.epoch_jain)
-        print(f"{algo:>15s} jain-per-epoch: {epochs}")
-
-
-def cmd_fig6(args) -> None:
-    """Fig. 6: web-search FCT slowdowns at one load."""
-    for algo in _algos(args):
-        r = run_websearch(
-            WebsearchConfig(
-                algorithm=algo,
-                load=args.load,
-                duration_ns=20 * MSEC,
-                drain_ns=40 * MSEC,
-                size_scale=1 / 16,
-                max_flows=args.flows,
-            )
-        )
-        print(r.fct_summary(pct=args.pct).row())
-
-
-def cmd_fig7g(args) -> None:
-    """Fig. 7g: buffer-occupancy CDF at 80 % load."""
-    for algo in _algos(args):
-        r = run_websearch(
-            WebsearchConfig(
-                algorithm=algo, load=0.8, duration_ns=20 * MSEC,
-                drain_ns=40 * MSEC, size_scale=1 / 16, max_flows=args.flows,
-            )
-        )
-        row = " ".join(
-            f"p{p:g}={percentile(r.buffer_samples_bytes, p):8.0f}B"
-            for p in (50, 90, 99)
-        )
-        print(f"{algo:>15s} {row}")
-
-
-def cmd_fig8(args) -> None:
-    """Fig. 8: the RDCN case study."""
-    variants = [("powertcp", 0), ("hpcc", 0), ("retcp", 600 * USEC),
-                ("retcp", 1800 * USEC)]
-    for algo, paper_pre in variants:
-        params = scaled_rdcn()
-        pre = scaled_prebuffer_ns(params, paper_pre) if paper_pre else 0
-        r = run_rdcn(
-            RdcnConfig(algorithm=algo, params=params, prebuffer_ns=pre,
-                       duration_ns=4 * MSEC)
-        )
-        name = f"{algo}-{paper_pre // 1000}us" if paper_pre else algo
-        print(
-            f"{name:>15s} circuit-util={r.circuit_utilization:5.2f} "
-            f"peak-VOQ={r.peak_voq_bytes()/1000:8.1f}KB "
-            f"p99-qlat={r.tail_queuing_latency_ns/1000:7.1f}us"
-        )
-
-
-def cmd_fig9(args) -> None:
-    """Fig. 9: HOMA fairness across overcommitment levels."""
-    for oc in (1, 2, 3, 4, 5, 6):
-        r = run_fairness(FairnessConfig(algorithm="homa", homa_overcommit=oc))
-        epochs = " ".join(f"{j:5.3f}" for j in r.epoch_jain)
-        print(f"OC={oc} jain-per-epoch: {epochs}")
-
-
-def cmd_fig10(args) -> None:
-    """Figs. 10/11: HOMA incast across overcommitment levels."""
-    for oc in (1, 2, 4, 6):
-        r = run_incast(
-            IncastConfig(algorithm="homa", fanout=args.fanout,
-                         duration_ns=args.duration_ms * MSEC,
-                         cc_params={"overcommitment": oc})
-        )
-        print(
-            f"OC={oc} peakQ={r.peak_qlen_bytes/1000:7.1f}KB "
-            f"burst-util={r.burst_utilization():5.2f} "
-            f"done={len(r.burst_fcts_ns)}/{r.fanout}"
-        )
-
-
-COMMANDS = {
-    "fig2": cmd_fig2,
-    "fig3": cmd_fig3,
-    "fig4": cmd_fig4,
-    "fig5": cmd_fig5,
-    "fig6": cmd_fig6,
-    "fig7g": cmd_fig7g,
-    "fig8": cmd_fig8,
-    "fig9": cmd_fig9,
-    "fig10": cmd_fig10,
-    "fig11": cmd_fig10,
-}
+#: the legacy ``python -m repro figN`` subcommands (``fig figN`` spelled short)
+FIGURE_ALIASES = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7g", "fig8",
+                  "fig9", "fig10", "fig11")
 
 
 # ----------------------------------------------------------------------
@@ -341,6 +168,23 @@ def cmd_sweep(args) -> None:
     )
 
 
+def cmd_fig(args) -> None:
+    """Print a committed figure series, or every series of one figure."""
+    from repro.figures import select
+
+    entries = select(args.figure)
+    algorithms = args.algorithms.split(",") if args.algorithms else None
+    overrides = _parse_overrides(args.set or [])
+    for entry in entries:
+        try:
+            results = entry.run(algorithms=algorithms, overrides=overrides)
+        except ValueError as exc:  # a knob the entry has no use for
+            raise SystemExit(f"{entry.series}: {exc}")
+        if len(entries) > 1:
+            print(f"# {entry.series} ({entry.locus})")
+        sys.stdout.write(entry.text(results))
+
+
 def cmd_campaign(args) -> int:
     """Run a fault-tolerant campaign from a manifest file."""
     from repro.analysis.results import ResultSet, format_failure_report
@@ -447,8 +291,10 @@ def _requirements_summary(entry) -> str:
 
 
 def cmd_list(args) -> None:
-    """Print the scenario, CC, and topology registries and the figure
-    aliases."""
+    """Print the scenario, CC, topology and routing registries and the
+    figure table."""
+    from repro.figures import FIGURES
+
     print("scenarios (python -m repro run|sweep <name>):")
     for name in scenario_names():
         scenario = get_scenario(name)
@@ -486,9 +332,10 @@ def cmd_list(args) -> None:
         if entry.param_names:
             print(f"  {'':15s} params: {', '.join(sorted(entry.param_names))}")
     print()
-    print("figure aliases (python -m repro <figN>):")
-    for name in sorted(COMMANDS):
-        print(f"  {name:7s} {COMMANDS[name].__doc__.strip()}")
+    print("figures (python -m repro fig <series|figure>; "
+          f"{', '.join(FIGURE_ALIASES)} also as subcommands):")
+    for entry in FIGURES:
+        print(f"  {entry.figure:10s} {entry.series:31s} {entry.locus}")
 
 
 # ----------------------------------------------------------------------
@@ -501,26 +348,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    # figN aliases share the legacy flag set.
     fig_flags = argparse.ArgumentParser(add_help=False)
     fig_flags.add_argument(
         "--algorithms",
-        help="comma-separated algorithm list (default: the paper's set)",
+        help="comma-separated values for the entry's algorithm axis",
     )
-    fig_flags.add_argument("--fanout", type=int, default=10, help="incast fan-in")
-    fig_flags.add_argument("--load", type=float, default=0.6, help="network load")
-    fig_flags.add_argument("--flows", type=int, default=300, help="flow budget")
-    fig_flags.add_argument("--pct", type=float, default=99.0, help="tail percentile")
     fig_flags.add_argument(
-        "--duration-ms", type=int, default=4, help="simulated milliseconds"
+        "--set", action="append", metavar="KEY=VALUE",
+        help="base config override of a scenario-backed entry (repeatable)",
     )
-    for name in sorted(COMMANDS):
+    fig_p = sub.add_parser(
+        "fig", parents=[fig_flags],
+        help="print a committed paper-figure series (see list)",
+    )
+    fig_p.add_argument("figure", help="series name or figure id")
+    for name in FIGURE_ALIASES:
         sub.add_parser(
-            name, parents=[fig_flags],
-            help=COMMANDS[name].__doc__.strip().rstrip("."),
-        )
+            name, parents=[fig_flags], help=f"alias of: fig {name}"
+        ).set_defaults(figure=name)
 
-    sub.add_parser("list", help="list registered scenarios and figure aliases")
+    sub.add_parser("list", help="list registered scenarios and figures")
 
     from repro.lint.cli import add_lint_parser
 
@@ -671,11 +518,11 @@ def main(argv=None) -> int:
             from repro.lint.cli import cmd_lint
 
             return cmd_lint(args)
-        else:
-            COMMANDS[args.command](args)
+        else:  # fig and its figN aliases
+            cmd_fig(args)
     except UnknownNameError as exc:
-        # A misspelt scenario, algorithm, topology, routing policy or lint
-        # rule is a usage error on any subcommand: the one-line catalog,
+        # A misspelt scenario, algorithm, topology, routing policy, figure
+        # or lint rule is a usage error on any subcommand: the one-line catalog,
         # no traceback.  Never bare KeyError — that would mask real bugs.
         raise SystemExit(exc.args[0])
     return 0

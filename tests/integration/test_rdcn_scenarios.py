@@ -52,8 +52,8 @@ def test_retcp_fills_circuit_but_pays_latency(results):
     power = results[("powertcp", 0)]
     assert retcp.circuit_utilization > 0.9
     # Paper: PowerTCP improves tail queuing latency at least 5x vs reTCP;
-    # at this scale we assert the robust ordering (>= 2x) and record the
-    # measured factor in EXPERIMENTS.md.
+    # at this scale we assert the robust ordering (>= 2x), as claim
+    # fig8b.retcp-latency-vs-powertcp in repro.figures does.
     assert retcp.tail_queuing_latency_ns > 2 * power.tail_queuing_latency_ns
 
 

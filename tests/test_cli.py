@@ -1,20 +1,32 @@
-"""Tests for the figure-regeneration CLI."""
+"""Tests for the command line: figures, scenarios, sweeps, campaigns."""
+
+from pathlib import Path
 
 import pytest
 
-from repro.cli import COMMANDS, build_parser, main
+from repro.cli import FIGURE_ALIASES, build_parser, main
+
+RESULTS = Path(__file__).resolve().parent.parent / "benchmarks" / "results"
+
+
+def committed(series):
+    return (RESULTS / f"{series}.txt").read_text()
 
 
 def test_all_figures_registered():
-    for name in ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7g", "fig8",
-                 "fig9", "fig10", "fig11"):
-        assert name in COMMANDS
+    assert FIGURE_ALIASES == ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7g",
+                              "fig8", "fig9", "fig10", "fig11")
+    for name in FIGURE_ALIASES:
+        assert build_parser().parse_args([name]).figure == name
 
 
 def test_list_prints_catalog(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
     assert "fig4" in out and "fig8" in out
+    # every figure id with its series and paper locus
+    assert "fig4       fig4_top_10to1" in out and "fig. 4 top" in out
+    assert "motivation_multi_bottleneck     §3.5" in out
 
 
 def test_parser_rejects_unknown_figure():
@@ -22,24 +34,42 @@ def test_parser_rejects_unknown_figure():
         build_parser().parse_args(["fig99"])
 
 
+def test_unknown_figure_exits_with_the_catalog_line():
+    with pytest.raises(SystemExit) as figure_exit:
+        main(["fig", "fig99"])
+    with pytest.raises(SystemExit) as scenario_exit:
+        main(["run", "nosuch"])
+    figure_msg, scenario_msg = str(figure_exit.value), str(scenario_exit.value)
+    assert figure_msg.startswith("unknown figure: 'fig99' (registered: ")
+    assert scenario_msg.startswith("unknown scenario: 'nosuch' (registered: ")
+    assert "fig4_top_10to1" in figure_msg and "\n" not in figure_msg
+
+
 def test_fig2_runs(capsys):
     assert main(["fig2"]) == 0
     out = capsys.readouterr().out
-    assert "Fig 2a" in out
+    for series in ("fig2a_md_vs_buildup_rate", "fig2b_md_vs_queue_length",
+                   "fig2c_three_cases"):
+        assert committed(series) in out
     assert "rtt-gradient" in out
 
 
 def test_fig3_runs(capsys):
     assert main(["fig3"]) == 0
-    out = capsys.readouterr().out
-    assert "power" in out
+    assert capsys.readouterr().out == committed("fig3_phase_portraits")
 
 
 def test_fig4_with_algorithm_filter(capsys):
-    assert main(["fig4", "--algorithms", "powertcp", "--duration-ms", "2"]) == 0
+    assert main(["fig4", "--algorithms", "powertcp",
+                 "--set", "duration_ns=2000000"]) == 0
     out = capsys.readouterr().out
     assert "powertcp" in out
     assert "hpcc" not in out
+
+
+def test_fig_rejects_knobs_on_a_fluid_series():
+    with pytest.raises(SystemExit, match="not backed by a scenario"):
+        main(["fig", "fig3_phase_portraits", "--set", "beta=1"])
 
 
 def test_list_prints_scenarios_and_fields(capsys):

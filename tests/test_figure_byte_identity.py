@@ -8,9 +8,9 @@ simulator cell on the default (heap, unbatched) engine path — and
 compares the regenerated text against the committed bytes, so a drift
 in either stack fails in seconds instead of at the next bench run.
 
-The cells regenerate their lines locally and never call the bench
-harness's ``emit`` (which would overwrite the committed files being
-compared against).
+Each cell takes its run and its formatter from the figure table
+(``repro.figures.FIGURES``) and never calls the bench harness's ``emit``
+(which would overwrite the committed files being compared against).
 
 Every cell runs twice — once on the reference heap engine and once on
 the compiled event core — because the committed bytes are the parity
@@ -24,12 +24,8 @@ from pathlib import Path
 import pytest
 
 from compiled_support import require_compiled
-from repro.experiments.driver import FlowDriver
-from repro.fluid.reaction import decrease_vs_buildup_rate, three_case_comparison
-from repro.sim.engine import Simulator, engine_defaults
-from repro.sim.tracing import PortProbe
-from repro.topology.dumbbell import DumbbellParams, build_dumbbell
-from repro.units import GBPS, MSEC, USEC
+from repro.figures import select
+from repro.sim.engine import engine_defaults
 
 RESULTS = Path(__file__).resolve().parent.parent / "benchmarks" / "results"
 
@@ -40,82 +36,33 @@ def _engine(request):
     with engine_defaults(scheduler=request.param):
         yield
 
-# Fig. 2 constants (benchmarks/test_fig2_reaction.py).
-B_BPS = 100 * GBPS / 8.0  # bytes/s
-TAU = 20e-6
-BDP = B_BPS * TAU
-
 
 def committed(name):
     return (RESULTS / f"{name}.txt").read_text()
 
 
+def regenerated(series, **knobs):
+    (entry,) = select(series)
+    return entry.text(entry.run(**knobs))
+
+
 def test_fig2a_series_byte_identical():
-    rates = [0, 1, 2, 3, 4, 5, 6, 7, 8]
-    series = decrease_vs_buildup_rate(
-        bandwidth_Bps=B_BPS,
-        tau_s=TAU,
-        queue_bytes=0.5 * BDP,
-        rate_multiples=rates,
-    )
-    lines = ["rate(xB)  queue/delay-MD  rtt-gradient-MD"]
-    for i, rate in enumerate(rates):
-        lines.append(
-            f"{rate:8.1f}  {series['queue-length'][i]:14.2f}  "
-            f"{series['rtt-gradient'][i]:15.2f}"
-        )
-    assert "\n".join(lines) + "\n" == committed("fig2a_md_vs_buildup_rate")
+    name = "fig2a_md_vs_buildup_rate"
+    assert regenerated(name) == committed(name)
 
 
 def test_fig2c_series_byte_identical():
-    cases = three_case_comparison(bandwidth_Bps=B_BPS, tau_s=TAU)
-    lines = [f"{'case':45s} {'voltage':>8s} {'current':>8s} {'power':>8s}"]
-    for c in cases:
-        lines.append(
-            f"{c.label:45s} {c.voltage:8.2f} {c.current:8.2f} {c.power:8.2f}"
-        )
-    lines.append("")
-    lines.append("paper claim: voltage(case2)==voltage(case3); "
-                 "current(case1)==current(case3); power separates all three")
-    assert "\n".join(lines) + "\n" == committed("fig2c_three_cases")
+    name = "fig2c_three_cases"
+    assert regenerated(name) == committed(name)
 
 
 def test_motivation_standing_queue_powertcp_row_byte_identical():
-    # The PowerTCP cell of benchmarks/test_motivation.py, verbatim:
-    # a 20 ms dumbbell run through the default engine path (transport,
-    # switch, port, probes) whose formatted row must match the
-    # committed series byte-for-byte.
-    sim = Simulator()
-    net = build_dumbbell(
-        sim,
-        DumbbellParams(
-            left_hosts=2,
-            right_hosts=1,
-            host_bw_bps=10 * GBPS,
-            bottleneck_bw_bps=10 * GBPS,
-            buffer_bytes=200_000,
-        ),
-    )
-    driver = FlowDriver(net, "powertcp")
-    for src in range(2):
-        driver.start_flow(src, 2, 10 ** 10, at_ns=0)
-    probe = PortProbe(sim, net.port("bottleneck"), 20 * USEC).start()
-    driver.run(until_ns=20 * MSEC)
-    settled = probe.qlen_bytes[len(probe.qlen_bytes) // 2 :]
-    thr = probe.throughput_bps[len(probe.throughput_bps) // 2 :]
-    mean_queue = sum(settled) / len(settled)
-    max_queue = max(probe.qlen_bytes)
-    throughput = sum(thr) / len(thr)
-    drops = net.total_drops()
-
-    def fmt_kb(nbytes):
-        return f"{nbytes / 1000:8.1f}KB"
-
-    row = (
-        f"{'powertcp':>10s} {fmt_kb(mean_queue):>10s} "
-        f"{fmt_kb(max_queue):>10s} {throughput/1e9:10.2f}G "
-        f"{drops:>6d}"
-    )
+    # The table's PowerTCP cell alone: a 20 ms dumbbell run through the
+    # default engine path (transport, switch, port, probes) whose
+    # formatted series must be the committed one without the other rows.
+    lines = regenerated(
+        "motivation_standing_queue", algorithms=["powertcp"]
+    ).splitlines()
     text = committed("motivation_standing_queue").splitlines()
-    assert row in text, f"regenerated row drifted:\n{row!r}"
-    assert text.index(row) == 1  # first data row, right under the header
+    assert lines[:2] == text[:2], f"regenerated row drifted:\n{lines[1]!r}"
+    assert lines[2:] == text[5:]  # the prose under the four rows

@@ -122,12 +122,12 @@ GRANT_CELLS = [
     # the benchmark's two homa cells (the 255:1 one drops and times out)
     ("incast", dict(fanout=64, burst_bytes=60_000, duration_ns=9 * MSEC)),
     ("incast", dict(fanout=255, burst_bytes=60_000, duration_ns=9 * MSEC)),
-    # benchmarks/test_fig10_11_homa_incast.py
+    # the fig10 / fig11 entries of repro.figures
     ("incast", dict(fanout=64, burst_bytes=60_000, duration_ns=10 * MSEC,
                     cc_params={"overcommitment": 4})),
     ("incast", dict(fanout=10, burst_bytes=200_000, duration_ns=4 * MSEC,
                     cc_params={"overcommitment": 6})),
-    # benchmarks/test_fig9_homa_oc.py
+    # the fig9 entry of repro.figures
     ("fairness", dict(homa_overcommit=2)),
     ("fairness", dict(homa_overcommit=5)),
 ]
