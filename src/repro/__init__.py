@@ -14,51 +14,27 @@ Quickstart::
 See ``examples/quickstart.py`` for a complete runnable scenario.
 """
 
-from repro.units import GBPS, MSEC, SEC, USEC
-from repro.sim import Simulator
-from repro.core import PowerTcp, ThetaPowerTcp
-from repro.cc import Dcqcn, Dctcp, Hpcc, StaticWindow, Swift, Timely
-from repro.topology import (
-    DumbbellParams,
-    FatTreeParams,
-    Network,
-    RdcnParams,
-    build_dumbbell,
-    build_fattree,
-    build_rdcn,
-    build_topology,
-    get_topology,
-    topology_names,
-)
-from repro.transport import Flow, Receiver, Sender
+from repro.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Dcqcn",
-    "Dctcp",
-    "DumbbellParams",
-    "FatTreeParams",
-    "Flow",
-    "GBPS",
-    "Hpcc",
-    "MSEC",
-    "Network",
-    "PowerTcp",
-    "RdcnParams",
-    "Receiver",
-    "SEC",
-    "Sender",
-    "Simulator",
-    "StaticWindow",
-    "Swift",
-    "ThetaPowerTcp",
-    "Timely",
-    "USEC",
-    "build_dumbbell",
-    "build_fattree",
-    "build_rdcn",
-    "build_topology",
-    "get_topology",
-    "topology_names",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "repro.units": ("GBPS", "MSEC", "SEC", "USEC"),
+    "repro.sim.engine": ("Simulator",),
+    "repro.core.powertcp": ("PowerTcp",),
+    "repro.core.theta": ("ThetaPowerTcp",),
+    "repro.cc.base": ("StaticWindow",),
+    "repro.cc.dcqcn": ("Dcqcn",),
+    "repro.cc.dctcp": ("Dctcp",),
+    "repro.cc.hpcc": ("Hpcc",),
+    "repro.cc.swift": ("Swift",),
+    "repro.cc.timely": ("Timely",),
+    "repro.topology.network": ("Network",),
+    "repro.topology.registry": ("build_topology", "get_topology", "topology_names"),
+    "repro.topology.dumbbell": ("DumbbellParams", "build_dumbbell"),
+    "repro.topology.fattree": ("FatTreeParams", "build_fattree"),
+    "repro.topology.rdcn": ("RdcnParams", "build_rdcn"),
+    "repro.transport.flow": ("Flow",),
+    "repro.transport.receiver": ("Receiver",),
+    "repro.transport.sender": ("Sender",),
+})

@@ -1,30 +1,18 @@
 """Result analysis: FCT slowdowns, CDFs, percentiles, fairness."""
 
-from repro.analysis.stats import cdf_points, percentile
-from repro.analysis.fct import (
-    FctSummary,
-    LONG_FLOW_MIN_BYTES,
-    MEDIUM_FLOW_RANGE,
-    SHORT_FLOW_MAX_BYTES,
-    slowdown_by_size_bin,
-    slowdowns,
-    summarize_fct,
-)
-from repro.analysis.fairness import jain_index, throughput_shares
-from repro.analysis.results import ResultCell, ResultSet
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "FctSummary",
-    "ResultCell",
-    "ResultSet",
-    "LONG_FLOW_MIN_BYTES",
-    "MEDIUM_FLOW_RANGE",
-    "SHORT_FLOW_MAX_BYTES",
-    "cdf_points",
-    "jain_index",
-    "percentile",
-    "slowdown_by_size_bin",
-    "slowdowns",
-    "summarize_fct",
-    "throughput_shares",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "repro.analysis.stats": ("cdf_points", "percentile"),
+    "repro.analysis.fct": (
+        "FctSummary",
+        "LONG_FLOW_MIN_BYTES",
+        "MEDIUM_FLOW_RANGE",
+        "SHORT_FLOW_MAX_BYTES",
+        "slowdown_by_size_bin",
+        "slowdowns",
+        "summarize_fct",
+    ),
+    "repro.analysis.fairness": ("jain_index", "throughput_shares"),
+    "repro.analysis.results": ("ResultCell", "ResultSet"),
+})

@@ -9,48 +9,27 @@ themselves with :mod:`repro.cc.registry` (decorator registry + declarative
 harness resolves names and derives the network features to enable.
 """
 
-from repro.cc.base import (
-    AckFeedback,
-    CongestionControl,
-    MissingFeedbackError,
-    StaticWindow,
-)
-from repro.cc.cubic import Cubic
-from repro.cc.dcqcn import Dcqcn
-from repro.cc.dctcp import Dctcp
-from repro.cc.hpcc import Hpcc
-from repro.cc.newreno import NewReno
-from repro.cc.retcp import ReTcp
-from repro.cc.swift import Swift
-from repro.cc.timely import Timely
-from repro.cc.registry import (
-    AlgorithmSpec,
-    Requirements,
-    algorithm_names,
-    get_algorithm,
-    make_algorithm,
-    register,
-    register_algorithm,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "AckFeedback",
-    "AlgorithmSpec",
-    "CongestionControl",
-    "Cubic",
-    "Dcqcn",
-    "Dctcp",
-    "Hpcc",
-    "MissingFeedbackError",
-    "NewReno",
-    "ReTcp",
-    "Requirements",
-    "StaticWindow",
-    "Swift",
-    "Timely",
-    "algorithm_names",
-    "get_algorithm",
-    "make_algorithm",
-    "register",
-    "register_algorithm",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "repro.cc.base": (
+        "AckFeedback", "CongestionControl", "MissingFeedbackError", "StaticWindow",
+    ),
+    "repro.cc.cubic": ("Cubic",),
+    "repro.cc.dcqcn": ("Dcqcn",),
+    "repro.cc.dctcp": ("Dctcp",),
+    "repro.cc.hpcc": ("Hpcc",),
+    "repro.cc.newreno": ("NewReno",),
+    "repro.cc.retcp": ("ReTcp",),
+    "repro.cc.swift": ("Swift",),
+    "repro.cc.timely": ("Timely",),
+    "repro.cc.registry": (
+        "AlgorithmSpec",
+        "Requirements",
+        "algorithm_names",
+        "get_algorithm",
+        "make_algorithm",
+        "register",
+        "register_algorithm",
+    ),
+})

@@ -15,7 +15,10 @@ that scheme to function:
 * the **transport style** — window-based senders vs HOMA's
   receiver-driven grant machinery.
 
-Adding a scheme is one decorated class in one module — no registry edits::
+Adding a scheme is one decorated class in one module; a built-in also
+lists its module and spellings in :data:`BUILTIN_CATALOG` (lookups import
+only the module the catalog names), a third-party scheme registers when
+its module is imported::
 
     from repro.cc.base import CongestionControl
     from repro.cc.registry import Requirements, register
@@ -142,28 +145,29 @@ class RegisteredAlgorithm:
         return None
 
 
-#: the modules that self-register built-in algorithms (the PowerTCP
-#: family lives in repro.core; everything else under repro.cc)
-BUILTIN_MODULES = (
-    "repro.cc.base",
-    "repro.cc.cubic",
-    "repro.cc.dcqcn",
-    "repro.cc.dctcp",
-    "repro.cc.homa",
-    "repro.cc.hpcc",
-    "repro.cc.newreno",
-    "repro.cc.retcp",
-    "repro.cc.swift",
-    "repro.cc.timely",
-    "repro.core.powertcp",
-    "repro.core.theta",
-)
+#: each module that self-registers built-in algorithms -> the names and
+#: aliases it registers (the PowerTCP family lives in repro.core;
+#: everything else under repro.cc)
+BUILTIN_CATALOG = {
+    "repro.cc.base": ("static",),
+    "repro.cc.cubic": ("cubic",),
+    "repro.cc.dcqcn": ("dcqcn",),
+    "repro.cc.dctcp": ("dctcp",),
+    "repro.cc.homa": ("homa",),
+    "repro.cc.hpcc": ("hpcc",),
+    "repro.cc.newreno": ("newreno",),
+    "repro.cc.retcp": ("retcp",),
+    "repro.cc.swift": ("swift",),
+    "repro.cc.timely": ("timely",),
+    "repro.core.powertcp": ("powertcp", "powertcp-int"),
+    "repro.core.theta": ("theta-powertcp", "powertcp-delay", "theta"),
+}
 
 #: Re-registration is idempotent only for the identical class object;
 #: class-less entries (HOMA) have no identity to match, so a name
 #: collision with one is always an error.
 REGISTRY: Registry[RegisteredAlgorithm] = Registry(
-    "congestion-control algorithm", BUILTIN_MODULES, lambda entry: entry.cls
+    "congestion-control algorithm", BUILTIN_CATALOG, lambda entry: entry.cls
 )
 #: canonical name -> entry
 ALGORITHMS = REGISTRY.entries

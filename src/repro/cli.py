@@ -27,14 +27,7 @@ from typing import Dict, List
 from repro.cc.registry import ALGORITHMS, HOMA_TRANSPORT, algorithm_names
 from repro.registry import UnknownNameError
 from repro.routing.registry import POLICIES, policy_names
-from repro.scenarios import get_scenario, scenario_names
-from repro.scenarios.sweep import (
-    SweepRunner,
-    SweepSpec,
-    default_results_path,
-    parse_shard,
-    shard_results_path,
-)
+from repro.scenarios.registry import get_scenario, scenario_names
 from repro.topology.registry import TOPOLOGIES, topology_names
 
 #: the legacy ``python -m repro figN`` subcommands (``fig figN`` spelled short)
@@ -100,6 +93,14 @@ def cmd_run(args) -> None:
 
 def cmd_sweep(args) -> None:
     """Expand a parameter grid and run the cells across processes."""
+    from repro.scenarios.sweep import (
+        SweepRunner,
+        SweepSpec,
+        default_results_path,
+        parse_shard,
+        shard_results_path,
+    )
+
     grid: Dict[str, List] = {}
     if args.algorithms:
         grid["algorithm"] = args.algorithms.split(",")

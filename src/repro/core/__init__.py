@@ -7,20 +7,15 @@
   (timestamp-only) variant for legacy switches.
 """
 
-from repro.core.power import (
-    INTPowerEstimator,
-    PowerSample,
-    normalized_power_from_delay,
-    normalized_power_from_hop,
-)
-from repro.core.powertcp import PowerTcp
-from repro.core.theta import ThetaPowerTcp
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "INTPowerEstimator",
-    "PowerSample",
-    "PowerTcp",
-    "ThetaPowerTcp",
-    "normalized_power_from_delay",
-    "normalized_power_from_hop",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "repro.core.power": (
+        "INTPowerEstimator",
+        "PowerSample",
+        "normalized_power_from_delay",
+        "normalized_power_from_hop",
+    ),
+    "repro.core.powertcp": ("PowerTcp",),
+    "repro.core.theta": ("ThetaPowerTcp",),
+})

@@ -14,6 +14,8 @@ mixed-deployment and ``permutation`` fabric-stress scenarios — a uniform
 (``python -m repro sweep <scenario> ...``).
 """
 
-from repro.experiments.driver import FlowDriver
+from repro.lazy import lazy_exports
 
-__all__ = ["FlowDriver"]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "repro.experiments.driver": ("FlowDriver",),
+})

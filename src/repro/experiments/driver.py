@@ -28,16 +28,18 @@ CNP pacing, transport style) follow each flow's own spec.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Union
 
 from repro.cc.base import CongestionControl
-from repro.cc.homa import HomaGrantScheduler, HomaReceiver, HomaSender
 from repro.cc.registry import AlgorithmSpec, Requirements, make_algorithm
 from repro.topology.network import Network
 from repro.transport.flow import Flow
 from repro.transport.receiver import Receiver
 from repro.transport.sender import Sender
 from repro.units import BITS_PER_BYTE, SEC
+
+if TYPE_CHECKING:  # HOMA's transport loads only for HOMA flows
+    from repro.cc.homa import HomaGrantScheduler
 
 #: anything resolvable to a deployable spec
 AlgorithmLike = Union[str, AlgorithmSpec]
@@ -289,6 +291,8 @@ class FlowDriver:
         sender.start()
 
     def _launch_homa(self, flow: Flow, spec: AlgorithmSpec) -> None:
+        from repro.cc.homa import HomaReceiver, HomaSender
+
         if self._reorder_tolerant:
             raise ValueError(
                 f"network {self.net.name!r} routes with a packet-spraying "
@@ -325,6 +329,8 @@ class FlowDriver:
         overcommit = int(spec.params.get("overcommitment", 1))
         scheduler = self._homa_schedulers.get(host_id)
         if scheduler is None:
+            from repro.cc.homa import HomaGrantScheduler
+
             scheduler = HomaGrantScheduler(
                 self.sim,
                 self.net.host(host_id),

@@ -1005,7 +1005,7 @@ FIGURES: Tuple[Figure, ...] = (
 
 def _lookup() -> Registry:
     """Series name or figure id -> the entries it selects."""
-    registry = Registry("figure", (), lambda entries: None)
+    registry = Registry("figure", {}, lambda entries: None)
     for entry in FIGURES:
         registry.add(entry.series, (entry,))
     for group in dict.fromkeys(entry.figure for entry in FIGURES):

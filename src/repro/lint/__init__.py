@@ -22,34 +22,25 @@ suppressable per line with ``# lint: disable=<rule-id>`` and stale
 suppressions are themselves findings (``unused-suppression``).
 """
 
-from repro.lint.framework import (  # noqa: F401
-    Finding,
-    LintContext,
-    LintReport,
-    Rule,
-    default_targets,
-    run_paths,
-)
-from repro.lint.registry import (  # noqa: F401
-    RULES,
-    RegisteredRule,
-    get_rule,
-    load_builtin_rules,
-    register_rule,
-    rule_ids,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "Finding",
-    "LintContext",
-    "LintReport",
-    "Rule",
-    "RULES",
-    "RegisteredRule",
-    "default_targets",
-    "get_rule",
-    "load_builtin_rules",
-    "register_rule",
-    "rule_ids",
-    "run_paths",
-]
+#: directories linted when the CLI is given no paths (``repro lint``'s
+#: parser names them, so they live here, not in the framework).
+#: ``tests/`` is deliberately absent: the lint fixtures contain
+#: intentional violations.
+DEFAULT_TARGET_DIRS = ("src", "examples", "benchmarks")
+
+__all__, __getattr__ = lazy_exports(__name__, {
+    "repro.lint.framework": (
+        "Finding", "LintContext", "LintReport", "Rule", "default_targets",
+        "run_paths",
+    ),
+    "repro.lint.registry": (
+        "RULES",
+        "RegisteredRule",
+        "get_rule",
+        "load_builtin_rules",
+        "register_rule",
+        "rule_ids",
+    ),
+})

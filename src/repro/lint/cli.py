@@ -3,6 +3,8 @@
 Exit status: 0 on a clean tree, 1 when findings survive suppressions —
 CI runs ``python -m repro lint --json`` as a blocking job and tier-1
 runs the same battery in-process (``tests/test_lint_self.py``).
+Every ``repro`` command builds this parser, so this module imports the
+framework and the rule registry only inside the functions that run them.
 """
 
 from __future__ import annotations
@@ -10,8 +12,7 @@ from __future__ import annotations
 import json
 from typing import List
 
-from repro.lint import registry as rule_registry
-from repro.lint.framework import DEFAULT_TARGET_DIRS, run_paths
+from repro.lint import DEFAULT_TARGET_DIRS
 
 
 def add_lint_parser(sub) -> None:
@@ -44,6 +45,8 @@ def add_lint_parser(sub) -> None:
 
 
 def _catalog_lines() -> List[str]:
+    from repro.lint import registry as rule_registry
+
     lines = ["lint rules (suppress per line with '# lint: disable=<id>'):"]
     by_category = {}
     for rule_id in rule_registry.rule_ids():
@@ -64,6 +67,8 @@ def cmd_lint(args) -> int:
         for line in _catalog_lines():
             print(line)
         return 0
+    from repro.lint.framework import run_paths
+
     select = args.select.split(",") if args.select else None
     report = run_paths(args.paths or None, select=select)
     if args.json:

@@ -26,7 +26,7 @@ import tokenize
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.lint import registry as rule_registry
+from repro.lint import DEFAULT_TARGET_DIRS, registry as rule_registry
 
 
 def _repo_root() -> str:
@@ -44,10 +44,6 @@ def _repo_root() -> str:
 
 
 REPO_ROOT = _repo_root()
-
-#: directories linted when the CLI is given no paths.  ``tests/`` is
-#: deliberately absent: the lint fixtures contain intentional violations.
-DEFAULT_TARGET_DIRS = ("src", "examples", "benchmarks")
 
 
 @dataclass(frozen=True)
@@ -316,7 +312,7 @@ def lint_file(
         else:
             kept.append(f)
     if check_unused:
-        known = set(rule_registry.RULES)
+        known = set(rule_registry.rule_ids())
         for line in sorted(suppressions):
             for rule_id in suppressions[line]:
                 if (line, rule_id) in used:

@@ -5,7 +5,8 @@ class self-registers with the :func:`register_rule` class decorator,
 declaring an id (the name used in findings and in ``# lint: disable=``
 suppressions), a category, and the ``docs/INVARIANTS.md`` anchor of the
 contract it enforces.  Adding a rule is one decorated class in one
-module — no registry edits::
+module, plus its module and id in :data:`BUILTIN_RULE_CATALOG` (lookups
+import only the module the catalog names)::
 
     from repro.lint.framework import Rule
     from repro.lint.registry import register_rule
@@ -25,17 +26,25 @@ from dataclasses import dataclass
 
 from repro.registry import Registry, first_doc_line
 
-#: the modules that self-register built-in rules
-BUILTIN_RULE_MODULES = (
-    "repro.lint.rules.determinism",
-    "repro.lint.rules.pool",
-    "repro.lint.rules.hygiene",
-    "repro.lint.rules.timeint",
-    "repro.lint.rules.scheduler",
-    "repro.lint.rules.env",
-    "repro.lint.rules.robustness",
-    "repro.lint.rules.meta",
-)
+#: each module that self-registers built-in rules -> the ids it registers
+BUILTIN_RULE_CATALOG = {
+    "repro.lint.rules.determinism": (
+        "unseeded-rng", "wall-clock", "unordered-iteration",
+    ),
+    "repro.lint.rules.pool": ("feedback-retention",),
+    "repro.lint.rules.hygiene": (
+        "concrete-topology-import",
+        "unregistered-cc",
+        "compiled-core-import",
+        "module-scope-heavy-import",
+        "unregistered-routing-policy",
+    ),
+    "repro.lint.rules.timeint": ("float-ns-time",),
+    "repro.lint.rules.scheduler": ("cancel-fast-path",),
+    "repro.lint.rules.env": ("env-read",),
+    "repro.lint.rules.robustness": ("subprocess-timeout",),
+    "repro.lint.rules.meta": ("unused-suppression",),
+}
 
 #: rule id of the stale-suppression meta check (registered in
 #: :mod:`repro.lint.rules.meta`; findings produced by framework.run_paths)
@@ -64,7 +73,7 @@ class RegisteredRule:
 
 
 REGISTRY: Registry[RegisteredRule] = Registry(
-    "lint rule", BUILTIN_RULE_MODULES, lambda entry: entry.cls
+    "lint rule", BUILTIN_RULE_CATALOG, lambda entry: entry.cls
 )
 #: rule id -> entry
 RULES = REGISTRY.entries

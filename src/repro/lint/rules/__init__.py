@@ -1,4 +1,4 @@
-"""Built-in rule modules (imported lazily via registry.load_builtin_rules).
+"""Built-in rule modules (imported lazily through registry.BUILTIN_RULE_CATALOG).
 
 One module per invariant family:
 

@@ -246,10 +246,10 @@ def _heavy_import(module: str):
 class ModuleScopeHeavyImportRule(Rule):
     """No module-scope import of numpy / a process pool in the package.
 
-    ``repro.cli`` imports most of the package, so a module-scope import
-    of anything on the deny-list (``numpy``, ``concurrent.futures``,
-    ``multiprocessing``) is paid by every cold ``run`` / ``sweep`` /
-    ``campaign`` process and every campaign worker, although only the
+    A module-scope import of anything on the deny-list (``numpy``,
+    ``concurrent.futures``, ``multiprocessing``) is paid by every cold
+    ``run`` / ``sweep`` / ``campaign`` process that loads the module and
+    every campaign worker, although only the
     fluid grid paths use numpy and only ``sweep --jobs N`` builds a
     pool.  Import it inside the function that needs it.  Class bodies
     and module-level ``try:`` blocks run at import and count.

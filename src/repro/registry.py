@@ -12,13 +12,17 @@ contract they share (docs/INVARIANTS.md#registry-only-resolution):
 * **validate before mutate** — a rejected registration leaves the entry
   table and the alias map untouched;
 * **unknown names** — :class:`UnknownNameError`, a ``KeyError`` whose
-  message carries the sorted catalog.
+  message carries the sorted catalog;
+* **catalog** — each built-in module is named with the spellings it
+  registers, so a lookup imports only the module that owns its name
+  (docs/INVARIANTS.md#import-cost).
 """
 
 from __future__ import annotations
 
 import importlib
 import inspect
+import sys
 from typing import (
     Callable,
     Dict,
@@ -26,6 +30,7 @@ from typing import (
     Generic,
     Iterable,
     List,
+    Mapping,
     Optional,
     Tuple,
     TypeVar,
@@ -59,7 +64,9 @@ def first_doc_line(obj) -> str:
 def class_params(cls: type) -> FrozenSet[str]:
     """Constructor parameters accepted anywhere in the class's MRO."""
     names = set()
-    for klass in cls.__mro__:
+    # object, always last, is skipped: its __init__ takes only *args and
+    # **kwargs, which never count, and inspect parses its text signature.
+    for klass in cls.__mro__[:-1]:
         init = klass.__dict__.get("__init__")
         if init is None:
             continue
@@ -78,21 +85,28 @@ class Registry(Generic[Entry]):
     """Canonical name -> entry, plus normalised aliases.
 
     ``kind`` labels error messages ("topology", "routing policy");
-    ``builtin_modules`` self-register the built-in entries when imported;
-    ``identity(entry)`` is the object (class, builder) whose
-    re-registration under the same name is an idempotent re-import —
-    returning ``None`` means the entry has no such identity, so any
-    collision with it is an error.
+    ``catalog`` maps each built-in module to the names and aliases it
+    registers when imported; ``identity(entry)`` is the object (class,
+    builder) whose re-registration under the same name is an idempotent
+    re-import — returning ``None`` means the entry has no such identity,
+    so any collision with it is an error.
     """
 
     def __init__(
         self,
         kind: str,
-        builtin_modules: Tuple[str, ...],
+        catalog: Mapping[str, Tuple[str, ...]],
         identity: Callable[[Entry], Optional[object]],
     ):
         self.kind = kind
-        self.builtin_modules = builtin_modules
+        #: built-in module -> the spellings (names and aliases) it registers
+        self.catalog = dict(catalog)
+        #: normalised catalog spelling -> the built-in module owning it
+        self._owners = {
+            normalize(spelling): module
+            for module, spellings in self.catalog.items()
+            for spelling in spellings
+        }
         self._identity = identity
         #: canonical name -> entry
         self.entries: Dict[str, Entry] = {}
@@ -101,6 +115,13 @@ class Registry(Generic[Entry]):
 
     def add(self, name: str, entry: Entry, aliases: Iterable[str] = ()) -> Entry:
         """Index ``entry`` under ``name`` and ``aliases``; returns it."""
+        spellings = (name, *aliases)
+        # A built-in owning one of these spellings registers first, so a
+        # collision with it is caught whether or not it was imported yet.
+        for spelling in spellings:
+            module = self._owners.get(normalize(spelling))
+            if module is not None and module not in sys.modules:
+                importlib.import_module(module)
         # Validate everything before mutating, so a rejected registration
         # leaves the registry untouched.
         existing = self.entries.get(name)
@@ -108,7 +129,6 @@ class Registry(Generic[Entry]):
             same = self._identity(existing)
             if same is None or same is not self._identity(entry):
                 raise ValueError(f"{self.kind} name {name!r} already registered")
-        spellings = (name, *aliases)
         for spelling in spellings:
             owner = self.aliases.get(normalize(spelling))
             if owner is not None and owner != name:
@@ -122,13 +142,25 @@ class Registry(Generic[Entry]):
 
     def load_builtins(self) -> None:
         """Import every built-in module (idempotent)."""
-        for module in self.builtin_modules:
+        for module in self.catalog:
             importlib.import_module(module)
 
     def get(self, name: str) -> Entry:
-        """Look up an entry by name or alias; KeyError with the catalog."""
-        self.load_builtins()
-        canonical = self.aliases.get(normalize(name))
+        """Look up an entry by name or alias; KeyError with the catalog.
+
+        A registered spelling is a dict hit; a built-in one not imported
+        yet imports its catalog module alone; only a spelling the catalog
+        does not know imports every built-in before giving up.
+        """
+        key = normalize(name)
+        canonical = self.aliases.get(key)
+        if canonical is None:
+            module = self._owners.get(key)
+            if module is not None:
+                importlib.import_module(module)
+            else:
+                self.load_builtins()
+            canonical = self.aliases.get(key)
         if canonical is None:
             raise UnknownNameError(
                 f"unknown {self.kind}: {name!r} "

@@ -12,8 +12,8 @@ therefore declare ``reordering_tolerant_receiver=True``, which
 out-of-order accumulation at the receiver and a raised duplicate-ACK
 threshold at the sender (see docs/INVARIANTS.md#path-stability).
 
-Adding a policy is one decorated class in one module — no registry
-edits::
+Adding a policy is one decorated class in one module; a built-in also
+lists its module and spellings in :data:`BUILTIN_CATALOG`::
 
     from repro.routing.base import RoutingPolicy
     from repro.routing.registry import Requirements, register_policy
@@ -91,16 +91,17 @@ class RegisteredPolicy:
         REGISTRY.validate_params(self.name, self.param_names, params)
 
 
-#: the modules that self-register built-in policies
-BUILTIN_MODULES = (
-    "repro.routing.ecmp",
-    "repro.routing.wrr",
-    "repro.routing.leastloaded",
-    "repro.routing.spray",
-)
+#: each module that self-registers a built-in policy -> the names and
+#: aliases it registers
+BUILTIN_CATALOG = {
+    "repro.routing.ecmp": ("ecmp", "ecmp-hash", "hash"),
+    "repro.routing.wrr": ("wrr", "weighted-rr", "weighted-round-robin"),
+    "repro.routing.leastloaded": ("least-loaded", "least-connections", "wlc"),
+    "repro.routing.spray": ("spray", "packet-spray", "per-packet"),
+}
 
 REGISTRY: Registry[RegisteredPolicy] = Registry(
-    "routing policy", BUILTIN_MODULES, lambda entry: entry.cls
+    "routing policy", BUILTIN_CATALOG, lambda entry: entry.cls
 )
 #: canonical name -> entry
 POLICIES = REGISTRY.entries

@@ -16,33 +16,18 @@ See :mod:`repro.scenarios.base` for the Scenario protocol and
 :mod:`repro.scenarios.sweep` for the grid/seeding semantics.
 """
 
-from repro.scenarios.base import Scenario, ScenarioResult
-from repro.scenarios.registry import (
-    SCENARIOS,
-    get_scenario,
-    load_builtin_scenarios,
-    register,
-    scenario_names,
-)
-from repro.scenarios.sweep import (
-    SweepCell,
-    SweepResult,
-    SweepRunner,
-    SweepSpec,
-    run_sweep,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "SCENARIOS",
-    "Scenario",
-    "ScenarioResult",
-    "SweepCell",
-    "SweepResult",
-    "SweepRunner",
-    "SweepSpec",
-    "get_scenario",
-    "load_builtin_scenarios",
-    "register",
-    "run_sweep",
-    "scenario_names",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "repro.scenarios.base": ("Scenario", "ScenarioResult"),
+    "repro.scenarios.registry": (
+        "SCENARIOS",
+        "get_scenario",
+        "load_builtin_scenarios",
+        "register",
+        "scenario_names",
+    ),
+    "repro.scenarios.sweep": (
+        "SweepCell", "SweepResult", "SweepRunner", "SweepSpec", "run_sweep",
+    ),
+})

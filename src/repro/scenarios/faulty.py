@@ -1,7 +1,7 @@
 """A fault-injection scenario for exercising orchestration failure paths.
 
-Registered as ``faulty`` — but deliberately *not* in
-``BUILTIN_MODULES``: it only exists once this module is imported, which
+Registered as ``faulty`` — but deliberately *not* in the scenario
+``BUILTIN_CATALOG``: it only exists once this module is imported, which
 campaign manifests do via their ``modules`` list (and tests do
 directly).  Each cell misbehaves according to its config:
 

@@ -17,20 +17,21 @@ from typing import Type
 from repro.registry import Registry
 from repro.scenarios.base import Scenario
 
-#: the experiment modules that self-register built-in scenarios
-BUILTIN_MODULES = (
-    "repro.experiments.websearch",
-    "repro.experiments.incast",
-    "repro.experiments.fairness",
-    "repro.experiments.rdcn",
-    "repro.experiments.bursty",
-    "repro.experiments.coexistence",
-    "repro.experiments.permutation",
-    "repro.experiments.multibottleneck",
-    "repro.experiments.lbmatrix",
-)
+#: each experiment module that self-registers a built-in scenario -> the
+#: name it registers
+BUILTIN_CATALOG = {
+    "repro.experiments.websearch": ("websearch",),
+    "repro.experiments.incast": ("incast",),
+    "repro.experiments.fairness": ("fairness",),
+    "repro.experiments.rdcn": ("rdcn",),
+    "repro.experiments.bursty": ("bursty",),
+    "repro.experiments.coexistence": ("coexistence",),
+    "repro.experiments.permutation": ("permutation",),
+    "repro.experiments.multibottleneck": ("multi_bottleneck",),
+    "repro.experiments.lbmatrix": ("lb_matrix",),
+}
 
-REGISTRY: Registry[Scenario] = Registry("scenario", BUILTIN_MODULES, type)
+REGISTRY: Registry[Scenario] = Registry("scenario", BUILTIN_CATALOG, type)
 #: name -> singleton scenario instance
 SCENARIOS = REGISTRY.entries
 load_builtin_scenarios = REGISTRY.load_builtins

@@ -18,34 +18,20 @@ The built-ins:
   optical circuit switch plus a 25 Gbps packet network.
 """
 
-from repro.topology.network import Network
-from repro.topology.registry import (
-    RegisteredTopology,
-    build_topology,
-    get_topology,
-    make_topology_params,
-    register_topology,
-    topology_names,
-)
-from repro.topology.dumbbell import DumbbellParams, build_dumbbell
-from repro.topology.fattree import FatTreeParams, build_fattree
-from repro.topology.parkinglot import ParkingLotParams, build_parking_lot
-from repro.topology.rdcn import RdcnParams, build_rdcn
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "DumbbellParams",
-    "FatTreeParams",
-    "Network",
-    "ParkingLotParams",
-    "RdcnParams",
-    "RegisteredTopology",
-    "build_dumbbell",
-    "build_fattree",
-    "build_parking_lot",
-    "build_rdcn",
-    "build_topology",
-    "get_topology",
-    "make_topology_params",
-    "register_topology",
-    "topology_names",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "repro.topology.network": ("Network",),
+    "repro.topology.registry": (
+        "RegisteredTopology",
+        "build_topology",
+        "get_topology",
+        "make_topology_params",
+        "register_topology",
+        "topology_names",
+    ),
+    "repro.topology.dumbbell": ("DumbbellParams", "build_dumbbell"),
+    "repro.topology.fattree": ("FatTreeParams", "build_fattree"),
+    "repro.topology.parkinglot": ("ParkingLotParams", "build_parking_lot"),
+    "repro.topology.rdcn": ("RdcnParams", "build_rdcn"),
+})

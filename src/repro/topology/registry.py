@@ -31,13 +31,14 @@ from typing import Any, Callable, Iterable, List, Tuple
 
 from repro.registry import Registry, first_doc_line
 
-#: the modules that self-register built-in topology builders
-BUILTIN_MODULES = (
-    "repro.topology.dumbbell",
-    "repro.topology.fattree",
-    "repro.topology.parkinglot",
-    "repro.topology.rdcn",
-)
+#: each module that self-registers a built-in builder -> the names and
+#: aliases it registers
+BUILTIN_CATALOG = {
+    "repro.topology.dumbbell": ("dumbbell",),
+    "repro.topology.fattree": ("fattree", "fat-tree"),
+    "repro.topology.parkinglot": ("parkinglot", "parking-lot"),
+    "repro.topology.rdcn": ("rdcn",),
+}
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,7 @@ class RegisteredTopology:
 
 
 REGISTRY: Registry[RegisteredTopology] = Registry(
-    "topology", BUILTIN_MODULES, lambda entry: entry.builder
+    "topology", BUILTIN_CATALOG, lambda entry: entry.builder
 )
 #: canonical name -> entry
 TOPOLOGIES = REGISTRY.entries

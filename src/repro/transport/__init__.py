@@ -6,8 +6,10 @@ window rewind on triple-duplicate ACK or RTO.  Congestion control is
 pluggable via :class:`repro.cc.base.CongestionControl`.
 """
 
-from repro.transport.flow import Flow
-from repro.transport.sender import Sender
-from repro.transport.receiver import Receiver
+from repro.lazy import lazy_exports
 
-__all__ = ["Flow", "Receiver", "Sender"]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "repro.transport.flow": ("Flow",),
+    "repro.transport.sender": ("Sender",),
+    "repro.transport.receiver": ("Receiver",),
+})

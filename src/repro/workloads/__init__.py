@@ -10,17 +10,11 @@
   case study (§5).
 """
 
-from repro.workloads.distributions import WEB_SEARCH, EmpiricalCdf
-from repro.workloads.arrivals import FlowRequest, poisson_flows
-from repro.workloads.incast import IncastEvent, incast_events
-from repro.workloads.permutation import pair_flows
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "EmpiricalCdf",
-    "FlowRequest",
-    "IncastEvent",
-    "WEB_SEARCH",
-    "incast_events",
-    "pair_flows",
-    "poisson_flows",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "repro.workloads.distributions": ("WEB_SEARCH", "EmpiricalCdf"),
+    "repro.workloads.arrivals": ("FlowRequest", "poisson_flows"),
+    "repro.workloads.incast": ("IncastEvent", "incast_events"),
+    "repro.workloads.permutation": ("pair_flows",),
+})

@@ -136,10 +136,10 @@ def test_register_rejects_duplicate_names_and_aliases():
     # registration under the same name must not silently overwrite.
     from repro.cc.registry import register_algorithm
 
-    homa = ALGORITHMS["homa"]
+    homa = get_algorithm("homa")
     with pytest.raises(ValueError, match="already registered"):
         register_algorithm("homa")
-    assert ALGORITHMS["homa"] is homa
+    assert get_algorithm("homa") is homa
 
 
 def test_requirements_union_merges_features():

@@ -244,8 +244,8 @@ def test_aliased_sweep_spelling_shares_cells_header_and_cache(tmp_path, capsys):
 
 
 def test_specs_canonicalise_the_scenario_name(monkeypatch):
-    from repro import cli
     from repro.campaign.manifest import manifest_from_dict
+    from repro.scenarios import sweep
     from repro.scenarios.sweep import SweepSpec, default_results_path
 
     spec = SweepSpec(scenario="Multi-Bottleneck", grid={"segments": [2]})
@@ -257,10 +257,11 @@ def test_specs_canonicalise_the_scenario_name(monkeypatch):
     assert manifest.scenario == "lb_matrix"
     assert manifest.out_path().endswith("lb_matrix_campaign.json")
 
-    # The default output file (= the incremental cache) follows suit.
+    # The default output file (= the incremental cache) follows suit
+    # (cmd_sweep imports the sweep module when it runs).
     seen = []
     monkeypatch.setattr(
-        cli, "default_results_path",
+        sweep, "default_results_path",
         lambda name: seen.append(name) or default_results_path(name),
     )
     with pytest.raises(SystemExit, match="bogus_axis"):
