@@ -18,7 +18,7 @@ from repro.experiments.rdcn import (
     scaled_prebuffer_ns,
     scaled_rdcn,
 )
-from repro.units import MSEC, USEC
+from repro.units import GBPS, MSEC, USEC
 
 HORIZON_NS = int(os.environ.get("HORIZON_NS", 4 * MSEC))
 
@@ -34,16 +34,17 @@ def main() -> None:
     print("RDCN ToR pair: 25G packet network + rotating 100G circuit")
     print()
     for algorithm, paper_prebuffer in VARIANTS:
-        params = scaled_rdcn()
         prebuffer = (
-            scaled_prebuffer_ns(params, paper_prebuffer)
+            scaled_prebuffer_ns(scaled_rdcn(), paper_prebuffer)
             if paper_prebuffer
             else 0
         )
         result = run_rdcn(
             RdcnConfig(
                 algorithm=algorithm,
-                params=params,
+                # fields laid over scaled_rdcn(), as `--set` or a
+                # campaign manifest would give them
+                topology_params={"packet_bw_bps": 25 * GBPS},
                 prebuffer_ns=prebuffer,
                 duration_ns=HORIZON_NS,
             )

@@ -2,7 +2,7 @@
 
 ``python -m repro campaign manifest.json`` drives every grid cell to
 completion across a pool of forked worker processes — retries,
-per-cell timeouts, worker respawn, straggler re-dispatch — journaling
+per-cell timeouts, worker respawn — journaling
 progress so a killed campaign resumes instead of restarting.  See
 ``docs/INVARIANTS.md`` (#journal-contract, #atomic-persistence,
 #subprocess-timeout-discipline, #forked-workers) for the contracts this

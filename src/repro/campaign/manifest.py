@@ -23,7 +23,6 @@ Schema (all keys except ``scenario`` optional)::
         "cell_timeout_s": 300, "max_attempts": 3,
         "backoff_base_s": 0.25, "backoff_factor": 2.0,
         "backoff_max_s": 30.0, "jitter_frac": 0.25,
-        "straggler_factor": 4.0, "straggler_min_s": 10.0,
         "worker_grace_s": 5.0
       }
     }
@@ -62,11 +61,6 @@ class LimitsPolicy:
     #: +/- fraction of the delay added as seeded jitter (decorrelates
     #: retry storms when many cells fail at once)
     jitter_frac: float = 0.25
-    #: a running cell is a straggler once it exceeds this multiple of the
-    #: median completed-cell duration (and straggler_min_s) — it is then
-    #: speculatively re-dispatched to an idle worker, first result wins
-    straggler_factor: float = 4.0
-    straggler_min_s: float = 10.0
     #: SIGTERM-to-SIGKILL grace when reclaiming a worker
     worker_grace_s: float = 5.0
 
@@ -81,8 +75,6 @@ class LimitsPolicy:
             raise ValueError("limits.backoff_factor must be >= 1")
         if not 0 <= self.jitter_frac < 1:
             raise ValueError("limits.jitter_frac must be in [0, 1)")
-        if self.straggler_factor < 1:
-            raise ValueError("limits.straggler_factor must be >= 1")
 
 
 @dataclass

@@ -4,8 +4,7 @@
 cache (final output + every shard file + the journal), and dispatches
 only the missing/failed cells across an :class:`Executor` worker pool —
 with per-cell wall-clock timeouts, bounded retries under exponential
-backoff with seeded jitter, worker-crash detection and respawn, and
-straggler re-dispatch (speculative duplicates, first result wins).
+backoff with seeded jitter, and worker-crash detection and respawn.
 
 Failure model, end to end:
 
@@ -45,7 +44,7 @@ import threading
 import time
 import warnings
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.analysis.results import ResultSet, failure_report, shard_files
@@ -73,7 +72,7 @@ from repro.scenarios.sweep import (
 #: terminal cell states
 _TERMINAL = ("ok", "failed", "timeout")
 
-#: event-loop poll cap: keeps timeout/straggler checks and progress
+#: event-loop poll cap: keeps timeout checks and progress
 #: output fresh without busy-waiting
 _POLL_CAP_S = 0.5
 
@@ -97,8 +96,6 @@ class CampaignCell:
     #: where the journal holds the sweep-format cell dict, once terminal
     offset: Optional[int] = None
     duration_s: Optional[float] = None
-    #: live task ids (>1 while a speculative duplicate runs)
-    live_tasks: Set[int] = field(default_factory=set)
 
     @property
     def terminal(self) -> bool:
@@ -526,7 +523,6 @@ class Campaign:
                 self._progress.cell_retried()
             cell.attempts += 1
             cell.status = "running"
-            cell.live_tasks.add(task_id)
             task_cell[task_id] = cell.index
             task_started[task_id] = now
             task_worker[task_id] = worker_id
@@ -573,9 +569,6 @@ class Campaign:
         def settle(
             event: WorkerEvent, cell: CampaignCell, started: float, now: float
         ) -> None:
-            cell.live_tasks.discard(event.task_id)
-            if cell.terminal:
-                return  # speculative loser; result already settled
             if event.kind == "result":
                 payload = event.payload or {}
                 if payload.get("ok"):
@@ -607,13 +600,6 @@ class Campaign:
             cell.duration_s = duration_s
             cell.status = "ok"
             unfinished -= 1
-            # Kill any speculative duplicate still chewing on this cell.
-            for other in sorted(cell.live_tasks):
-                worker_id = task_worker.get(other)
-                if worker_id is not None:
-                    self.executor.kill_worker(worker_id)
-                forget_task(other)
-            cell.live_tasks.clear()
             cell.offset = self._journal.append(
                 {
                     "event": "cell_ok",
@@ -628,8 +614,6 @@ class Campaign:
         ) -> None:
             """One attempt died; retry with backoff or go terminal."""
             nonlocal unfinished
-            if cell.live_tasks:
-                return  # a speculative copy is still running; let it decide
             if self.policy.should_retry(cell.attempts):
                 delay = self.policy.delay_s(cell.attempts)
                 cell.status = "pending"
@@ -665,24 +649,6 @@ class Campaign:
                     self.executor.ensure_workers(min(self.workers, unfinished))
                 refill(now)
 
-                # Straggler re-dispatch: duplicate the slowest running
-                # cell onto an idle worker once it blows the threshold.
-                if not draining and task_cell and not (
-                    ready and ready[0][0] <= now
-                ):
-                    threshold = self.policy.straggler_threshold_s(
-                        self._progress.median_duration_s()
-                    )
-                    for task_id, started in sorted(task_started.items()):
-                        if now - started < threshold:
-                            continue
-                        cell = self.cells[task_cell[task_id]]
-                        if len(cell.live_tasks) != 1:
-                            continue  # already speculated
-                        if not self.executor.idle_worker_ids():
-                            break
-                        dispatch(cell, now)
-
                 # Wait for results/exits, but wake for the next deadline.
                 wake_candidates = [_POLL_CAP_S]
                 if task_started:
@@ -713,20 +679,18 @@ class Campaign:
                         self.executor.kill_worker(worker_id)
                         self.report.workers_respawned += 1
                     forget_task(task_id)
-                    cell.live_tasks.discard(task_id)
-                    if not cell.terminal:
-                        settle_failure(
-                            cell,
-                            {
-                                "kind": "timeout",
-                                "message": (
-                                    f"cell exceeded the {timeout_s:g}s "
-                                    "wall-clock limit and was killed"
-                                ),
-                            },
-                            now,
-                            timed_out=True,
-                        )
+                    settle_failure(
+                        cell,
+                        {
+                            "kind": "timeout",
+                            "message": (
+                                f"cell exceeded the {timeout_s:g}s "
+                                "wall-clock limit and was killed"
+                            ),
+                        },
+                        now,
+                        timed_out=True,
+                    )
 
                 self._progress.set_running(len(task_cell))
                 self._progress.maybe_print()

@@ -9,7 +9,6 @@ identical campaign invocations schedule identical retry timelines.
 from __future__ import annotations
 
 import random
-from typing import Optional
 
 from repro.campaign.manifest import LimitsPolicy
 
@@ -37,15 +36,3 @@ class RetryPolicy:
             spread = self.limits.jitter_frac * delay
             delay += self._rng.uniform(-spread, spread)
         return max(0.0, delay)
-
-    def straggler_threshold_s(
-        self, median_duration_s: Optional[float]
-    ) -> float:
-        """Runtime past which a running cell may be speculatively
-        re-dispatched; infinite until a median duration exists."""
-        if median_duration_s is None:
-            return float("inf")
-        return max(
-            self.limits.straggler_min_s,
-            self.limits.straggler_factor * median_duration_s,
-        )

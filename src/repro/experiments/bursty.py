@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.analysis.fct import FctSummary, summarize_fct
 from repro.analysis.stats import percentile
 from repro.experiments.driver import FlowDriver
-from repro.experiments.websearch import scaled_fattree
+from repro.experiments.websearch import ScaledFatTreeConfig
 from repro.scenarios import registry as scenario_registry
 from repro.scenarios.base import Scenario
 from repro.sim.engine import Simulator
@@ -28,12 +28,9 @@ from repro.workloads.arrivals import poisson_flows
 from repro.workloads.distributions import WEB_SEARCH, EmpiricalCdf
 from repro.workloads.incast import incast_events
 
-if TYPE_CHECKING:  # params type only; built via the topology registry
-    from repro.topology.fattree import FatTreeParams
-
 
 @dataclass
-class BurstyConfig:
+class BurstyConfig(ScaledFatTreeConfig):
     """One cell of the Fig. 7c-f sweeps."""
 
     algorithm: str = "powertcp"
@@ -41,7 +38,8 @@ class BurstyConfig:
     request_rate_per_sec: float = 4.0
     request_size_bytes: int = 2_000_000
     fanout: int = 8
-    params: Optional[FatTreeParams] = None
+    #: fat-tree fields laid over ``scaled_fattree()``
+    topology_params: Optional[dict] = None
     duration_ns: int = 20 * MSEC
     drain_ns: int = 20 * MSEC
     seed: int = 1
@@ -95,7 +93,7 @@ class BurstyResult:
 
 def run_bursty(config: BurstyConfig) -> BurstyResult:
     """Run web-search + incast for one (rate, size) cell."""
-    params = config.params or scaled_fattree()
+    params = config.fabric()
     sim = Simulator()
     net = build_topology(sim, "fattree", params)
     driver = FlowDriver(

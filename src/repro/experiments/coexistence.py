@@ -48,7 +48,7 @@ from repro.scenarios import registry as scenario_registry
 from repro.scenarios.base import Scenario
 from repro.sim.engine import Simulator
 from repro.sim.tracing import CounterRateProbe, PortProbe
-from repro.topology.registry import get_topology
+from repro.topology.registry import get_topology, resolve_topology_params
 from repro.units import GBPS, MSEC, USEC
 
 GROUP_A = "a"
@@ -277,13 +277,14 @@ class DeploymentMixConfig:
     def resolved_topology_params(self):
         """The built params object: deploy defaults + user overrides."""
         entry = get_topology(self.topology)
-        merged = dict(_deploy_defaults(self, entry.name))
-        merged.update(self.topology_params or {})
-        return entry, entry.make_params(**merged)
+        return entry, resolve_topology_params(
+            entry.name, _deploy_defaults(self, entry.name), self.topology_params
+        )
 
 
-def _deploy_defaults(config: "DeploymentMixConfig", name: str) -> Dict:
-    """Topology sizing defaults for a deployment-mix cell.
+def _deploy_defaults(config: "DeploymentMixConfig", name: str):
+    """Topology sizing defaults for a deployment-mix cell: a dict of
+    fields, or the fat-tree / RDCN scenarios' scaled shape.
 
     Keyed by registered name; unknown (user-registered) topologies get no
     defaults and must be fully specified via ``topology_params``.
@@ -298,16 +299,13 @@ def _deploy_defaults(config: "DeploymentMixConfig", name: str) -> Dict:
             mtu_payload=config.mtu_payload,
         )
     if name == "fattree":
-        # The scaled 2:1 oversubscribed fat-tree (event-budget friendly).
-        return dict(
-            num_pods=2,
-            tors_per_pod=2,
-            aggs_per_pod=2,
-            num_cores=2,
-            hosts_per_tor=4,
-            host_bw_bps=config.host_bw_bps,
-            fabric_bw_bps=config.host_bw_bps,
-            mtu_payload=config.mtu_payload,
+        from repro.experiments.websearch import scaled_fattree
+
+        shape = scaled_fattree(
+            host_bw_bps=config.host_bw_bps, fabric_bw_bps=config.host_bw_bps
+        )
+        return resolve_topology_params(
+            name, shape, {"mtu_payload": config.mtu_payload}
         )
     if name == "parkinglot":
         return dict(
@@ -317,10 +315,10 @@ def _deploy_defaults(config: "DeploymentMixConfig", name: str) -> Dict:
             mtu_payload=config.mtu_payload,
         )
     if name == "rdcn":
-        return dict(
-            num_tors=4,
-            hosts_per_tor=4,
-            mtu_payload=config.mtu_payload,
+        from repro.experiments.rdcn import scaled_rdcn
+
+        return resolve_topology_params(
+            name, scaled_rdcn(), {"mtu_payload": config.mtu_payload}
         )
     return {}
 

@@ -20,7 +20,6 @@ Sweeping ``algorithm`` × ``routing`` × ``load`` (see
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from dataclasses import dataclass, field
 from statistics import mean, pstdev
@@ -28,11 +27,11 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.analysis.fct import FctSummary, summarize_fct
 from repro.experiments.driver import FlowDriver
-from repro.experiments.websearch import scaled_fattree
+from repro.experiments.websearch import ScaledFatTreeConfig
 from repro.scenarios import registry as scenario_registry
 from repro.scenarios.base import Scenario
 from repro.sim.engine import Simulator
-from repro.topology.registry import build_topology
+from repro.topology.registry import build_topology, resolve_topology_params
 from repro.transport.flow import Flow
 from repro.units import MSEC
 
@@ -41,7 +40,7 @@ if TYPE_CHECKING:  # params type only; built via the topology registry
 
 
 @dataclass
-class LbMatrixConfig:
+class LbMatrixConfig(ScaledFatTreeConfig):
     """One matrix cell: a CC algorithm × a routing policy × a load."""
 
     algorithm: str = "powertcp"
@@ -50,12 +49,21 @@ class LbMatrixConfig:
     #: flows per host (1.0 = one permutation pair per host).
     load: float = 1.0
     flow_bytes: int = 500_000
-    params: Optional["FatTreeParams"] = None
+    #: fat-tree fields laid over ``scaled_fattree()``; ``routing`` and
+    #: ``routing_params`` above take precedence
+    topology_params: Optional[dict] = None
     duration_ns: int = 4 * MSEC
     drain_ns: int = 16 * MSEC
     seed: int = 1
     mtu_payload: int = 1000
     cc_params: Optional[dict] = None
+
+    def fabric(self) -> "FatTreeParams":
+        """The fat-tree this cell runs on, under the cell's routing."""
+        return resolve_topology_params("fattree", super().fabric(), dict(
+            routing=self.routing,
+            routing_params=dict(self.routing_params or {}),
+        ))
 
 
 @dataclass
@@ -107,13 +115,7 @@ class LbMatrixResult:
 
 def run_lb_matrix(config: LbMatrixConfig) -> LbMatrixResult:
     """Run one cell: a seeded permutation under (algorithm, routing)."""
-    base = config.params or scaled_fattree()
-    # Never mutate the caller's params object (sweep cells share it).
-    params = dataclasses.replace(
-        base,
-        routing=config.routing,
-        routing_params=dict(config.routing_params or {}),
-    )
+    params = config.fabric()
     sim = Simulator()
     net = build_topology(sim, "fattree", params)
     driver = FlowDriver(

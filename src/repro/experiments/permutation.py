@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.analysis.fairness import jain_index
 from repro.analysis.fct import FctSummary, summarize_fct
 from repro.experiments.driver import FlowDriver
-from repro.experiments.websearch import scaled_fattree
+from repro.experiments.websearch import ScaledFatTreeConfig
 from repro.scenarios import registry as scenario_registry
 from repro.scenarios.base import Scenario
 from repro.sim.engine import Simulator
@@ -31,17 +31,15 @@ from repro.transport.flow import Flow
 from repro.units import BITS_PER_BYTE, MSEC, SEC
 from repro.workloads.permutation import permutation_pairs
 
-if TYPE_CHECKING:  # params type only; built via the topology registry
-    from repro.topology.fattree import FatTreeParams
-
 
 @dataclass
-class PermutationConfig:
+class PermutationConfig(ScaledFatTreeConfig):
     """One permutation cell: an algorithm, a message size, a seed."""
 
     algorithm: str = "powertcp"
     flow_bytes: int = 1_000_000
-    params: Optional["FatTreeParams"] = None
+    #: fat-tree fields laid over ``scaled_fattree()``
+    topology_params: Optional[dict] = None
     duration_ns: int = 4 * MSEC
     drain_ns: int = 16 * MSEC
     seed: int = 1
@@ -97,7 +95,7 @@ class PermutationResult:
 
 def run_permutation(config: PermutationConfig) -> PermutationResult:
     """Run one permutation cell: every host sends to its derangement peer."""
-    params = config.params or scaled_fattree()
+    params = config.fabric()
     sim = Simulator()
     net = build_topology(sim, "fattree", params)
     driver = FlowDriver(

@@ -14,7 +14,6 @@ network; during the pair's day a 100 Gbps circuit opens for ~10 RTTs.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional
 
@@ -25,7 +24,11 @@ from repro.scenarios.base import Scenario
 from repro.sim.circuit import CircuitSchedule
 from repro.sim.engine import Simulator
 from repro.sim.tracing import CounterRateProbe, Probe
-from repro.topology.registry import build_topology, make_topology_params
+from repro.topology.registry import (
+    build_topology,
+    make_topology_params,
+    resolve_topology_params,
+)
 from repro.units import GBPS, MSEC, USEC
 
 if TYPE_CHECKING:  # params type only; built via the topology registry
@@ -79,7 +82,9 @@ class RdcnConfig:
     """One Fig. 8 run: an algorithm plus the prebuffering policy."""
 
     algorithm: str = "powertcp"
-    params: Optional[RdcnParams] = None
+    #: RDCN fields laid over ``scaled_rdcn()``; a non-zero
+    #: ``prebuffer_ns`` below takes precedence
+    topology_params: Optional[dict] = None
     src_tor: int = 0
     dst_tor: int = 1
     flows_per_pair: int = 4
@@ -88,6 +93,20 @@ class RdcnConfig:
     mtu_payload: int = 1000
     prebuffer_ns: int = 0  # reTCP's knob; 0 for feedback-based CC
     cc_params: Optional[dict] = None
+
+    def __post_init__(self):
+        self.fabric()  # a bad topology_params key fails the config
+
+    def fabric(self) -> "RdcnParams":
+        """The RDCN this cell runs on, with the cell's prebuffer."""
+        params = resolve_topology_params(
+            "rdcn", scaled_rdcn(), self.topology_params
+        )
+        if self.prebuffer_ns:
+            params = resolve_topology_params(
+                "rdcn", params, {"prebuffer_ns": self.prebuffer_ns}
+            )
+        return params
 
 
 @dataclass
@@ -113,12 +132,7 @@ class RdcnResult:
 
 def run_rdcn(config: RdcnConfig) -> RdcnResult:
     """Run the ToR-pair scenario for one algorithm/prebuffer setting."""
-    params = config.params or scaled_rdcn()
-    if config.prebuffer_ns:
-        # Copy instead of mutating: the caller's params object may be
-        # shared across sweep cells (e.g. a grid base), and a persisted
-        # sweep must record each cell's own prebuffer.
-        params = dataclasses.replace(params, prebuffer_ns=config.prebuffer_ns)
+    params = config.fabric()
     sim = Simulator()
     net = build_topology(sim, "rdcn", params)
 

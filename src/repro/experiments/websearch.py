@@ -8,7 +8,7 @@ host pairs, offered at a target ToR-uplink load.  Reported:
 * the CDF of switch buffer occupancy (Fig. 7g at 80 % load).
 
 The scaled-down topology default is 2:1 ToR oversubscription (event-budget
-friendly); pass ``scaled_fattree(paper_oversub=True)`` for the paper's 4:1.
+friendly); ``topology_params={"hosts_per_tor": 8}`` gives the paper's 4:1.
 """
 
 from __future__ import annotations
@@ -24,7 +24,11 @@ from repro.scenarios import registry as scenario_registry
 from repro.scenarios.base import Scenario
 from repro.sim.engine import Simulator
 from repro.sim.tracing import Probe
-from repro.topology.registry import build_topology, make_topology_params
+from repro.topology.registry import (
+    build_topology,
+    make_topology_params,
+    resolve_topology_params,
+)
 from repro.transport.flow import Flow
 from repro.units import GBPS, MSEC, USEC
 from repro.workloads.arrivals import poisson_flows
@@ -69,13 +73,28 @@ def scaled_fattree(
     )
 
 
+class ScaledFatTreeConfig:
+    """Mixin for a config dataclass with a ``topology_params`` field: its
+    fat-tree is ``scaled_fattree()`` with those fields laid over it."""
+
+    def __post_init__(self):
+        self.fabric()  # a bad topology_params key fails the config
+
+    def fabric(self) -> "FatTreeParams":
+        """The fat-tree this cell runs on."""
+        return resolve_topology_params(
+            "fattree", scaled_fattree(), self.topology_params
+        )
+
+
 @dataclass
-class WebsearchConfig:
+class WebsearchConfig(ScaledFatTreeConfig):
     """One (algorithm, load) cell of the Fig. 6/7 matrix."""
 
     algorithm: str = "powertcp"
     load: float = 0.6
-    params: Optional["FatTreeParams"] = None
+    #: fat-tree fields laid over ``scaled_fattree()``
+    topology_params: Optional[dict] = None
     duration_ns: int = 20 * MSEC
     drain_ns: int = 20 * MSEC
     seed: int = 1
@@ -132,7 +151,7 @@ class WebsearchResult:
 
 def run_websearch(config: WebsearchConfig) -> WebsearchResult:
     """Run one load point of the web-search workload."""
-    params = config.params or scaled_fattree()
+    params = config.fabric()
     sim = Simulator()
     net = build_topology(sim, "fattree", params)
     driver = FlowDriver(

@@ -138,15 +138,13 @@ def _sweep(scenario, grid, base, algorithms=None, overrides=None,
 def _grid(scenario, grid, base, key="algorithm", persist=None):
     """run() over one scenario grid -> {key: raw result}.
 
-    ``key`` is an axis name or a function of the cell's params; ``base``
-    may be a function returning the dict, for configs holding mutable
-    objects that each run must build afresh.
+    ``key`` is an axis name or a function of the cell's params.
     """
     keyof = key if callable(key) else (lambda params: params[key])
 
     def run(algorithms=None, overrides=None, results_dir=None):
-        cells = _sweep(scenario, grid, base() if callable(base) else base,
-                       algorithms, overrides, results_dir, persist)
+        cells = _sweep(scenario, grid, base, algorithms, overrides,
+                       results_dir, persist)
         return {keyof(cell.params): cell.result.raw for cell in cells}
 
     return run
@@ -417,7 +415,7 @@ def _p99_buffer(results, algo):
 # Fig. 8 — the reconfigurable-DCN case study.  Prebuffer values are the
 # paper's, scaled to the shortened rotation week.  Prebuffering applies
 # only to reTCP, so each bandwidth runs two grids over ``rdcn``:
-# algorithm x params for the feedback schemes, prebuffer for reTCP.
+# algorithm for the feedback schemes, prebuffer for reTCP.
 # ----------------------------------------------------------------------
 RDCN_VARIANTS = ["powertcp", "hpcc", "retcp-600us", "retcp-1800us"]
 PAPER_PREBUFFERS = [600 * USEC, 1800 * USEC]
@@ -425,23 +423,18 @@ FIG8B_BANDWIDTHS = [25 * GBPS, 50 * GBPS]
 
 
 def _rdcn_variants(packet_bw, overrides, results_dir, persist):
-    """Both grids at one packet bandwidth -> {variant label: raw result}.
-
-    Each grid gets its own RdcnParams instance: run_rdcn writes the cell's
-    prebuffer into params, so the reTCP grid must not alias the object the
-    feedback grid persisted.
-    """
+    """Both grids at one packet bandwidth -> {variant label: raw result}."""
+    fabric = {"packet_bw_bps": packet_bw}
     feedback = _sweep(
         "rdcn", {"algorithm": ["powertcp", "hpcc"]},
-        dict(duration_ns=4 * MSEC, params=scaled_rdcn(packet_bw_bps=packet_bw)),
+        dict(duration_ns=4 * MSEC, topology_params=fabric),
         overrides=overrides, results_dir=results_dir,
         persist=f"{persist}_feedback",
     )
     retcp = _sweep(
         "rdcn", {"prebuffer_ns": [scaled_prebuffer_ns(scaled_rdcn(), p)
                                   for p in PAPER_PREBUFFERS]},
-        dict(algorithm="retcp", duration_ns=4 * MSEC,
-             params=scaled_rdcn(packet_bw_bps=packet_bw)),
+        dict(algorithm="retcp", duration_ns=4 * MSEC, topology_params=fabric),
         overrides=overrides, results_dir=results_dir, persist=f"{persist}_retcp",
     )
     results = {cell.params["algorithm"]: cell.result.raw for cell in feedback}
@@ -959,8 +952,7 @@ FIGURES: Tuple[Figure, ...] = (
                powertcp_pfc_queue=lambda r: r[("powertcp", "pfc")]["settled_q"] < 10_000)),
     Figure("ablation_update_interval_rdcn", "ablation",
            "§5: per-ACK vs once-per-RTT updates on the RDCN",
-           _update_interval("rdcn", lambda: dict(algorithm="powertcp", params=scaled_rdcn(),
-                                                 duration_ns=4 * MSEC),
+           _update_interval("rdcn", dict(algorithm="powertcp", duration_ns=4 * MSEC),
                             "ablation_update_interval_rdcn"),
            _update_interval_rdcn_format, _claims(
                "ablation-update-interval", "§5",

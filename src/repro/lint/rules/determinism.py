@@ -94,7 +94,7 @@ class WallClockRule(Rule):
     Simulation time is ``sim.now`` (integer nanoseconds).  Timing
     harnesses live in ``perf/`` and ``benchmarks/``, and the campaign
     orchestrator's job *is* wall-clock (cell timeouts, retry backoff,
-    straggler detection) — all three are exempt; anything else measuring
+    progress ETA) — all three are exempt; anything else measuring
     wall time for *provenance only* must carry a justifying
     ``# lint: disable=wall-clock``.
     """

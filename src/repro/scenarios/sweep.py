@@ -34,10 +34,6 @@ from repro.persist import CellDocumentWriter, load_json_or_none
 from repro.scenarios.base import Scenario, ScenarioResult, config_to_jsonable
 from repro.scenarios.registry import get_scenario
 
-#: terminal cell states persisted alongside results ("ok" is implicit in
-#: older files; anything else means the cell has no usable metrics and
-#: carries ``error`` provenance instead — see docs/INVARIANTS.md).
-CELL_STATES = ("ok", "failed", "timeout")
 
 def _repo_root() -> str:
     """The repository root: the nearest ancestor of this file that looks
@@ -205,22 +201,11 @@ def validate_cached_cell(
 
 @dataclass
 class SweepCell:
-    """One executed grid cell.
-
-    ``status`` is ``"ok"`` for a successfully executed cell; the
-    campaign orchestrator also persists ``"failed"``/``"timeout"`` cells
-    (``result`` empty, ``error`` carrying type/message/traceback/kind
-    provenance) so a merged output can be *complete* — every grid cell
-    present — even when some cells never produced metrics.  ``attempts``
-    counts executions including retries (1 for a first-try success).
-    """
+    """One executed grid cell."""
 
     params: Dict[str, Any]
     overrides: Dict[str, Any]
     result: ScenarioResult
-    status: str = "ok"
-    error: Optional[Dict[str, Any]] = None
-    attempts: int = 1
 
 
 @dataclass
@@ -257,29 +242,11 @@ class SweepResult:
         }
 
     def _cell_json(self, cell: SweepCell) -> Dict[str, Any]:
-        doc = {
+        return {
             "params": config_to_jsonable(cell.params),
             "overrides": config_to_jsonable(cell.overrides),
-            **(
-                cell.result.to_json_dict()
-                if cell.result is not None
-                else {
-                    "scenario": self.spec.scenario,
-                    "metrics": {},
-                    "series": {},
-                    "provenance": {},
-                }
-            ),
+            **cell.result.to_json_dict(),
         }
-        # Defaults stay implicit so documents from pre-state-aware runs
-        # (and byte-for-byte reruns of them) are unchanged on disk.
-        if cell.status != "ok":
-            doc["status"] = cell.status
-        if cell.error is not None:
-            doc["error"] = config_to_jsonable(cell.error)
-        if cell.attempts != 1:
-            doc["attempts"] = cell.attempts
-        return doc
 
     def persist(
         self, path: Optional[str] = None, *, keep_existing: bool = False

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, List, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.registry import Registry, first_doc_line
 
@@ -134,6 +134,30 @@ def register_topology(
 def make_topology_params(name: str, params: Any = None, **overrides) -> Any:
     """Instantiate one topology's params dataclass by name."""
     return get_topology(name).make_params(params, **overrides)
+
+
+def resolve_topology_params(
+    name: str, defaults: Any, overrides: Optional[dict] = None
+) -> Any:
+    """``name``'s params: ``defaults`` (a params object or a dict of its
+    fields) with the ``overrides`` dict laid over them.
+
+    This is how a scenario's ``topology_params`` reach its fabric: plain
+    data over the scenario's default shape, built by
+    :func:`make_topology_params`, so an unknown key is a ``ValueError``
+    naming the valid params.
+    """
+    if overrides is not None and not isinstance(overrides, dict):
+        raise ValueError(
+            f"topology {name!r}: topology_params must be a dict of params, "
+            f"got {type(overrides).__name__}"
+        )
+    if not isinstance(defaults, dict):
+        defaults = {
+            f.name: getattr(defaults, f.name)
+            for f in dataclasses.fields(defaults)
+        }
+    return make_topology_params(name, **{**defaults, **(overrides or {})})
 
 
 def build_topology(sim, name: str, params: Any = None, **overrides):

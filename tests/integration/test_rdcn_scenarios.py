@@ -24,7 +24,6 @@ def results():
         out[(algo, paper_pre)] = run_rdcn(
             RdcnConfig(
                 algorithm=algo,
-                params=scaled_rdcn(),
                 prebuffer_ns=pre,
                 duration_ns=4 * MSEC,
             )

@@ -60,7 +60,6 @@ def _manifest_doc(tmp_path, grid, base=None, **extra):
             "max_attempts": 3,
             "backoff_base_s": 0.01,
             "backoff_max_s": 0.05,
-            "straggler_min_s": 60.0,
         },
     }
     doc.update(extra)
@@ -185,14 +184,6 @@ class TestRetryPolicy:
         assert all(0.5 <= d <= 1.5 for d in a)
         assert len(set(a)) > 1  # it does jitter
 
-    def test_straggler_threshold(self):
-        policy = RetryPolicy(
-            LimitsPolicy(straggler_factor=4.0, straggler_min_s=10.0)
-        )
-        assert policy.straggler_threshold_s(None) == float("inf")
-        assert policy.straggler_threshold_s(1.0) == 10.0  # floor wins
-        assert policy.straggler_threshold_s(5.0) == 20.0
-
 
 # ----------------------------------------------------------------------
 # journal
@@ -287,7 +278,6 @@ class TestCampaignEndToEnd:
                 "cell_timeout_s": 1.0,
                 "max_attempts": 3,
                 "backoff_base_s": 0.01,
-                "straggler_min_s": 60.0,
             },
         )
         assert report.failed == 0
@@ -329,16 +319,10 @@ class TestCampaignEndToEnd:
         (failure,) = _load_failures(report, manifest.out_path())["failures"]
         assert failure["status"] == "timeout"
 
-    def test_durations_are_measured_and_uniform_cells_not_speculated(
-        self, tmp_path
-    ):
-        # work_s exceeds the event-loop poll cap: the straggler check only
-        # runs when the loop wakes.  A near-zero median duration would pin
-        # the threshold at straggler_min_s and duplicate the third cell.
+    def test_durations_are_measured_and_each_cell_runs_once(self, tmp_path):
         doc = _manifest_doc(
             tmp_path, {"x": [1, 2, 3]}, base={"work_s": 0.8},
-            limits={"cell_timeout_s": 10.0, "straggler_min_s": 0.05,
-                    "straggler_factor": 4.0},
+            limits={"cell_timeout_s": 10.0},
         )
         campaign = Campaign(manifest_from_dict(doc), quiet=True)
         report = campaign.run()

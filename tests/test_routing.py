@@ -14,7 +14,6 @@ Covers the contracts the routing refactor introduced:
 * the HOMA x spray incompatibility error.
 """
 
-import dataclasses
 
 import pytest
 
@@ -399,17 +398,17 @@ def test_lb_matrix_separates_policies():
 def test_lb_matrix_does_not_mutate_shared_params():
     from repro.experiments.lbmatrix import LbMatrixConfig, run_lb_matrix
 
-    base = tiny_fattree()
-    frozen = dataclasses.replace(base)
+    fabric = {"hosts_per_tor": 2}
     config = LbMatrixConfig(
         routing="spray",
-        params=base,
+        topology_params=fabric,
         flow_bytes=20_000,
         duration_ns=1 * MSEC,
         drain_ns=2 * MSEC,
     )
     run_lb_matrix(config)
-    assert base == frozen  # dataclasses.replace, never in-place mutation
+    assert fabric == {"hosts_per_tor": 2}
+    assert config.fabric() == tiny_fattree(routing="spray", routing_params={})
 
 
 # ----------------------------------------------------------------------

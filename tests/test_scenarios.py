@@ -248,26 +248,24 @@ def test_default_results_path_anchored_on_repo_root(tmp_path, monkeypatch):
 
 
 def test_rdcn_sweep_does_not_mutate_shared_base_params(tmp_path):
-    """A grid base is shallow-copied into every cell, so run_rdcn must not
-    write the cell's prebuffer into the shared RdcnParams — the persisted
-    JSON used to record the *last* cell's prebuffer for every cell."""
-    from repro.experiments.rdcn import scaled_rdcn
-
-    shared = scaled_rdcn(num_tors=2, hosts_per_tor=2)
+    """A grid base is shallow-copied into every cell: each cell's result
+    sees its own prebuffer, and the persisted overrides record the shared
+    ``topology_params`` exactly as given."""
+    shared = {"num_tors": 2, "hosts_per_tor": 2}
     sweep = run_sweep(
         "rdcn",
         grid={"prebuffer_ns": [10_000, 30_000]},
-        base=dict(params=shared, duration_ns=500_000, flows_per_pair=1),
+        base=dict(topology_params=shared, duration_ns=500_000, flows_per_pair=1),
     )
-    assert shared.prebuffer_ns == 0  # untouched
+    assert shared == {"num_tors": 2, "hosts_per_tor": 2}  # untouched
     path = sweep.persist(str(tmp_path / "rdcn_sweep.json"))
     doc = json.load(open(path))
     persisted = [
-        (c["params"]["prebuffer_ns"], c["overrides"]["params"]["prebuffer_ns"])
+        (c["params"]["prebuffer_ns"], c["overrides"]["topology_params"])
         for c in doc["cells"]
     ]
-    assert persisted == [(10_000, 0), (30_000, 0)]
-    # Each cell's *result* still saw its own prebuffer.
+    assert persisted == [(10_000, shared), (30_000, shared)]
+    # Each cell's *result* saw its own prebuffer.
     assert [c.result.raw.prebuffer_ns for c in sweep.cells] == [10_000, 30_000]
 
 
