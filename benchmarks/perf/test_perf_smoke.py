@@ -29,8 +29,8 @@ BASE_CASES = ["incast", "websearch_fct", "permutation"]
 
 def test_case_grid_is_wellformed():
     compiled = ["incast_compiled", "websearch_compiled", "permutation_compiled"]
-    assert case_names() == BASE_CASES + compiled + ["fluid_grid"]
-    for name in BASE_CASES + ["fluid_grid"]:
+    assert case_names() == BASE_CASES + compiled
+    for name in BASE_CASES:
         assert not PERF_CASES[name].engine, name
     for name in compiled:
         assert PERF_CASES[name].engine == {"scheduler": "compiled"}, name
@@ -44,11 +44,8 @@ def test_tiny_grid_runs_and_reports(tmp_path):
     assert names == case_names()
     for case in doc["cases"]:
         if "skipped" in case:
-            # fluid_grid without numpy, or *_compiled without the
-            # optional C extension — never a red grid
-            assert case["case"] == "fluid_grid" or case["case"].endswith(
-                "_compiled"
-            ), case
+            # *_compiled without the optional C extension — never a red grid
+            assert case["case"].endswith("_compiled"), case
             continue
         assert case["events_processed"] > 0
         assert case["events_per_sec"] > 0
@@ -173,18 +170,6 @@ def test_regression_warnings_fire_only_below_threshold():
     assert regression_warnings({"cases": [entry]})  # 11% below: warn
     entry["events_per_sec"] = 95_000.0
     assert not regression_warnings({"cases": [entry]})  # within 10%
-    # fluid_grid's in-run scalar reference is not a regression signal
-    assert not regression_warnings(
-        {
-            "cases": [
-                {
-                    "case": "fluid_grid",
-                    "events_per_sec": 1.0,
-                    "ref_events_per_sec": 100.0,
-                }
-            ]
-        }
-    )
 
 
 def test_unknown_case_rejected():

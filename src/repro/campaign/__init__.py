@@ -6,39 +6,23 @@ per-cell timeouts, worker respawn — journaling
 progress so a killed campaign resumes instead of restarting.  See
 ``docs/INVARIANTS.md`` (#journal-contract, #atomic-persistence,
 #subprocess-timeout-discipline, #forked-workers) for the contracts this
-package keeps.
+package keeps.  Exports resolve lazily (``repro.lazy``): ``sweep --jobs
+1`` imports the grid driver, not the worker pool or the orchestrator.
 """
 
-from repro.campaign.executor import Executor, LocalPoolExecutor, WorkerEvent
-from repro.campaign.journal import Journal, failures_path, journal_path
-from repro.campaign.manifest import (
-    CampaignManifest,
-    LimitsPolicy,
-    load_manifest,
-    manifest_from_dict,
-)
-from repro.campaign.orchestrator import (
-    Campaign,
-    CampaignError,
-    CampaignReport,
-    run_campaign,
-)
-from repro.campaign.retry import RetryPolicy
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "Campaign",
-    "CampaignError",
-    "CampaignManifest",
-    "CampaignReport",
-    "Executor",
-    "Journal",
-    "LimitsPolicy",
-    "LocalPoolExecutor",
-    "RetryPolicy",
-    "WorkerEvent",
-    "failures_path",
-    "journal_path",
-    "load_manifest",
-    "manifest_from_dict",
-    "run_campaign",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "repro.campaign.driver": (
+        "Executor", "GridDriver", "InlineExecutor", "WorkerEvent",
+    ),
+    "repro.campaign.executor": ("LocalPoolExecutor",),
+    "repro.campaign.journal": ("Journal", "failures_path", "journal_path"),
+    "repro.campaign.manifest": (
+        "CampaignManifest", "load_manifest", "manifest_from_dict",
+    ),
+    "repro.campaign.orchestrator": (
+        "Campaign", "CampaignError", "CampaignReport", "run_campaign",
+    ),
+    "repro.campaign.retry": ("LimitsPolicy", "RetryPolicy"),
+})

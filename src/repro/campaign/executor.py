@@ -1,16 +1,16 @@
-"""Pluggable cell executors; the local forked worker pool.
+"""The local forked worker pool behind ``sweep --jobs N`` and campaigns.
 
-The orchestrator speaks to an :class:`Executor` — dispatch a cell,
-collect result/exit events, reclaim a worker — and never to processes
-directly, so an ssh or k8s backend is one subclass away.  The local
-implementation fans cells across long-lived worker processes, each
-forked from the orchestrator once the manifest is expanded (so it
-starts with ``repro``, the registries and the manifest's ``modules``
-already imported) and each running :func:`repro.campaign.worker.main`
-over its own stdin/stdout/stderr pipes, multiplexed with ``selectors``;
-simulations are single-threaded pure Python, so worker processes
-parallelize cells perfectly.  What a worker inherits, resets and how it
-exits: ``docs/INVARIANTS.md#forked-workers``.
+:class:`LocalPoolExecutor` implements the grid driver's
+:class:`~repro.campaign.driver.Executor` interface (so an ssh or k8s
+backend is one more subclass) by fanning cells across long-lived worker
+processes, each forked from the driving process once the grid is
+expanded (so it starts with ``repro``, the registries and the manifest's
+``modules`` already imported) and each running
+:func:`repro.campaign.worker.main` over its own stdin/stdout/stderr
+pipes, multiplexed with ``selectors``; simulations are single-threaded
+pure Python, so worker processes parallelize cells perfectly.  What a
+worker inherits, resets and how it exits:
+``docs/INVARIANTS.md#forked-workers``.
 
 Every blocking operation in this module carries an explicit timeout
 (``docs/INVARIANTS.md#subprocess-timeout-discipline``, enforced by the
@@ -33,53 +33,11 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, NoReturn, Optional
 
 from repro.campaign import worker as worker_module
+from repro.campaign.driver import Executor, WorkerEvent
+from repro.scenarios.base import config_to_jsonable
 
 #: cap on the retained per-worker stderr tail (crash provenance)
 _STDERR_TAIL_BYTES = 4096
-
-
-@dataclass
-class WorkerEvent:
-    """One observation from the pool: a cell result or a worker death."""
-
-    kind: str  # "result" | "exit"
-    worker_id: int
-    #: the task the worker was running (None for an idle death)
-    task_id: Optional[int] = None
-    #: for "result": the worker's reply payload (ok/result/error)
-    payload: Optional[Dict[str, Any]] = None
-    #: for "exit": the process return code (None if unknowable)
-    returncode: Optional[int] = None
-    #: for "exit": the last stderr bytes, decoded (error provenance)
-    stderr_tail: str = ""
-
-
-class Executor:
-    """Interface the orchestrator drives; implement one per backend."""
-
-    def ensure_workers(self, count: int) -> int:
-        """Spawn workers until ``count`` are alive; returns live total."""
-        raise NotImplementedError
-
-    def idle_worker_ids(self) -> List[int]:
-        """Workers currently without an in-flight task."""
-        raise NotImplementedError
-
-    def submit(self, task: Dict[str, Any]) -> Optional[int]:
-        """Dispatch to an idle worker; returns its id (None if none idle)."""
-        raise NotImplementedError
-
-    def events(self, timeout_s: float) -> List[WorkerEvent]:
-        """Block up to ``timeout_s`` for results/exits (possibly empty)."""
-        raise NotImplementedError
-
-    def kill_worker(self, worker_id: int) -> Optional[int]:
-        """Forcibly reclaim a worker; returns its in-flight task id."""
-        raise NotImplementedError
-
-    def shutdown(self) -> None:
-        """Stop every worker (graceful, then forceful)."""
-        raise NotImplementedError
 
 
 class _ForkedProcess:
@@ -229,7 +187,7 @@ class LocalPoolExecutor(Executor):
         if not idle:
             return None
         worker = self._workers[idle[0]]
-        line = (json.dumps(task) + "\n").encode()
+        line = (json.dumps(config_to_jsonable(task)) + "\n").encode()
         try:
             worker.proc.stdin.write(line)
             worker.proc.stdin.flush()

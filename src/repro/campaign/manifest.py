@@ -40,41 +40,11 @@ import importlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
+from repro.campaign.retry import LimitsPolicy
 from repro.persist import load_json_or_none
 from repro.scenarios.sweep import DEFAULT_RESULTS_DIR, SweepSpec
-
-
-@dataclass
-class LimitsPolicy:
-    """Per-cell failure-handling knobs (the manifest's ``limits`` block)."""
-
-    #: wall-clock budget for one cell attempt; the worker is killed past it
-    cell_timeout_s: float = 300.0
-    #: total executions per cell (first try + retries)
-    max_attempts: int = 3
-    #: exponential backoff: base * factor**(attempt-1), capped, jittered
-    backoff_base_s: float = 0.25
-    backoff_factor: float = 2.0
-    backoff_max_s: float = 30.0
-    #: +/- fraction of the delay added as seeded jitter (decorrelates
-    #: retry storms when many cells fail at once)
-    jitter_frac: float = 0.25
-    #: SIGTERM-to-SIGKILL grace when reclaiming a worker
-    worker_grace_s: float = 5.0
-
-    def validate(self) -> None:
-        if self.cell_timeout_s <= 0:
-            raise ValueError("limits.cell_timeout_s must be > 0")
-        if self.max_attempts < 1:
-            raise ValueError("limits.max_attempts must be >= 1")
-        if self.backoff_base_s < 0 or self.backoff_max_s < 0:
-            raise ValueError("limits backoff delays must be >= 0")
-        if self.backoff_factor < 1:
-            raise ValueError("limits.backoff_factor must be >= 1")
-        if not 0 <= self.jitter_frac < 1:
-            raise ValueError("limits.jitter_frac must be in [0, 1)")
 
 
 @dataclass
@@ -170,13 +140,3 @@ def load_manifest(path: str) -> CampaignManifest:
     if doc is None:
         raise ValueError(f"cannot read campaign manifest {path!r}")
     return manifest_from_dict(doc)
-
-
-def shard_of(cell_index: int, shards: int) -> Tuple[int, int]:
-    """The 1-based ``(index, count)`` shard owning one grid position.
-
-    Matches ``sweep --shard I/N``: position ``k`` belongs to shard
-    ``k % N + 1``, so campaign shard files are interchangeable with
-    hand-run sharded sweeps.
-    """
-    return cell_index % shards + 1, shards

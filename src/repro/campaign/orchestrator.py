@@ -1,22 +1,15 @@
 """The campaign orchestrator: drive every grid cell to completion.
 
 ``Campaign.run()`` expands the manifest's grid, consults the *merged*
-cache (final output + every shard file + the journal), and dispatches
-only the missing/failed cells across an :class:`Executor` worker pool —
-with per-cell wall-clock timeouts, bounded retries under exponential
-backoff with seeded jitter, and worker-crash detection and respawn.
+cache (final output + every shard file + the journal), and hands only
+the missing/failed cells to the grid driver (:mod:`repro.campaign.driver`:
+per-cell wall-clock timeouts, bounded retries under exponential backoff
+with seeded jitter, worker-crash detection and respawn) under the
+manifest's ``limits``.  On top of the driver's failure model:
 
-Failure model, end to end:
-
-* a cell *raises*      -> the worker reports it; retry with backoff;
-* a cell *hangs*       -> the wall-clock timeout kills the worker;
-  retry; the worker is respawned;
-* a worker *dies*      -> EOF on its pipes surfaces as a crash; the cell
-  retries; the worker is respawned;
-* retries exhaust      -> the cell goes terminal as ``failed``/
-  ``timeout`` with full error provenance — it still appears in the
-  merged output, so completeness is checkable, and it re-runs on the
-  next invocation;
+* retries exhaust      -> the terminal ``failed``/``timeout`` cell
+  still appears in the merged output with full error provenance, so
+  completeness is checkable, and it re-runs on the next invocation;
 * the orchestrator dies (`kill -9`) -> the journal has every completed
   cell; re-invoking the same manifest resumes, re-running only
   missing/failed cells;
@@ -35,71 +28,39 @@ deleted — the shard files and merged document then own the results.
 
 from __future__ import annotations
 
-import heapq
-import json
 import os
 import signal
 import sys
 import threading
-import time
 import warnings
 from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set
 
 from repro.analysis.results import ResultSet, failure_report, shard_files
 from repro.campaign import journal as journal_mod
-from repro.campaign.executor import Executor, LocalPoolExecutor, WorkerEvent
-from repro.campaign.manifest import CampaignManifest, shard_of
+from repro.campaign.driver import Executor, GridCell, GridDriver, grid_cells
+from repro.campaign.executor import LocalPoolExecutor
+from repro.campaign.manifest import CampaignManifest
 from repro.campaign.progress import ProgressTracker
-from repro.campaign.retry import RetryPolicy
 from repro.persist import (
     CellDocumentWriter,
     atomic_write_json,
     encode_cell,
     load_json_or_none,
 )
-from repro.scenarios.base import config_to_jsonable
+from repro.scenarios.base import ScenarioResult, config_to_jsonable
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.sweep import (
+    cell_document,
     cell_key,
-    cell_overrides,
-    expand_cells,
+    reusable_cells,
     shard_results_path,
-    validate_cached_cell,
 )
-
-#: terminal cell states
-_TERMINAL = ("ok", "failed", "timeout")
-
-#: event-loop poll cap: keeps timeout checks and progress
-#: output fresh without busy-waiting
-_POLL_CAP_S = 0.5
 
 
 class CampaignError(RuntimeError):
     """A campaign-level invariant violation (e.g. an incomplete merge)."""
-
-
-@dataclass
-class CampaignCell:
-    """One grid cell's lifecycle state inside the orchestrator."""
-
-    index: int
-    shard: int  # 1-based
-    params: Dict[str, Any]
-    overrides: Dict[str, Any]
-    key: str
-    status: str = "pending"  # pending | running | ok | failed | timeout
-    attempts: int = 0
-    error: Optional[Dict[str, Any]] = None
-    #: where the journal holds the sweep-format cell dict, once terminal
-    offset: Optional[int] = None
-    duration_s: Optional[float] = None
-
-    @property
-    def terminal(self) -> bool:
-        return self.status in _TERMINAL
 
 
 @dataclass
@@ -125,8 +86,10 @@ class CampaignReport:
         return self.merged and self.failed == 0 and not self.interrupted
 
 
-class Campaign:
-    """One orchestrated run of a :class:`CampaignManifest`."""
+class Campaign(GridDriver):
+    """One orchestrated run of a :class:`CampaignManifest`: the grid
+    driver plus the journal, the shard documents, progress and the
+    SIGINT drain."""
 
     def __init__(
         self,
@@ -139,22 +102,23 @@ class Campaign:
         executor: Optional[Executor] = None,
         manifest_path: Optional[str] = None,
     ):
+        super().__init__(
+            manifest.scenario,
+            executor or LocalPoolExecutor(grace_s=manifest.limits.worker_grace_s),
+            workers if workers is not None else manifest.workers,
+            manifest.limits,
+            modules=manifest.modules,
+            seed=manifest.seed,
+        )
         self.manifest = manifest
-        self.workers = workers if workers is not None else manifest.workers
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         self.force = force
         self.quiet = quiet
         self.manifest_path = manifest_path
         self.out_path = out or manifest.out_path()
-        self.executor = executor or LocalPoolExecutor(
-            grace_s=manifest.limits.worker_grace_s
-        )
-        self.policy = RetryPolicy(manifest.limits, seed=manifest.seed)
         self.report = CampaignReport(out_path=self.out_path)
         self._interrupts = 0
         # runtime state (populated by run())
-        self.cells: List[CampaignCell] = []
+        self.cells: List[GridCell] = []
         self._journal: Optional[journal_mod.Journal] = None
         self._progress: Optional[ProgressTracker] = None
 
@@ -178,19 +142,7 @@ class Campaign:
     def _expand(self) -> None:
         spec = self.manifest.to_spec()
         spec.validate()
-        self.cells = []
-        for index, params in enumerate(expand_cells(spec)):
-            overrides = cell_overrides(spec, params)
-            shard, _count = shard_of(index, self.manifest.shards)
-            self.cells.append(
-                CampaignCell(
-                    index=index,
-                    shard=shard,
-                    params=params,
-                    overrides=overrides,
-                    key=cell_key(spec.scenario, overrides),
-                )
-            )
+        self.cells = grid_cells(spec, self.manifest.shards)
         self.report.total_cells = len(self.cells)
 
     def _consult_caches(self) -> None:
@@ -203,8 +155,9 @@ class Campaign:
         """
         if self.force:
             return
-        scenario = get_scenario(self.manifest.scenario)
+        scenario = get_scenario(self.scenario)
         by_key = {c.key: c for c in self.cells}
+        wanted = {key: cell.overrides for key, cell in by_key.items()}
         journaled = journal_mod.replay_offsets(self.journal_file())
         paths = [self.out_path] + [
             self.shard_path(s) for s in range(1, self.manifest.shards + 1)
@@ -213,11 +166,10 @@ class Campaign:
             doc = load_json_or_none(path, label="campaign cache")
             if doc is None:
                 continue
-            for cell_doc in doc.get("cells", []):
-                cell = self._reusable(scenario, by_key, cell_doc)
-                if cell is None:
-                    continue
-                offset = journaled.get(cell.key)
+            found, stale = reusable_cells(doc.get("cells", []), scenario, wanted)
+            self.report.stale_dropped += stale
+            for key, cell_doc in found.items():
+                offset = journaled.get(key)
                 if (
                     offset is None
                     or self._journal.read(offset).get("cell") != cell_doc
@@ -227,66 +179,35 @@ class Campaign:
                     offset = self._journal.append(
                         {"event": "cell_ok", "cell": cell_doc}, durable=False
                     )
-                self._adopt(cell, cell_doc, offset)
+                self._adopt(by_key[key], cell_doc, offset)
                 self.report.reused_cache += 1
-        for offset in journaled.values():
-            cell_doc = self._journal.read(offset)["cell"]
-            cell = self._reusable(scenario, by_key, cell_doc)
-            if cell is not None:
-                self._adopt(cell, cell_doc, offset)
-                self.report.recovered_journal += 1
-
-    def _reusable(
-        self,
-        scenario,
-        by_key: Dict[str, CampaignCell],
-        cell_doc: Dict[str, Any],
-    ) -> Optional[CampaignCell]:
-        """The still-open grid cell a persisted cell dict settles, if any."""
-        overrides = cell_doc.get("overrides")
-        if overrides is None:
-            return None
-        if cell_doc.get("status", "ok") != "ok":
-            return None  # failed/timeout cells always re-run on resume
-        cell = by_key.get(cell_key(cell_doc.get("scenario", ""), overrides))
-        if cell is None or cell.terminal:
-            return None
-        if not validate_cached_cell(
-            scenario, cell.overrides, cell_doc.get("provenance", {})
-        ):
-            self.report.stale_dropped += 1
-            return None
-        return cell
+        found, stale = reusable_cells(
+            (self._journal.read(offset)["cell"] for offset in journaled.values()),
+            scenario,
+            wanted,
+        )
+        self.report.stale_dropped += stale
+        for key, cell_doc in found.items():
+            self._adopt(by_key[key], cell_doc, journaled[key])
+            self.report.recovered_journal += 1
 
     @staticmethod
-    def _adopt(cell: CampaignCell, doc: Dict[str, Any], offset: int) -> None:
+    def _adopt(cell: GridCell, doc: Dict[str, Any], offset: int) -> None:
         cell.status = "ok"
         cell.offset = offset
         cell.attempts = doc.get("attempts", 1)
 
     # -- cell documents -------------------------------------------------
-    def _ok_doc(
-        self, cell: CampaignCell, result_json: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        doc = {
-            "params": config_to_jsonable(cell.params),
-            "overrides": config_to_jsonable(cell.overrides),
-            **result_json,
-        }
-        if cell.attempts != 1:
-            doc["attempts"] = cell.attempts
-        return doc
-
-    def _failed_doc(self, cell: CampaignCell) -> Dict[str, Any]:
+    def _failed_doc(self, cell: GridCell) -> Dict[str, Any]:
         return {
-            "params": config_to_jsonable(cell.params),
-            "overrides": config_to_jsonable(cell.overrides),
-            "scenario": self.manifest.scenario,
-            "metrics": {},
-            "series": {},
-            "provenance": {},
-            "status": cell.status,
-            "error": config_to_jsonable(cell.error or {}),
+            **cell_document(cell.params, cell.overrides, {
+                "scenario": self.scenario,
+                "metrics": {},
+                "series": {},
+                "provenance": {},
+                "status": cell.status,
+                "error": config_to_jsonable(cell.error or {}),
+            }),
             "attempts": cell.attempts,
         }
 
@@ -294,12 +215,8 @@ class Campaign:
     def _header(self, **campaign: Any) -> Dict[str, Any]:
         """A sweep-format document (one shard's, or the merged one)
         without its cells."""
-        spec = self.manifest.to_spec()
         return {
-            "scenario": spec.scenario,
-            "grid": config_to_jsonable(spec.grid),
-            "base": config_to_jsonable(spec.base),
-            "seed": spec.seed,
+            **self.manifest.to_spec().header(),
             "campaign": {"manifest_sha": self.manifest.sha(), **campaign},
         }
 
@@ -437,11 +354,10 @@ class Campaign:
             }
         )
 
-        try:
-            if remaining:
-                self._drive(remaining)
-        finally:
-            self.executor.shutdown()
+        self.drive(remaining)
+        self.report.executed = self.executed
+        self.report.retried = self.retried
+        self.report.workers_respawned = self.respawned
         self.report.ok = sum(1 for c in self.cells if c.status == "ok")
         self.report.failed = sum(
             1 for c in self.cells if c.status in ("failed", "timeout")
@@ -489,238 +405,56 @@ class Campaign:
 
         return signal.signal(signal.SIGINT, handler)
 
-    def _drive(self, remaining: List[CampaignCell]) -> None:
-        limits = self.manifest.limits
-        timeout_s = limits.cell_timeout_s
-        ready: List = []  # (ready_time, cell_index) heap
-        now = time.monotonic()
-        for cell in remaining:
-            heapq.heappush(ready, (now, cell.index))
-        unfinished = len(remaining)  # cells not terminal yet
-
-        next_task_id = 1
-        task_cell: Dict[int, int] = {}
-        task_started: Dict[int, float] = {}
-        task_worker: Dict[int, int] = {}
+    def _drive(self, remaining: Sequence[GridCell]) -> None:
         prev_handler = self._install_sigint()
-
-        def dispatch(cell: CampaignCell, now: float) -> bool:
-            nonlocal next_task_id
-            task = {
-                "op": "run",
-                "id": next_task_id,
-                "scenario": self.manifest.scenario,
-                "overrides": config_to_jsonable(cell.overrides),
-                "modules": list(self.manifest.modules),
-            }
-            worker_id = self.executor.submit(task)
-            if worker_id is None:
-                return False
-            task_id = next_task_id
-            next_task_id += 1
-            if cell.attempts:
-                self.report.retried += 1
-                self._progress.cell_retried()
-            cell.attempts += 1
-            cell.status = "running"
-            task_cell[task_id] = cell.index
-            task_started[task_id] = now
-            task_worker[task_id] = worker_id
-            self.report.executed += 1
-            return True
-
-        def refill(now: float) -> None:
-            """Dispatch due cells onto idle workers (never while draining)."""
-            while (
-                not self._interrupts
-                and ready
-                and ready[0][0] <= now
-                and self.executor.idle_worker_ids()
-            ):
-                _t, index = heapq.heappop(ready)
-                cell = self.cells[index]
-                if cell.terminal or cell.status == "running":
-                    continue
-                if not dispatch(cell, now):
-                    heapq.heappush(ready, (now, index))
-                    break
-
-        def forget_task(task_id: int) -> None:
-            task_cell.pop(task_id, None)
-            task_started.pop(task_id, None)
-            task_worker.pop(task_id, None)
-
-        def release(
-            event: WorkerEvent,
-        ) -> Optional[Tuple[WorkerEvent, CampaignCell, float]]:
-            """Drop the task an event ended from the task tables (its
-            worker is idle or gone); returns what ``settle`` needs, or
-            None when the event ends no task the tables know."""
-            task_id = event.task_id
-            if task_id not in task_cell:
-                if event.kind == "exit":
-                    self.report.workers_respawned += 1
-                return None
-            cell = self.cells[task_cell[task_id]]
-            started = task_started[task_id]
-            forget_task(task_id)
-            return event, cell, started
-
-        def settle(
-            event: WorkerEvent, cell: CampaignCell, started: float, now: float
-        ) -> None:
-            if event.kind == "result":
-                payload = event.payload or {}
-                if payload.get("ok"):
-                    settle_ok(cell, now - started, payload)
-                else:
-                    error = dict(payload.get("error") or {})
-                    error.setdefault("kind", "exception")
-                    settle_failure(cell, error, now)
-            else:  # worker exit while running this cell
-                self.report.workers_respawned += 1
-                settle_failure(
-                    cell,
-                    {
-                        "kind": "worker-crash",
-                        "message": (
-                            f"worker exited with code {event.returncode} "
-                            "while running this cell"
-                        ),
-                        "returncode": event.returncode,
-                        "stderr_tail": event.stderr_tail[-1000:],
-                    },
-                    now,
-                )
-
-        def settle_ok(
-            cell: CampaignCell, duration_s: float, payload: Dict
-        ) -> None:
-            nonlocal unfinished
-            cell.duration_s = duration_s
-            cell.status = "ok"
-            unfinished -= 1
-            cell.offset = self._journal.append(
-                {
-                    "event": "cell_ok",
-                    "cell": self._ok_doc(cell, payload.get("result") or {}),
-                }
-            )
-            self._progress.cell_done(cell.shard, ok=True, duration_s=duration_s)
-
-        def settle_failure(
-            cell: CampaignCell, error: Dict[str, Any], now: float, *,
-            timed_out: bool = False,
-        ) -> None:
-            """One attempt died; retry with backoff or go terminal."""
-            nonlocal unfinished
-            if self.policy.should_retry(cell.attempts):
-                delay = self.policy.delay_s(cell.attempts)
-                cell.status = "pending"
-                heapq.heappush(ready, (now + delay, cell.index))
-                self._journal.append(
-                    {
-                        "event": "cell_retry",
-                        "key": cell.key,
-                        "attempt": cell.attempts,
-                        "kind": error.get("kind", "exception"),
-                        "delay_s": round(delay, 3),
-                    }
-                )
-                return
-            cell.status = "timeout" if timed_out else "failed"
-            unfinished -= 1
-            cell.error = error
-            cell.offset = self._journal.append(
-                {"event": "cell_failed", "cell": self._failed_doc(cell)}
-            )
-            self._progress.cell_done(cell.shard, ok=False, duration_s=None)
-
         try:
-            while unfinished:
-                draining = self._interrupts > 0
-                if draining and not task_cell:
-                    self.report.interrupted = True
-                    break
-
-                now = time.monotonic()
-                # Respawn crashed workers up to demand.
-                if not draining:
-                    self.executor.ensure_workers(min(self.workers, unfinished))
-                refill(now)
-
-                # Wait for results/exits, but wake for the next deadline.
-                wake_candidates = [_POLL_CAP_S]
-                if task_started:
-                    wake_candidates.append(
-                        min(task_started.values()) + timeout_s - now
-                    )
-                if ready:
-                    wake_candidates.append(ready[0][0] - now)
-                poll_s = max(0.01, min(wake_candidates))
-                events = self.executor.events(poll_s)
-
-                # The workers these events freed get their next cell
-                # before the results are journaled (an fsync per record),
-                # so they compute while the orchestrator writes.
-                now = time.monotonic()
-                ended = [r for r in map(release, events) if r is not None]
-                refill(now)
-                for event, cell, started in ended:
-                    settle(event, cell, started, now)
-
-                # Enforce per-cell wall-clock timeouts.
-                for task_id, started in sorted(task_started.items()):
-                    if now - started < timeout_s:
-                        continue
-                    cell = self.cells[task_cell[task_id]]
-                    worker_id = task_worker.get(task_id)
-                    if worker_id is not None:
-                        self.executor.kill_worker(worker_id)
-                        self.report.workers_respawned += 1
-                    forget_task(task_id)
-                    settle_failure(
-                        cell,
-                        {
-                            "kind": "timeout",
-                            "message": (
-                                f"cell exceeded the {timeout_s:g}s "
-                                "wall-clock limit and was killed"
-                            ),
-                        },
-                        now,
-                        timed_out=True,
-                    )
-
-                self._progress.set_running(len(task_cell))
-                self._progress.maybe_print()
+            super()._drive(remaining)
         except KeyboardInterrupt:
             self.report.interrupted = True
             self._say("second SIGINT: reclaiming workers immediately")
         finally:
             if prev_handler is not None:
                 signal.signal(signal.SIGINT, prev_handler)
+        if self._interrupts and not all(c.terminal for c in remaining):
+            self.report.interrupted = True  # drained with cells left
         self._progress.set_running(0)
         self._progress.maybe_print(force=True)
 
+    # -- driver hooks: journal and progress ------------------------------
+    def _draining(self) -> bool:
+        return self._interrupts > 0
 
-def run_campaign(
-    manifest: CampaignManifest,
-    *,
-    workers: Optional[int] = None,
-    out: Optional[str] = None,
-    force: bool = False,
-    quiet: bool = False,
-    executor: Optional[Executor] = None,
-    manifest_path: Optional[str] = None,
-) -> CampaignReport:
-    """One-call convenience wrapper around :class:`Campaign`."""
-    return Campaign(
-        manifest,
-        workers=workers,
-        out=out,
-        force=force,
-        quiet=quiet,
-        executor=executor,
-        manifest_path=manifest_path,
-    ).run()
+    def _settled_ok(self, cell: GridCell, result: ScenarioResult) -> None:
+        doc = cell_document(
+            cell.params, cell.overrides, result.to_json_dict(), cell.attempts
+        )
+        cell.offset = self._journal.append({"event": "cell_ok", "cell": doc})
+        self._progress.cell_done(cell.shard, ok=True, duration_s=cell.duration_s)
+
+    def _settled_failed(self, cell: GridCell) -> None:
+        cell.offset = self._journal.append(
+            {"event": "cell_failed", "cell": self._failed_doc(cell)}
+        )
+        self._progress.cell_done(cell.shard, ok=False, duration_s=None)
+
+    def _retrying(
+        self, cell: GridCell, error: Dict[str, Any], delay_s: float
+    ) -> None:
+        self._progress.cell_retried()
+        self._journal.append(
+            {
+                "event": "cell_retry",
+                "key": cell.key,
+                "attempt": cell.attempts,
+                "kind": error.get("kind", "exception"),
+                "delay_s": round(delay_s, 3),
+            }
+        )
+
+    def _polled(self, running: int) -> None:
+        self._progress.set_running(running)
+        self._progress.maybe_print()
+
+def run_campaign(manifest: CampaignManifest, **options: Any) -> CampaignReport:
+    """One-call convenience wrapper: ``Campaign(manifest, **options).run()``."""
+    return Campaign(manifest, **options).run()

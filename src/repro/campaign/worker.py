@@ -33,20 +33,17 @@ import traceback
 from typing import Any, Dict
 
 
-def _execute(task: Dict[str, Any]) -> Dict[str, Any]:
-    """Run one cell; exceptions become a structured error payload."""
+def run_task(task: Dict[str, Any], catch: type = BaseException) -> Dict[str, Any]:
+    """Run one cell in this process.  The reply's ``result`` is the live
+    ``ScenarioResult`` (``raw`` attached); an exception of type ``catch``
+    becomes a structured error reply instead."""
     try:
         for module in task.get("modules", []):
             importlib.import_module(module)
         from repro.scenarios.registry import get_scenario
 
-        result = (
-            get_scenario(task["scenario"])
-            .run(**task.get("overrides", {}))
-            .without_raw()
-        )
-        return {"id": task["id"], "ok": True, "result": result.to_json_dict()}
-    except BaseException as exc:  # noqa: BLE001 — a worker must not die here
+        result = get_scenario(task["scenario"]).run(**task.get("overrides", {}))
+    except catch as exc:  # noqa: BLE001 — by default a worker must not die here
         return {
             "id": task.get("id"),
             "ok": False,
@@ -57,6 +54,15 @@ def _execute(task: Dict[str, Any]) -> Dict[str, Any]:
                 "traceback": traceback.format_exc(),
             },
         }
+    return {"id": task["id"], "ok": True, "result": result}
+
+
+def _execute(task: Dict[str, Any]) -> Dict[str, Any]:
+    """Run one cell; the reply is ready for the protocol line."""
+    reply = run_task(task)
+    if reply["ok"]:
+        reply["result"] = reply["result"].to_json_dict()
+    return reply
 
 
 def main() -> int:

@@ -94,6 +94,7 @@ def cmd_run(args) -> None:
 def cmd_sweep(args) -> None:
     """Expand a parameter grid and run the cells across processes."""
     from repro.scenarios.sweep import (
+        SweepError,
         SweepRunner,
         SweepSpec,
         default_results_path,
@@ -147,7 +148,14 @@ def cmd_sweep(args) -> None:
         )
     except ValueError as exc:  # unknown/empty grid axis, bad jobs
         raise SystemExit(str(exc))
-    sweep = runner.run()
+    try:
+        sweep = runner.run()
+    except SweepError as exc:
+        errors = [error for _params, error in exc.failures]
+        if all(error.get("type") == "UnknownNameError" for error in errors):
+            # a misspelt grid value: the one-line catalog, as on every axis
+            raise SystemExit(errors[0]["message"])
+        raise SystemExit(str(exc))
     for cell in sweep.cells:
         params = " ".join(f"{k}={v}" for k, v in sorted(cell.params.items()))
         metrics = " ".join(

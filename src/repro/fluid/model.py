@@ -115,12 +115,6 @@ def simulate(
 
     Inflight bytes are ``min(w, b·τ) + q`` — the pipe contents plus the
     queue, which is the y-axis of the paper's Fig. 3.
-
-    Equivalence with the vectorized path: a column of
-    :func:`repro.fluid.vectorized.simulate_grid` performs the same
-    IEEE-754 double operations in the same order, so it matches this
-    scalar integrator bit-for-bit in practice (the benches assert exact
-    equality); the guaranteed bound is 1e-12 relative per sample.
     """
     p = params
     b = p.bandwidth_Bps

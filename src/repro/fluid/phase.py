@@ -74,26 +74,6 @@ def default_initial_grid(bdp: float) -> List[Tuple[float, float]]:
     ]
 
 
-def dense_initial_grid(
-    bdp: float, n_w: int = 16, n_q: int = 16
-) -> List[Tuple[float, float]]:
-    """A ``n_w × n_q`` cartesian grid of initial states.
-
-    Windows span 0.1–8 BDP and queues 0–7 BDP (the same envelope as
-    :func:`default_initial_grid`), evenly spaced.  Sized for the
-    vectorized sweep (:func:`phase_portrait_grid`) — hundreds of
-    trajectories are one :func:`~repro.fluid.vectorized.simulate_grid`
-    call, not hundreds of scalar integrations.
-    """
-    states = []
-    for i in range(n_w):
-        w0 = (0.1 + (8.0 - 0.1) * i / max(1, n_w - 1)) * bdp
-        for j in range(n_q):
-            q0 = 7.0 * bdp * j / max(1, n_q - 1)
-            states.append((w0, q0))
-    return states
-
-
 def phase_portrait(
     law: ControlLaw,
     params: FluidParams,
@@ -110,30 +90,3 @@ def phase_portrait(
         portrait.traces.append(simulate(law, params, w0, q0, horizon))
     return portrait
 
-
-def phase_portrait_grid(
-    law: ControlLaw,
-    params: FluidParams,
-    *,
-    initial_states: Sequence[Tuple[float, float]] = None,
-    duration_s: float = None,
-) -> PhasePortrait:
-    """Vectorized :func:`phase_portrait`: one grid sweep, same result.
-
-    All trajectories integrate in a single
-    :func:`repro.fluid.vectorized.simulate_grid` call (requires numpy)
-    and are unpacked into the same :class:`PhasePortrait` the scalar path
-    produces — column *i* matches the scalar trace of ``states[i]``
-    bit-for-bit (see the vectorized module's equivalence contract), so
-    every diagnostic (`equilibrium_spread`, `worst_throughput_loss`, …)
-    is interchangeable between the two entry points.
-    """
-    from repro.fluid.vectorized import simulate_grid
-
-    bdp = params.bdp_bytes
-    states = list(initial_states) if initial_states else default_initial_grid(bdp)
-    horizon = duration_s if duration_s is not None else 200 * params.tau_s
-    grid = simulate_grid(law, params, states, horizon)
-    portrait = PhasePortrait(law.name, bdp_bytes=bdp, initial_states=states)
-    portrait.traces = [grid.trace(i) for i in range(len(states))]
-    return portrait

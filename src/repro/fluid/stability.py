@@ -89,51 +89,6 @@ def convergence_time_constant(
     return -1.0 / slope
 
 
-def convergence_time_scan(
-    law: ControlLaw,
-    params: FluidParams,
-    w0_factors: Sequence[float],
-    *,
-    duration_s: Optional[float] = None,
-) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
-    """Fitted convergence time constants over a perturbation sweep.
-
-    For every factor *k* in ``w0_factors`` the system starts at
-    ``(k · w_e, q_e)`` — a window perturbation around equilibrium — and
-    the decay constant of ``|w(t) − w_e|`` is fitted with
-    :func:`convergence_time_constant`.  The expensive part (integration)
-    runs as *one* vectorized grid sweep via
-    :func:`repro.fluid.vectorized.simulate_grid` (requires numpy); only
-    the cheap per-trajectory log-linear fits loop in Python.  Returns
-    ``(w0_factors, fitted_time_constants_s)`` as matching tuples —
-    Theorem 2 predicts every constant ≈ ``theoretical_time_constant_s``.
-    """
-    from repro.fluid.vectorized import simulate_grid
-
-    point = equilibrium(law, params)
-    if point is None:
-        raise ValueError(f"law {law.name!r} has no unique equilibrium to scan")
-    w_e, q_e = point
-    factors = tuple(float(k) for k in w0_factors)
-    if not factors:
-        raise ValueError("need at least one perturbation factor")
-    if any(k == 1.0 for k in factors):
-        raise ValueError("factor 1.0 starts at equilibrium; nothing to fit")
-    horizon = (
-        duration_s
-        if duration_s is not None
-        else 20.0 * theoretical_time_constant_s(params)
-    )
-    states = [(k * w_e, q_e) for k in factors]
-    grid = simulate_grid(law, params, states, horizon)
-    times = grid.times_s.tolist()
-    fitted = tuple(
-        convergence_time_constant(times, grid.window_bytes[:, i].tolist(), w_e)
-        for i in range(len(factors))
-    )
-    return factors, fitted
-
-
 def gradient_law_equilibria_are_degenerate(
     params: FluidParams, queue_levels: Sequence[float]
 ) -> bool:

@@ -249,9 +249,9 @@ class ModuleScopeHeavyImportRule(Rule):
     A module-scope import of anything on the deny-list (``numpy``,
     ``concurrent.futures``, ``multiprocessing``) is paid by every cold
     ``run`` / ``sweep`` / ``campaign`` process that loads the module and
-    every campaign worker, although only the
-    fluid grid paths use numpy and only ``sweep --jobs N`` builds a
-    pool.  Import it inside the function that needs it.  Class bodies
+    every worker forked from it, although no command needs them: the
+    simulator is pure Python and both grid runners fork their own
+    workers.  Import it inside the function that needs it.  Class bodies
     and module-level ``try:`` blocks run at import and count.
     """
 

@@ -27,10 +27,6 @@ no entry with the variant's name *and* engine configuration, the variant
 borrows the reference entry with the same ``(scenario, overrides)``
 workload and *default* engine config — so the recorded speedup is
 engine-on vs engine-off over the identical workload.
-``fluid_grid`` benchmarks the numpy-vectorized fluid integrator against
-the scalar loop on a phase-portrait-sized grid (its ``events`` are
-integration cell-steps, and its speedup is measured in-run against the
-scalar path; skipped with a note when numpy is unavailable).
 
 ``run_perf`` executes a case list (optionally the reduced ``tiny`` grid
 used by CI smoke jobs) and ``write_bench`` persists the document; pass a
@@ -76,8 +72,6 @@ class PerfCase:
     #: engine configuration applied via ``engine_defaults`` around the
     #: run (e.g. ``{"scheduler": "compiled"}``); empty = engine defaults
     engine: Dict[str, Any] = field(default_factory=dict)
-    #: "scenario" (default) or "fluid_grid" (vectorized fluid sweep)
-    kind: str = "scenario"
 
     def config(self, tiny: bool = False) -> Dict[str, Any]:
         """The override set this case runs at."""
@@ -160,16 +154,6 @@ PERF_CASES: Dict[str, PerfCase] = {
             )
             for base in _BASE_CASES
         ),
-        # Vectorized fluid integration: n_w x n_q initial states, one
-        # simulate_grid call, compared in-run against the scalar loop
-        # (extrapolated from scalar_sample trajectories).
-        PerfCase(
-            name="fluid_grid",
-            scenario="fluid_grid",
-            overrides=dict(n_w=24, n_q=24, duration_taus=50, scalar_sample=16),
-            tiny=dict(n_w=8, n_q=8, duration_taus=20, scalar_sample=8),
-            kind="fluid_grid",
-        ),
     )
 }
 
@@ -191,12 +175,10 @@ def run_case(
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    if case.kind == "fluid_grid":
-        return _run_fluid_grid_case(case, tiny=tiny, repeats=repeats)
     if case.engine.get("scheduler") in ("compiled", "best"):
-        # Mirror the fluid_grid numpy probe: a missing optional
-        # accelerator is a skip note, never a red grid (the no-compiler
-        # install must run the whole suite on the pure-Python path).
+        # A missing optional accelerator is a skip note, never a red
+        # grid (the no-compiler install must run the whole suite on the
+        # pure-Python path).
         from repro.sim import compiled_available, compiled_error
 
         if not compiled_available():
@@ -250,91 +232,6 @@ def run_case(
     return entry
 
 
-def _run_fluid_grid_case(
-    case: PerfCase, *, tiny: bool, repeats: int
-) -> Dict[str, Any]:
-    """The vectorized-fluid benchmark: grid sweep vs scalar loop.
-
-    ``events_processed`` counts integration *cell-steps* (time steps x
-    trajectories) so ``events_per_sec`` is work-normalized like the
-    scenario cases; ``ref_events_per_sec``/``speedup`` are measured
-    in-run against the scalar integrator (extrapolated from
-    ``scalar_sample`` trajectories — the scalar loop is per-trajectory,
-    so the extrapolation is exact up to wall-clock noise).
-    """
-    cfg = case.config(tiny)
-    try:
-        import numpy  # noqa: F401 - probing the optional accelerator
-    except ImportError:
-        return {
-            "case": case.name,
-            "scenario": case.scenario,
-            "overrides": cfg,
-            "skipped": "numpy unavailable",
-        }
-    from repro.fluid import FluidParams, POWER_LAW, simulate, simulate_grid
-    from repro.fluid.phase import dense_initial_grid
-
-    params = FluidParams()
-    params.beta_bytes = 0.01 * params.bdp_bytes
-    states = dense_initial_grid(params.bdp_bytes, cfg["n_w"], cfg["n_q"])
-    duration = cfg["duration_taus"] * params.tau_s
-    cell_steps = (max(1, int(duration / params.dt_s)) + 1) * len(states)
-    runs: List[Dict[str, float]] = []
-    metrics: Dict[str, Any] = {}
-    for i in range(repeats):
-        t0 = time.perf_counter()
-        grid = simulate_grid(POWER_LAW, params, states, duration)
-        wall_s = time.perf_counter() - t0
-        runs.append(
-            {
-                "events_processed": cell_steps,
-                "wall_time_s": wall_s,
-                "events_per_sec": cell_steps / wall_s if wall_s > 0 else 0.0,
-            }
-        )
-        if i == 0:
-            finals = grid.final_windows
-            metrics = {
-                "trajectories": len(states),
-                "final_window_mean_bdp": round(
-                    float(finals.sum()) / len(states) / params.bdp_bytes, 6
-                ),
-                "worst_loss_after_fill": round(
-                    float(grid.loss_after_fill(params.bdp_bytes).max()), 6
-                ),
-            }
-    sample = min(cfg["scalar_sample"], len(states))
-    t0 = time.perf_counter()
-    for w0, q0 in states[:sample]:
-        simulate(POWER_LAW, params, w0, q0, duration)
-    scalar_wall_s = (time.perf_counter() - t0) * len(states) / sample
-    best = max(runs, key=lambda r: r["events_per_sec"])
-    scalar_eps = cell_steps / scalar_wall_s if scalar_wall_s > 0 else 0.0
-    entry = {
-        "case": case.name,
-        "scenario": case.scenario,
-        "overrides": cfg,
-        "events_processed": best["events_processed"],
-        "wall_time_s": round(best["wall_time_s"], 4),
-        "events_per_sec": round(best["events_per_sec"], 1),
-        "runs": [
-            {
-                "events_processed": r["events_processed"],
-                "wall_time_s": round(r["wall_time_s"], 4),
-                "events_per_sec": round(r["events_per_sec"], 1),
-            }
-            for r in runs
-        ],
-        "metrics": metrics,
-        "ref_events_per_sec": round(scalar_eps, 1),
-        "speedup": round(best["events_per_sec"] / scalar_eps, 2)
-        if scalar_eps
-        else None,
-    }
-    return entry
-
-
 def run_perf(
     cases: Optional[Iterable[str]] = None,
     *,
@@ -355,8 +252,7 @@ def run_perf(
     configuration is not a match either.  Engine-variant cases without
     such an entry fall back to the reference entry with the same
     ``(scenario, overrides)`` workload and default engine config, so the
-    recorded speedup reads engine feature on vs off.  Cases that measure
-    their own reference in-run (``fluid_grid``) keep it.
+    recorded speedup reads engine feature on vs off.
 
     An engine variant whose ``events_processed`` or ``metrics`` differ
     from the default-engine entry of the same run on the same
@@ -375,7 +271,7 @@ def run_perf(
     results = []
     for name in selected:
         entry = run_case(PERF_CASES[name], tiny=tiny, repeats=repeats)
-        if "skipped" in entry or "speedup" in entry:
+        if "skipped" in entry:
             results.append(entry)
             continue
         ref = ref_cases.get(name)
@@ -497,14 +393,11 @@ def regression_warnings(
     reference — one warning line per offender, empty when clean.
 
     Only cases with comparison fields participate (a missing reference is
-    not a regression); ``fluid_grid``'s in-run scalar reference is
-    excluded (its speedup is the feature, not a trend)."""
+    not a regression)."""
     warnings = []
     for case in doc.get("cases", []):
         ref = case.get("ref_events_per_sec")
-        if not ref or case.get("kind") == "fluid_grid" or case.get(
-            "case"
-        ) == "fluid_grid":
+        if not ref:
             continue
         current = case.get("events_per_sec") or 0.0
         if current < (1.0 - threshold) * ref:

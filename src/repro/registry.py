@@ -42,8 +42,8 @@ Entry = TypeVar("Entry")
 class UnknownNameError(KeyError):
     """A lookup no registered name or alias matches.
 
-    ``args[0]`` is the one-line catalog message.  Constructed from that
-    single string, so it pickles across the ``--jobs N`` process pool.
+    ``args[0]`` is the one-line catalog message, which is also what a
+    sweep worker reports as the failed cell's error message.
     """
 
     def __str__(self) -> str:  # KeyError would repr-quote the message

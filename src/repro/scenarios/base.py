@@ -70,13 +70,15 @@ class ScenarioResult:
             "provenance": config_to_jsonable(self.provenance),
         }
 
-    def without_raw(self) -> "ScenarioResult":
-        """A copy safe to pickle across a process boundary."""
-        return ScenarioResult(
-            scenario=self.scenario,
-            metrics=self.metrics,
-            series=self.series,
-            provenance=self.provenance,
+    @classmethod
+    def from_json_dict(cls, doc: Dict[str, Any]) -> "ScenarioResult":
+        """The result a persisted view holds (``raw`` is gone); a cell
+        document's other keys (``params``, ``status``, ...) are ignored."""
+        return cls(
+            scenario=doc.get("scenario", ""),
+            metrics=doc.get("metrics", {}),
+            series=doc.get("series", {}),
+            provenance=doc.get("provenance", {}),
         )
 
 

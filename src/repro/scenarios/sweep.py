@@ -4,9 +4,12 @@ Every paper figure is a sweep — algorithm x load x fanout x buffer — so
 the runner is figure-agnostic: a :class:`SweepSpec` names a scenario, a
 grid of config-field values, and base overrides; :class:`SweepRunner`
 expands the grid into cells, derives a deterministic per-cell seed, and
-executes the cells inline (``jobs=1``) or across a
-``ProcessPoolExecutor`` (``jobs>1``).  Simulations are single-threaded
-pure Python, so cells parallelize perfectly across processes.
+hands the cells to the campaign's grid driver
+(:mod:`repro.campaign.driver`), inline (``jobs=1``) or across workers
+forked from this process (``jobs>1``).  Simulations are single-threaded
+pure Python, so cells parallelize perfectly across processes.  Each cell
+runs once: a failed cell fails the sweep (:class:`SweepError`), but only
+after every other cell has run.
 
 Determinism: cell order is the itertools.product over *sorted* grid
 keys, and each cell's seed is a pure function of (base seed, cell
@@ -28,7 +31,7 @@ import os
 import warnings
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.persist import CellDocumentWriter, load_json_or_none
 from repro.scenarios.base import Scenario, ScenarioResult, config_to_jsonable
@@ -90,6 +93,16 @@ def parse_shard(text: str) -> Tuple[int, int]:
     return index, count
 
 
+def shard_of(cell_index: int, shards: int) -> Tuple[int, int]:
+    """The 1-based ``(index, count)`` shard owning one grid position.
+
+    Position ``k`` belongs to shard ``k % N + 1``, for ``sweep --shard
+    I/N`` and a campaign's shard files alike, so the two are
+    interchangeable.
+    """
+    return cell_index % shards + 1, shards
+
+
 def cell_key(scenario: str, overrides: Dict[str, Any]) -> str:
     """Canonical identity of one cell: scenario + full config overrides
     (base + grid params + derived seed), the '(config, seed)' of a cell.
@@ -97,18 +110,6 @@ def cell_key(scenario: str, overrides: Dict[str, Any]) -> str:
     cells by this exact string."""
     return json.dumps(
         {"scenario": scenario, "overrides": config_to_jsonable(overrides)},
-        sort_keys=True,
-    )
-
-
-_cell_key = cell_key
-
-
-def _params_key(cell: Dict[str, Any]) -> str:
-    """Identity of a persisted cell from before cells recorded their
-    ``overrides``: scenario + grid params."""
-    return json.dumps(
-        {"scenario": cell.get("scenario"), "params": cell.get("params")},
         sort_keys=True,
     )
 
@@ -144,6 +145,15 @@ class SweepSpec:
             if not values:
                 raise ValueError(f"sweep grid axis {key!r} is empty")
 
+    def header(self) -> Dict[str, Any]:
+        """The head of every cell document this spec's cells go into."""
+        return {
+            "scenario": self.scenario,
+            "grid": config_to_jsonable(self.grid),
+            "base": config_to_jsonable(self.base),
+            "seed": self.seed,
+        }
+
 
 def derive_cell_seed(base_seed: int, params: Dict[str, Any]) -> int:
     """Deterministic per-cell seed: a pure function of the base seed and
@@ -171,10 +181,23 @@ def cell_overrides(spec: SweepSpec, params: Dict[str, Any]) -> Dict[str, Any]:
     return overrides
 
 
-def _execute_cell(scenario_name: str, overrides: Dict[str, Any]) -> ScenarioResult:
-    """Worker entry point (top-level so ProcessPoolExecutor can pickle it);
-    returns the result with the unpicklable raw payload stripped."""
-    return get_scenario(scenario_name).run(**overrides).without_raw()
+def cell_document(
+    params: Dict[str, Any],
+    overrides: Dict[str, Any],
+    result: Dict[str, Any],
+    attempts: int = 1,
+) -> Dict[str, Any]:
+    """One cell of a sweep or campaign document: its grid assignment and
+    overrides over ``result`` (``ScenarioResult.to_json_dict`` or a failed
+    cell's record); ``attempts`` is recorded only when not 1."""
+    doc = {
+        "params": config_to_jsonable(params),
+        "overrides": config_to_jsonable(overrides),
+        **result,
+    }
+    if attempts != 1:
+        doc["attempts"] = attempts
+    return doc
 
 
 def validate_cached_cell(
@@ -187,16 +210,58 @@ def validate_cached_cell(
     config default, a renamed field, or an edited scenario schema all
     make the stored config diverge from what ``configure(**overrides)``
     produces today, and such cells must re-run rather than be reused.
-    Cells persisted before provenance configs existed are kept.
+    A cell with no recorded config has nothing to vouch for it: stale.
     """
     recorded = provenance.get("config") if isinstance(provenance, dict) else None
     if not isinstance(recorded, dict):
-        return True  # pre-provenance format: nothing to check against
+        return False
     try:
         config = scenario.configure(**overrides)
     except (TypeError, ValueError):
         return False  # overrides no longer fit the schema at all
     return config_to_jsonable(config) == recorded
+
+
+def reusable_cells(
+    cell_docs: Iterable[Dict[str, Any]],
+    scenario: Scenario,
+    wanted: Dict[str, Dict[str, Any]],
+) -> Tuple[Dict[str, Dict[str, Any]], int]:
+    """The persisted cells that settle grid cells still to run.
+
+    ``wanted`` maps each open cell's :func:`cell_key` to its overrides.
+    Returns the current (:func:`validate_cached_cell`) ``ok`` documents of
+    ``cell_docs`` by key — a hit leaves ``wanted``, so the first document
+    wins; failed cells always re-run — and how many were stale."""
+    found: Dict[str, Dict[str, Any]] = {}
+    stale = 0
+    for doc in cell_docs:
+        if doc.get("status", "ok") != "ok":
+            continue
+        key = cell_key(doc.get("scenario", ""), doc.get("overrides"))
+        if key not in wanted:
+            continue
+        if validate_cached_cell(scenario, wanted[key], doc.get("provenance", {})):
+            found[key] = doc
+            del wanted[key]
+        else:
+            stale += 1
+    return found, stale
+
+
+class SweepError(RuntimeError):
+    """Cells of a sweep failed.  Every cell settled first; ``failures``
+    holds ``(params, error)`` for each failed one in grid order, ``error``
+    being its attempt's record (``type`` or ``kind``, ``message``)."""
+
+    def __init__(self, failures: List[Tuple[Dict[str, Any], Dict[str, Any]]]):
+        self.failures = failures
+        lines = [f"{len(failures)} sweep cell(s) failed:"]
+        for params, error in failures:
+            assignment = " ".join(f"{k}={v}" for k, v in sorted(params.items()))
+            kind = error.get("type") or error.get("kind")
+            lines.append(f"  {assignment}: {kind}: {error.get('message')}")
+        super().__init__("\n".join(lines))
 
 
 @dataclass
@@ -227,26 +292,15 @@ class SweepResult:
             raise KeyError(f"{len(matches)} cells match {params!r}")
         return matches[0]
 
-    def _header(self) -> Dict[str, Any]:
-        return {
-            "scenario": self.spec.scenario,
-            "grid": config_to_jsonable(self.spec.grid),
-            "base": config_to_jsonable(self.spec.base),
-            "seed": self.spec.seed,
-        }
-
     def to_json_dict(self) -> Dict[str, Any]:
         return {
-            **self._header(),
+            **self.spec.header(),
             "cells": [self._cell_json(c) for c in self.cells],
         }
 
-    def _cell_json(self, cell: SweepCell) -> Dict[str, Any]:
-        return {
-            "params": config_to_jsonable(cell.params),
-            "overrides": config_to_jsonable(cell.overrides),
-            **cell.result.to_json_dict(),
-        }
+    @staticmethod
+    def _cell_json(cell: SweepCell) -> Dict[str, Any]:
+        return cell_document(cell.params, cell.overrides, cell.result.to_json_dict())
 
     def persist(
         self, path: Optional[str] = None, *, keep_existing: bool = False
@@ -278,52 +332,39 @@ class SweepResult:
         # (docs/INVARIANTS.md#atomic-persistence) — the file doubles as
         # the incremental cache, so corruption here would silently cost
         # every previously executed cell.
-        with CellDocumentWriter(path, self._header()) as out:
-            current, current_params = set(), set()
+        with CellDocumentWriter(path, self.spec.header()) as out:
+            current = set()
             for cell in self.cells:
                 doc = self._cell_json(cell)
                 if keep_existing:
-                    current.add(_cell_key(doc["scenario"], doc["overrides"]))
-                    current_params.add(_params_key(doc))
+                    current.add(cell_key(doc["scenario"], doc["overrides"]))
                 out.add(doc)
             if keep_existing:
-                for doc in self._foreign_cells(path, current, current_params):
+                for doc in self._foreign_cells(path, current):
                     out.add(doc)
             self.persisted_cell_count = out.count
             return out.commit()
 
     @staticmethod
-    def _foreign_cells(
-        path: str, current: Set[str], current_params: Set[str]
-    ) -> List[Dict]:
+    def _foreign_cells(path: str, current: Set[str]) -> List[Dict]:
         """Cells in the existing file at ``path`` outside this sweep,
-        whose cells have the identities ``current`` / ``current_params``.
-
-        Pre-incremental files (cells without an ``overrides`` key) are
-        preserved too, deduplicated against this sweep by (scenario,
-        params) — never silently dropped.
-        """
+        whose cells have the identities ``current``."""
         old = load_json_or_none(path, label="sweep cache")
         if old is None:
             return []
-        kept = []
-        for cell in old.get("cells", []):
-            if "scenario" not in cell:
-                continue
-            if "overrides" in cell:
-                if _cell_key(cell["scenario"], cell["overrides"]) not in current:
-                    kept.append(cell)
-            elif _params_key(cell) not in current_params:
-                kept.append(cell)
-        return kept
+        return [
+            cell
+            for cell in old.get("cells", [])
+            if cell_key(cell.get("scenario", ""), cell.get("overrides"))
+            not in current
+        ]
 
 
 class SweepRunner:
     """Expand a :class:`SweepSpec` and execute its cells.
 
     ``jobs=1`` runs inline (raw experiment results stay attached, which
-    benchmarks rely on); ``jobs>1`` fans cells across worker processes
-    in deterministic cell order.
+    benchmarks rely on); ``jobs>1`` forks ``jobs`` workers (POSIX only).
 
     **Incremental re-runs**: pass ``reuse_path`` (a previously persisted
     sweep JSON) and cells whose (config, seed) — i.e. full override set —
@@ -352,12 +393,8 @@ class SweepRunner:
     ):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if shard is not None:
-            index, count = shard
-            if count < 1 or not 1 <= index <= count:
-                raise ValueError(
-                    f"shard must be (i, n) with 1 <= i <= n, got {shard}"
-                )
+        if shard is not None and not 1 <= shard[0] <= shard[1]:
+            raise ValueError(f"shard must be (i, n) with 1 <= i <= n, got {shard}")
         spec.validate()
         self.spec = spec
         self.jobs = jobs
@@ -370,65 +407,31 @@ class SweepRunner:
         #: provenance config no longer matches the current schema
         self.stale_cells = 0
 
-    def _load_cached(self) -> Dict[str, ScenarioResult]:
-        """Prior results keyed by cell identity (empty when unavailable).
-
-        A corrupt/truncated cache file (e.g. from a run killed before
-        atomic writes existed) degrades to an empty cache with a warning.
-        Cells persisted with a non-``ok`` status have no usable metrics
-        — they are skipped here so failed/timeout cells always re-run.
-        """
-        if self.force or not self.reuse_path:
-            return {}
-        doc = load_json_or_none(self.reuse_path, label="sweep cache")
-        if doc is None:
-            return {}
-        cached: Dict[str, ScenarioResult] = {}
-        for cell in doc.get("cells", []):
-            overrides = cell.get("overrides")
-            if overrides is None:  # pre-incremental file format
-                continue
-            if cell.get("status", "ok") != "ok":
-                continue
-            key = _cell_key(cell.get("scenario", ""), overrides)
-            cached[key] = ScenarioResult(
-                scenario=cell.get("scenario", ""),
-                metrics=cell.get("metrics", {}),
-                series=cell.get("series", {}),
-                provenance=cell.get("provenance", {}),
-            )
-        return cached
-
     def run(self) -> SweepResult:
-        """Execute every cell; cells come back in grid order."""
+        """Execute every cell; cells come back in grid order.
+
+        Raises :class:`SweepError` naming each failed cell once every
+        cell has settled.
+        """
+        from repro.campaign import driver  # here: it imports this module
+
         spec = self.spec
-        cells = expand_cells(spec)
-        if self.shard is not None:
-            index, count = self.shard
-            cells = [
-                c for k, c in enumerate(cells) if k % count == index - 1
-            ]
-        overrides = [cell_overrides(spec, params) for params in cells]
-        cached = self._load_cached()
-        keys = [_cell_key(spec.scenario, ov) for ov in overrides]
-        results: List[Optional[ScenarioResult]] = [
-            cached.get(key) for key in keys
-        ]
-        # Stale-cache validation: a hit whose provenance config no longer
-        # matches what configure(**overrides) produces today came from an
-        # edited grid/scenario — drop it (re-run) rather than silently
-        # reuse a result the current schema can no longer reproduce.
-        self.stale_cells = 0
-        if any(r is not None for r in results):
-            scenario_obj = get_scenario(spec.scenario)
-            for i, result in enumerate(results):
-                if result is None:
-                    continue
-                if not validate_cached_cell(
-                    scenario_obj, overrides[i], result.provenance
-                ):
-                    results[i] = None
-                    self.stale_cells += 1
+        index, count = self.shard or (1, 1)
+        cells = [c for c in driver.grid_cells(spec, count) if c.shard == index]
+        self.reused_cells = self.stale_cells = 0
+        cached = None
+        if self.reuse_path and not self.force:
+            cached = load_json_or_none(self.reuse_path, label="sweep cache")
+        if cached is not None:
+            found, self.stale_cells = reusable_cells(
+                cached.get("cells", []),
+                get_scenario(spec.scenario),
+                {c.key: c.overrides for c in cells},
+            )
+            for cell in cells:
+                if cell.key in found:
+                    cell.status = "ok"
+                    cell.result = ScenarioResult.from_json_dict(found[cell.key])
             if self.stale_cells:
                 warnings.warn(
                     f"sweep cache {self.reuse_path!r}: dropped "
@@ -437,32 +440,24 @@ class SweepRunner:
                     "they will re-run",
                     stacklevel=2,
                 )
-        self.reused_cells = sum(1 for r in results if r is not None)
-        pending = [i for i, r in enumerate(results) if r is None]
+        pending = [c for c in cells if not c.terminal]
+        self.reused_cells = len(cells) - len(pending)
         if self.jobs == 1:
-            scenario = get_scenario(spec.scenario)
-            for i in pending:
-                results[i] = scenario.run(**overrides[i])
-        elif pending:
-            # Imported where the pool is built: concurrent.futures.process
-            # pulls in multiprocessing (~2.5 MiB, ~15 ms), which no cold
-            # `run`, `--jobs 1` sweep or campaign worker needs
-            # (lint rule import-cost).
-            from concurrent.futures import ProcessPoolExecutor
+            executor = driver.InlineExecutor()
+        else:  # the worker pool is imported by the sweeps that fork one
+            from repro.campaign.executor import LocalPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-                fresh = pool.map(
-                    _execute_cell,
-                    [spec.scenario] * len(pending),
-                    [overrides[i] for i in pending],
-                )
-                for i, result in zip(pending, fresh):
-                    results[i] = result
+            executor = LocalPoolExecutor()
+        limits = driver.SWEEP_LIMITS
+        driver.GridDriver(spec.scenario, executor, self.jobs, limits).drive(pending)
+        failed = [c for c in pending if c.status != "ok"]
+        if failed:
+            raise SweepError([(c.params, c.error or {}) for c in failed])
         return SweepResult(
             spec=spec,
             cells=[
-                SweepCell(params=p, overrides=ov, result=r)
-                for p, ov, r in zip(cells, overrides, results)
+                SweepCell(params=c.params, overrides=c.overrides, result=c.result)
+                for c in cells
             ],
         )
 
@@ -472,13 +467,9 @@ def run_sweep(
     grid: Dict[str, List[Any]],
     base: Optional[Dict[str, Any]] = None,
     seed: int = 1,
-    jobs: int = 1,
-    reuse_path: Optional[str] = None,
-    force: bool = False,
-    shard: Optional[Tuple[int, int]] = None,
+    **options: Any,
 ) -> SweepResult:
-    """One-call convenience wrapper around :class:`SweepRunner`."""
+    """One-call convenience wrapper: ``SweepRunner(spec, **options).run()``
+    (``jobs``, ``reuse_path``, ``force``, ``shard``)."""
     spec = SweepSpec(scenario=scenario, grid=grid, base=base or {}, seed=seed)
-    return SweepRunner(
-        spec, jobs=jobs, reuse_path=reuse_path, force=force, shard=shard
-    ).run()
+    return SweepRunner(spec, **options).run()

@@ -40,10 +40,10 @@ from repro.campaign import (
 from repro.campaign import journal as journal_mod
 from repro.campaign import orchestrator as orchestrator_mod
 from repro.campaign import worker as worker_mod
-from repro.campaign.manifest import shard_of
 from repro.campaign.progress import ProgressTracker
 from repro.campaign.worker import _execute
 from repro.scenarios.faulty import attempt_count, worker_pids
+from repro.scenarios.sweep import shard_of
 
 
 def _manifest_doc(tmp_path, grid, base=None, **extra):

@@ -84,3 +84,39 @@ def test_list_and_an_unknown_name_still_see_every_builtin():
         "    assert 'registered: cubic, dcqcn' in str(exc), exc"
     )
     assert _builtins(CC_CATALOG) <= loaded
+
+
+def _exits_clean(probe):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-c", probe], env=env, timeout=60).returncode == 0
+
+
+def test_cold_cli_and_worker_imports_leave_numpy_unloaded():
+    assert _exits_clean(
+        "import sys; import repro.cli; import repro.campaign.worker; "
+        "sys.exit('numpy' in sys.modules)"
+    )
+
+
+def test_cold_cli_and_worker_imports_leave_the_process_pool_unloaded():
+    # the rest of the import-cost deny-list: both grid runners fork their
+    # workers with os.fork, so no command needs multiprocessing
+    assert _exits_clean(
+        "import sys; import repro.cli; import repro.campaign.worker; "
+        "sys.exit(any(m in sys.modules for m in "
+        "('multiprocessing', 'concurrent.futures')))"
+    )
+
+
+def test_inline_sweep_loads_neither_the_worker_pool_nor_the_orchestrator():
+    loaded = _loaded_after(
+        "from repro.scenarios.sweep import run_sweep\n"
+        "run_sweep('incast', {'fanout': [2]},"
+        " base={'burst_bytes': 20_000, 'duration_ns': 200_000})"
+    )
+    assert "repro.campaign.driver" in loaded
+    assert not loaded & {
+        "repro.campaign.executor", "repro.campaign.manifest",
+        "repro.campaign.orchestrator", "repro.campaign.journal",
+        "repro.analysis.results",
+    }

@@ -1,11 +1,15 @@
-"""Sweep-cache robustness: atomic persistence, corrupt-cache recovery,
-stale-cache validation, and non-ok cell handling."""
+"""Sweep robustness: atomic persistence, corrupt-cache recovery,
+stale-cache validation, non-ok cell handling, failed cells, and one
+result per cell whichever executor ran it."""
 
 import json
 import os
 
 import pytest
 
+import repro.scenarios.faulty  # registers the "faulty" scenario  # noqa: F401
+from repro.campaign import Campaign, InlineExecutor, LocalPoolExecutor, manifest_from_dict
+from repro.cli import main
 from repro.persist import (
     CellDocumentWriter,
     atomic_write_json,
@@ -13,7 +17,9 @@ from repro.persist import (
     load_json_or_none,
 )
 from repro.scenarios import get_scenario
+from repro.scenarios.faulty import attempt_count
 from repro.scenarios.sweep import (
+    SweepError,
     SweepRunner,
     SweepSpec,
     run_sweep,
@@ -153,10 +159,11 @@ class TestSweepCacheRobustness:
 # validate_cached_cell
 # ----------------------------------------------------------------------
 class TestValidateCachedCell:
-    def test_legacy_provenance_is_kept(self):
+    def test_legacy_provenance_is_stale(self):
+        # no recorded config: nothing vouches for the cell, so it re-runs
         scenario = get_scenario("websearch")
-        assert validate_cached_cell(scenario, {"load": 0.2}, {})
-        assert validate_cached_cell(scenario, {"load": 0.2}, {"seed": 1})
+        assert not validate_cached_cell(scenario, {"load": 0.2}, {})
+        assert not validate_cached_cell(scenario, {"load": 0.2}, {"seed": 1})
 
     def test_unconfigurable_overrides_are_stale(self):
         scenario = get_scenario("websearch")
@@ -173,3 +180,100 @@ class TestValidateCachedCell:
         assert validate_cached_cell(scenario, overrides, {"config": config})
         config["load"] = 0.9  # a divergent snapshot must re-run
         assert not validate_cached_cell(scenario, overrides, {"config": config})
+
+
+# ----------------------------------------------------------------------
+# failed cells: every cell settles, then one error names the failures
+# ----------------------------------------------------------------------
+class TestSweepFailures:
+    def test_inline_sweep_runs_every_cell_before_failing(self, tmp_path):
+        state = str(tmp_path / "state")
+        grid = {"behavior": ["fail", "ok"], "x": [1, 2, 3]}
+        with pytest.raises(SweepError) as excinfo:
+            run_sweep("faulty", grid, base={"state_dir": state}, jobs=1)
+        # the failing cells come first in grid order, and the rest ran anyway
+        for behavior in grid["behavior"]:
+            for x in grid["x"]:
+                assert attempt_count(state, x, behavior) == 1, (behavior, x)
+        failures = excinfo.value.failures
+        assert [params for params, _error in failures] == [
+            {"behavior": "fail", "x": x} for x in grid["x"]
+        ]
+        assert {error["type"] for _params, error in failures} == {"InjectedFailure"}
+        assert (
+            "behavior=fail x=2: InjectedFailure: injected failure for x=2"
+            in str(excinfo.value)
+        )
+
+    def test_forked_sweep_survives_a_crashed_worker(self, tmp_path):
+        state = str(tmp_path / "state")
+        grid = {"behavior": ["crash", "fail", "ok"], "x": [1, 2]}
+        with pytest.raises(SweepError) as excinfo:
+            run_sweep("faulty", grid, base={"state_dir": state}, jobs=2)
+        kinds = {
+            params["behavior"]: error.get("type") or error["kind"]
+            for params, error in excinfo.value.failures
+        }
+        assert kinds == {"crash": "worker-crash", "fail": "InjectedFailure"}
+        failed = [params for params, _error in excinfo.value.failures]
+        assert failed == [
+            {"behavior": b, "x": x} for b in ("crash", "fail") for x in (1, 2)
+        ]
+        message = str(excinfo.value)
+        assert "behavior=crash x=1: worker-crash: worker exited with code 3" in message
+        assert "behavior=fail x=1: InjectedFailure" in message
+        for behavior in grid["behavior"]:  # one attempt each, none retried
+            for x in grid["x"]:
+                assert attempt_count(state, x, behavior) == 1, (behavior, x)
+
+    def test_cli_names_the_failed_cells_without_a_traceback(self, tmp_path):
+        for jobs in ("1", "2"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["sweep", "faulty", "--grid", "behavior=ok,fail",
+                      "--set", f"state_dir={tmp_path / jobs}", "--jobs", jobs,
+                      "--out", str(tmp_path / "s.json")])
+            assert excinfo.value.code.splitlines() == [
+                "1 sweep cell(s) failed:",
+                "  behavior=fail: InjectedFailure: injected failure for x=0 "
+                "(attempt 1)",
+            ]
+            assert attempt_count(str(tmp_path / jobs), 0, "ok") == 1
+        assert not os.path.exists(tmp_path / "s.json")
+
+
+def test_inline_sweep_passes_overrides_as_given():
+    # an override that is no JSON value reaches an inline cell untouched
+    from repro.workloads.distributions import WEB_SEARCH
+
+    sweep = run_sweep("websearch", {"load": [0.2]}, base=dict(TINY, distribution=WEB_SEARCH))
+    assert sweep.cells[0].result.raw is not None
+
+
+def test_sweep_and_campaign_executors_agree_per_cell(tmp_path):
+    grid = {"algorithm": ["powertcp", "dcqcn"], "fanout": [2, 3]}
+    base = {"burst_bytes": 20_000, "duration_ns": 600_000}
+    docs = [
+        run_sweep("incast", grid, base=base, seed=3, jobs=jobs).to_json_dict()
+        for jobs in (1, 2)
+    ]
+    for name, executor in (("inline", InlineExecutor()), ("pool", LocalPoolExecutor())):
+        manifest = manifest_from_dict({
+            "scenario": "incast", "grid": grid, "base": base, "seed": 3,
+            "workers": 2, "journal_fsync": False,
+            "out": str(tmp_path / f"{name}.json"),
+        })
+        report = Campaign(manifest, quiet=True, executor=executor).run()
+        assert report.complete and report.executed == 4
+        docs.append(load_json_or_none(report.out_path))
+
+    def per_cell(doc):
+        return [
+            (c["params"], c["metrics"], c["series"],
+             c["provenance"]["events_processed"])
+            for c in doc["cells"]
+        ]
+
+    reference = per_cell(docs[0])
+    assert len(reference) == 4
+    for doc in docs[1:]:
+        assert per_cell(doc) == reference
