@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""ECMP hash collisions vs. least-loaded routing on a fat-tree.
+"""ECMP hash collisions vs. per-packet spraying on a fat-tree.
 
 ECMP hashes (flow, switch) to pick an uplink, so it is blind to load:
 with 3 ToR uplinks, the five flows below happen to hash onto only two of
 them — one uplink sits idle while another carries three flows.  The
-``least-loaded`` policy (repro.routing) instead pins each new flow to
-the candidate with the fewest assigned flows, spreading the same
-workload 2/2/1.
+``spray`` policy (repro.routing) instead rotates every packet over the
+candidates, so the same workload loads all three uplinks evenly (its
+receivers tolerate the reordering this causes).
 
 The script runs the identical five-flow workload under both policies and
 prints per-uplink transmitted bytes, the hotspot's peak queue, and flow
@@ -70,9 +70,9 @@ def run(routing: str) -> None:
 
 def main() -> None:
     run("ecmp")
-    run("least-loaded")
+    run("spray")
     print("ECMP leaves an uplink idle while three flows share another;")
-    print("least-loaded spreads the same five flows 2/2/1.")
+    print("spray splits the same five flows' bytes evenly over all three.")
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 
 A packet-level discrete-event simulator plus the paper's power-based
 congestion control (PowerTCP / θ-PowerTCP), every baseline it is evaluated
-against (HPCC, DCQCN, TIMELY, HOMA, reTCP, and the Swift/DCTCP extensions),
+against (HPCC, DCQCN, TIMELY, HOMA, reTCP, and the DCTCP extension),
 the §2 fluid-model analysis, and an experiment harness regenerating every
 figure of the paper.
 
@@ -27,7 +27,6 @@ __all__, __getattr__ = lazy_exports(__name__, {
     "repro.cc.dcqcn": ("Dcqcn",),
     "repro.cc.dctcp": ("Dctcp",),
     "repro.cc.hpcc": ("Hpcc",),
-    "repro.cc.swift": ("Swift",),
     "repro.cc.timely": ("Timely",),
     "repro.topology.network": ("Network",),
     "repro.topology.registry": ("build_topology", "get_topology", "topology_names"),

@@ -13,7 +13,7 @@ into a small queryable container:
 * :meth:`ResultSet.pivot` — a (rows × cols) table of one metric, e.g.
   load × algorithm → p99 slowdown, ready to print or plot;
 * :meth:`ResultSet.view` — the preset pivots of :data:`VIEWS`
-  (``parking_lot``, ``lb_matrix``, ``rollout``).
+  (``parking_lot``, ``lb_matrix``).
 
 Example::
 
@@ -29,6 +29,8 @@ import os
 import re
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+
+from repro.scenarios.sweep import cell_key
 
 
 def _canonical(value: Any) -> str:
@@ -47,15 +49,6 @@ def _param_sort_key(value: Any) -> Tuple[int, float, str]:
     if isinstance(value, (int, float)):
         return (0, float(value), "")
     return (2, 0.0, _canonical(value))
-
-
-def _cell_key(scenario: str, overrides: Any) -> str:
-    """Dedup identity of one persisted cell: scenario + full overrides."""
-    return json.dumps(
-        {"scenario": scenario, "overrides": overrides},
-        sort_keys=True,
-        default=repr,
-    )
 
 
 #: Preset pivots over one scenario's persisted sweep, for
@@ -78,14 +71,6 @@ VIEWS: Dict[str, Tuple[str, str, str, str]] = {
     # ``metric="hotspot_peak_qlen_bytes"`` for the collision symptom or
     # ``metric="fct_p99_overall"`` for what it costs the flows.
     "lb_matrix": ("lb_matrix", "routing", "algorithm", "uplink_imbalance"),
-    # The deployment-mix view: rows are rollout fractions, columns
-    # default to the topology axis, and the default metric is the
-    # newcomer-vs-incumbent per-flow throughput ratio — the §6 deployment
-    # question as one table: how the mix shares at every rollout step, on
-    # every fabric.
-    "rollout": (
-        "coexistence", "rollout_fraction", "topology", "cross_group_ratio"
-    ),
 }
 
 
@@ -184,7 +169,7 @@ class ResultSet:
             cell = record.get("cell")
             if not isinstance(cell, dict) or "scenario" not in cell:
                 continue
-            key = _cell_key(cell["scenario"], cell.get("overrides"))
+            key = cell_key(cell["scenario"], cell.get("overrides"))
             by_key[key] = cls._cell_from_dict(cell, path)
         return cls(list(by_key.values()))
 
@@ -213,7 +198,7 @@ class ResultSet:
         seen = set()
         for path in shard_files(directory, base):
             for cell in cls.load(path).cells:
-                key = _cell_key(cell.scenario, cell.overrides)
+                key = cell_key(cell.scenario, cell.overrides)
                 if key in seen:
                     continue
                 seen.add(key)
@@ -389,7 +374,7 @@ def shard_files(directory: str, base: Optional[str] = None) -> List[str]:
     """The complete shard-file sets under ``directory``, sorted.
 
     Shards are named ``<base>.shard-I-of-N.json``; ``base`` narrows the
-    listing to one sweep's shards (e.g. ``"coexistence_sweep"`` — the
+    listing to one sweep's shards (e.g. ``"websearch_sweep"`` — the
     stem without ``.json``), otherwise every shard file under
     ``directory`` is listed.  Raises when there is none, when the files
     of one stem disagree on the shard count, or when indices are missing.
@@ -447,9 +432,9 @@ def merge_campaign(
     """
     merged = ResultSet.merge_shards(directory, base)
     if journal:
-        have = {_cell_key(c.scenario, c.overrides) for c in merged.cells}
+        have = {cell_key(c.scenario, c.overrides) for c in merged.cells}
         for cell in ResultSet.load_journal(journal).cells:
-            key = _cell_key(cell.scenario, cell.overrides)
+            key = cell_key(cell.scenario, cell.overrides)
             if key not in have:
                 have.add(key)
                 merged.cells.append(cell)

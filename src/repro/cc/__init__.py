@@ -21,7 +21,6 @@ __all__, __getattr__ = lazy_exports(__name__, {
     "repro.cc.hpcc": ("Hpcc",),
     "repro.cc.newreno": ("NewReno",),
     "repro.cc.retcp": ("ReTcp",),
-    "repro.cc.swift": ("Swift",),
     "repro.cc.timely": ("Timely",),
     "repro.cc.registry": (
         "AlgorithmSpec",

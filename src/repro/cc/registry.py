@@ -38,8 +38,8 @@ The paper's evaluated set maps to::
     homa            HOMA (receiver-driven; overcommitment parameter)
     retcp           reTCP (RDCN case study only)
 
-Extensions beyond the paper's set: ``swift``, ``dctcp``, ``newreno``,
-``cubic``, ``static``.
+Extensions beyond the paper's set: ``dctcp``, ``newreno``, ``cubic``,
+and ``static`` (a fixed window, the tests' reference law).
 """
 
 from __future__ import annotations
@@ -63,7 +63,8 @@ class Requirements:
     case where the harness had to know the threshold depends on the base
     RTT — the factory simply receives it).  ``cnp_interval_ns`` and
     ``transport`` are per-flow concerns; ``int_stamping`` and
-    ``ecn_config`` are network-wide and participate in :meth:`union`.
+    ``ecn_config`` are network-wide, switched on once per run by the
+    driver.
     """
 
     int_stamping: bool = False
@@ -80,37 +81,6 @@ class Requirements:
     def needs_ecn(self) -> bool:
         """True when the scheme declared an ECN marking factory."""
         return self.ecn_config is not None
-
-    @staticmethod
-    def union(many: Iterable["Requirements"]) -> "Requirements":
-        """Network-facing union of several schemes' requirements.
-
-        INT stamping is enabled if *any* scheme needs it; the ECN factory
-        must be unique across the ECN-needing schemes (two different
-        marking configurations cannot share one port).  Per-flow fields
-        (``cnp_interval_ns``, ``transport``) are not unioned — the driver
-        reads them from each flow's own spec.
-        """
-        int_stamping = False
-        ecn_config = None
-        for req in many:
-            int_stamping = int_stamping or req.int_stamping
-            if req.ecn_config is None:
-                continue
-            if ecn_config is None:
-                ecn_config = req.ecn_config
-            elif ecn_config is not req.ecn_config:
-                raise ValueError(
-                    "conflicting ECN configurations in deployed algorithm "
-                    f"set: {_callable_name(ecn_config)} vs "
-                    f"{_callable_name(req.ecn_config)} cannot both configure "
-                    "the same ports"
-                )
-        return Requirements(int_stamping=int_stamping, ecn_config=ecn_config)
-
-
-def _callable_name(fn: Callable) -> str:
-    return getattr(fn, "__qualname__", repr(fn))
 
 
 @dataclass(frozen=True)
@@ -157,7 +127,6 @@ BUILTIN_CATALOG = {
     "repro.cc.hpcc": ("hpcc",),
     "repro.cc.newreno": ("newreno",),
     "repro.cc.retcp": ("retcp",),
-    "repro.cc.swift": ("swift",),
     "repro.cc.timely": ("timely",),
     "repro.core.powertcp": ("powertcp", "powertcp-int"),
     "repro.core.theta": ("theta-powertcp", "powertcp-delay", "theta"),

@@ -151,6 +151,10 @@ def cmd_sweep(args) -> None:
     try:
         sweep = runner.run()
     except SweepError as exc:
+        # The cells that did settle ok are kept, so a re-run pays only
+        # for the failed ones.
+        if exc.result.cells:
+            exc.result.persist(out_path, keep_existing=True)
         errors = [error for _params, error in exc.failures]
         if all(error.get("type") == "UnknownNameError" for error in errors):
             # a misspelt grid value: the one-line catalog, as on every axis
@@ -310,7 +314,7 @@ def cmd_list(args) -> None:
         print(f"  {name:12s} {scenario.description}")
         print(f"  {'':12s}   fields: {', '.join(scenario.config_fields())}")
     print()
-    print("topologies (--set topology=<name> where scenarios support it):")
+    print("topologies (each scenario builds one; --set topology_params=... reshapes it):")
     for name in topology_names():
         entry = TOPOLOGIES[name]
         print(f"  {name:12s} {entry.description}")

@@ -7,8 +7,8 @@ example script, and an integration test all execute the same code path.
 
 Every module also registers a :class:`repro.scenarios.base.Scenario`
 wrapper with the scenario registry (see :mod:`repro.scenarios`), which
-gives all experiments — the five paper figures plus the ``coexistence``
-mixed-deployment and ``permutation`` fabric-stress scenarios — a uniform
+gives all experiments — the paper's figures plus the ``permutation``
+and ``lb_matrix`` fabric-stress scenarios — a uniform
 ``configure -> build -> run -> collect`` lifecycle, a common
 :class:`ScenarioResult` record, and access to the parallel sweep runner
 (``python -m repro sweep <scenario> ...``).

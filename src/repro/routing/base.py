@@ -1,9 +1,9 @@
 """The RoutingPolicy protocol: per-switch path selection.
 
 A policy instance belongs to exactly one switch (builders call
-``PolicySpec.create()`` once per switch), mirroring hardware: ECMP seeds,
-round-robin cursors, and load counters live in each switch's forwarding
-plane.  :meth:`RoutingPolicy.attach` enforces that ownership.
+``PolicySpec.create()`` once per switch), mirroring hardware: ECMP salts
+and spray cursors live in each switch's forwarding plane.
+:meth:`RoutingPolicy.attach` enforces that ownership.
 
 ``select`` is the single hot-path hook: given a packet and the candidate
 egress ports for its destination (always >= 2 — single-candidate routes
@@ -36,8 +36,8 @@ class RoutingPolicy:
         """Bind this instance to its owning switch (once).
 
         Called by ``Switch.__init__``/``set_policy``.  Re-attaching the
-        same instance to a *different* switch would silently share pins
-        and cursors across switches, so it is an error — create one
+        same instance to a *different* switch would silently share
+        cursors across switches, so it is an error — create one
         instance per switch via ``PolicySpec.create()``.
         """
         if self._switch is not None and self._switch is not switch:

@@ -4,10 +4,10 @@ Names, aliases and lookups are one :class:`repro.registry.Registry`.
 Every policy registers itself with the :func:`register_policy` class
 decorator, declaring a typed :class:`Requirements` record — what the
 *transport* must provide for the policy to be safe.  Flow-level
-policies (ECMP, WRR, least-loaded) keep a flow on one path for its
-lifetime, so INT hop indices stay stable and the go-back-N receiver
-never sees reordering; per-packet policies (spray) give that up and
-therefore declare ``reordering_tolerant_receiver=True``, which
+policies (ECMP) keep a flow on one path for its lifetime, so INT hop
+indices stay stable and the go-back-N receiver never sees reordering;
+per-packet policies (spray) give that up and therefore declare
+``reordering_tolerant_receiver=True``, which
 :class:`repro.experiments.driver.FlowDriver` translates into
 out-of-order accumulation at the receiver and a raised duplicate-ACK
 threshold at the sender (see docs/INVARIANTS.md#path-stability).
@@ -24,7 +24,7 @@ lists its module and spellings in :data:`BUILTIN_CATALOG`::
 
 Topology builders consume the registry through their ``routing`` /
 ``routing_params`` knobs: ``build_topology(sim, "fattree",
-routing="least-loaded")`` gives every switch its own policy instance.
+routing="spray")`` gives every switch its own policy instance.
 The default ``ecmp`` with no parameters is ``policy=None`` to
 :class:`repro.sim.switch.Switch`, whose ``receive`` inlines the hash, so
 the 26 committed figure series are byte-identical by construction.
@@ -95,8 +95,6 @@ class RegisteredPolicy:
 #: aliases it registers
 BUILTIN_CATALOG = {
     "repro.routing.ecmp": ("ecmp", "ecmp-hash", "hash"),
-    "repro.routing.wrr": ("wrr", "weighted-rr", "weighted-round-robin"),
-    "repro.routing.leastloaded": ("least-loaded", "least-connections", "wlc"),
     "repro.routing.spray": ("spray", "packet-spray", "per-packet"),
 }
 
@@ -150,9 +148,8 @@ class PolicySpec:
     """One deployable (policy, parameters) binding.
 
     Produced by :func:`make_policy`; consumed by topology builders, which
-    call :meth:`create` once per switch — policy state (round-robin
-    cursors, flow pins, load counters) is strictly per-switch, exactly as
-    it would be on real hardware.
+    call :meth:`create` once per switch — policy state (spray cursors)
+    is strictly per-switch, exactly as it would be on real hardware.
     """
 
     name: str

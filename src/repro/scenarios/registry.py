@@ -25,7 +25,6 @@ BUILTIN_CATALOG = {
     "repro.experiments.fairness": ("fairness",),
     "repro.experiments.rdcn": ("rdcn",),
     "repro.experiments.bursty": ("bursty",),
-    "repro.experiments.coexistence": ("coexistence",),
     "repro.experiments.permutation": ("permutation",),
     "repro.experiments.multibottleneck": ("multi_bottleneck",),
     "repro.experiments.lbmatrix": ("lb_matrix",),

@@ -9,7 +9,8 @@ hands the cells to the campaign's grid driver
 forked from this process (``jobs>1``).  Simulations are single-threaded
 pure Python, so cells parallelize perfectly across processes.  Each cell
 runs once: a failed cell fails the sweep (:class:`SweepError`), but only
-after every other cell has run.
+after every other cell has run, and the error carries the cells that
+succeeded.
 
 Determinism: cell order is the itertools.product over *sorted* grid
 keys, and each cell's seed is a pure function of (base seed, cell
@@ -252,10 +253,18 @@ def reusable_cells(
 class SweepError(RuntimeError):
     """Cells of a sweep failed.  Every cell settled first; ``failures``
     holds ``(params, error)`` for each failed one in grid order, ``error``
-    being its attempt's record (``type`` or ``kind``, ``message``)."""
+    being its attempt's record (``type`` or ``kind``, ``message``), and
+    ``result`` the :class:`SweepResult` of the cells that did settle ok,
+    so a caller can persist them and a re-run pays only for the failed
+    cells."""
 
-    def __init__(self, failures: List[Tuple[Dict[str, Any], Dict[str, Any]]]):
+    def __init__(
+        self,
+        failures: List[Tuple[Dict[str, Any], Dict[str, Any]]],
+        result: "SweepResult",
+    ):
         self.failures = failures
+        self.result = result
         lines = [f"{len(failures)} sweep cell(s) failed:"]
         for params, error in failures:
             assignment = " ".join(f"{k}={v}" for k, v in sorted(params.items()))
@@ -411,7 +420,7 @@ class SweepRunner:
         """Execute every cell; cells come back in grid order.
 
         Raises :class:`SweepError` naming each failed cell once every
-        cell has settled.
+        cell has settled; it carries the ok cells as its ``result``.
         """
         from repro.campaign import driver  # here: it imports this module
 
@@ -450,16 +459,18 @@ class SweepRunner:
             executor = LocalPoolExecutor()
         limits = driver.SWEEP_LIMITS
         driver.GridDriver(spec.scenario, executor, self.jobs, limits).drive(pending)
-        failed = [c for c in pending if c.status != "ok"]
-        if failed:
-            raise SweepError([(c.params, c.error or {}) for c in failed])
-        return SweepResult(
+        result = SweepResult(
             spec=spec,
             cells=[
                 SweepCell(params=c.params, overrides=c.overrides, result=c.result)
                 for c in cells
+                if c.status == "ok"
             ],
         )
+        failed = [c for c in pending if c.status != "ok"]
+        if failed:
+            raise SweepError([(c.params, c.error or {}) for c in failed], result)
+        return result
 
 
 def run_sweep(

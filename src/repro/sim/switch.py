@@ -5,7 +5,7 @@ one :class:`~repro.sim.buffer.SharedBuffer` (Dynamic Thresholds).  Routing
 is a precomputed table: destination host id -> tuple of candidate egress
 ports.  When several candidates exist (fat-tree uplinks) the pick belongs
 to the switch's routing *policy* (:mod:`repro.routing`): flow-level ECMP
-by default, or any registered policy (WRR, least-loaded, spray) passed as
+by default, or any registered policy (spray) passed as
 ``policy=``.
 
 The default — parameterless ECMP — is ``policy=None``: ``receive``

@@ -85,6 +85,5 @@ def build_dumbbell(sim: Simulator, params: Optional[DumbbellParams] = None) -> N
     net.sender_hosts = list(range(p.left_hosts))
     net.receiver_hosts = list(range(p.left_hosts, p.left_hosts + p.right_hosts))
     net.bottleneck_label = "bottleneck"
-    net.shared_bottleneck = True
     net.extras["params"] = p
     return net

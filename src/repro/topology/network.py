@@ -111,11 +111,6 @@ class Network:
         #: a single well-defined one (dumbbell: "bottleneck"; parking
         #: lot: the slowest segment link); None on multi-path fabrics.
         self.bottleneck_label: Optional[str] = None
-        #: True when *every* sender->receiver pair crosses the labeled
-        #: bottleneck (dumbbell), so its rate is the capacity that
-        #: per-group shares normalize by; False where the label is just
-        #: the tightest of several contended links (parking lot).
-        self.shared_bottleneck: bool = False
         #: pairing policy ``(count, rng) -> [(src, dst), ...]`` placing
         #: ``count`` long flows the way this topology is meant to be
         #: loaded; None falls back to sender/receiver round-robin.
@@ -265,12 +260,6 @@ class Network:
         """Canonical sink host ids (every host when unset)."""
         return self.receiver_hosts or [h.host_id for h in self.hosts]
 
-    def bottleneck_port(self):
-        """The contended port, when the topology declares one (else None)."""
-        if self.bottleneck_label is None:
-            return None
-        return self.labeled_ports[self.bottleneck_label]
-
     def flow_pairs(
         self, count: int, rng: Optional[random.Random] = None
     ) -> List[Tuple[int, int]]:
@@ -323,7 +312,6 @@ class Network:
             "senders": self.senders(),
             "receivers": self.receivers(),
             "bottleneck_label": self.bottleneck_label,
-            "shared_bottleneck": self.shared_bottleneck,
             "labeled_ports": sorted(self.labeled_ports),
             "routing": self.routing_name,
             "routing_params": dict(self.routing_params),

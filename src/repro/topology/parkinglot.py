@@ -180,7 +180,7 @@ def build_parking_lot(
 
     # Pairing policy: flows land on the segment cross paths round-robin,
     # so every segment link carries an even mix of the requested flows —
-    # the multi-bottleneck coexistence stress.
+    # the multi-bottleneck stress.
     def parking_lot_pairs(count, rng):
         return [
             (p.cross_src(i % p.segments), p.cross_dst(i % p.segments))

@@ -11,8 +11,11 @@ from repro.topology.dumbbell import DumbbellParams, build_dumbbell
 from repro.units import GBPS, MSEC, USEC
 
 
+@pytest.fixture(scope="module")
 def run_perturbation():
-    """A long flow in steady state; a second flow joins, then leaves."""
+    """A long flow in steady state; a second flow joins, then leaves.
+
+    One 8 ms run, shared by every test of this module."""
     sim = Simulator()
     net = build_dumbbell(
         sim,
@@ -35,8 +38,8 @@ def run_perturbation():
     return net, long_flow, perturber, probe, qprobe
 
 
-def test_long_flow_halves_then_recovers():
-    net, long_flow, perturber, probe, qprobe = run_perturbation()
+def test_long_flow_halves_then_recovers(run_perturbation):
+    net, long_flow, perturber, probe, qprobe = run_perturbation
     assert perturber.completed
 
     def window_mean(start_ns, end_ns):
@@ -55,11 +58,11 @@ def test_long_flow_halves_then_recovers():
     assert after > 0.9 * before  # recovered the full rate
 
 
-def test_recovery_within_tens_of_rtts():
+def test_recovery_within_tens_of_rtts(run_perturbation):
     """After the perturber leaves, the long flow must be back above 90 %
     of line rate within ~20 base RTTs (Theorem 2's fast convergence; the
     fluid bound is ~5 update intervals, packetization adds slack)."""
-    net, long_flow, perturber, probe, qprobe = run_perturbation()
+    net, long_flow, perturber, probe, qprobe = run_perturbation
     leave = perturber.finish_ns
     deadline = leave + 20 * net.base_rtt_ns
     recovered = [
@@ -71,8 +74,8 @@ def test_recovery_within_tens_of_rtts():
     assert recovered[0] <= deadline
 
 
-def test_queue_returns_to_near_zero_after_perturbation():
-    net, long_flow, perturber, probe, qprobe = run_perturbation()
+def test_queue_returns_to_near_zero_after_perturbation(run_perturbation):
+    net, long_flow, perturber, probe, qprobe = run_perturbation
     tail = [
         q
         for t, q in zip(qprobe.times_ns, qprobe.values)

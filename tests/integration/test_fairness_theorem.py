@@ -7,9 +7,12 @@ Two checks on the packet simulator:
   ``(w_i)_e = (β̂ + b·τ)/β̂ · β_i`` (Appendix A).
 """
 
+import dataclasses
+
 import pytest
 
 from repro.cc.registry import make_algorithm
+from repro.core.powertcp import PowerTcp
 from repro.experiments.driver import FlowDriver
 from repro.experiments.fairness import FairnessConfig, run_fairness
 from repro.sim.engine import Simulator
@@ -40,11 +43,14 @@ def test_weighted_fairness_follows_beta():
     )
     betas = {0: 500.0, 1: 1000.0}
 
-    # Per-flow assignment: each source gets its own beta weighting.
-    driver = FlowDriver(
-        net,
-        lambda flow: make_algorithm("powertcp", beta_bytes=betas[flow.src]),
+    # One PowerTCP spec whose per-flow factory gives each source its own
+    # beta weighting.
+    spec = make_algorithm("powertcp")
+    spec.entry = dataclasses.replace(
+        spec.entry,
+        factory=lambda flow, net: PowerTcp(beta_bytes=betas[flow.src]),
     )
+    driver = FlowDriver(net, spec)
     flows = [driver.start_flow(i, 2, 10 ** 11, at_ns=0) for i in range(2)]
     driver.run(until_ns=20 * MSEC)
 

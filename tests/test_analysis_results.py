@@ -336,42 +336,6 @@ def test_perf_trend_skips_tiny_documents_by_default(tmp_path):
     assert len(both["incast"]) == 2
 
 
-# ----------------------------------------------------------------------
-# rollout pivot (deployment mix)
-# ----------------------------------------------------------------------
-def test_rollout_pivot_view(tmp_path):
-    def mix_cell(topology, fraction, ratio):
-        return {
-            "scenario": "coexistence",
-            "params": {"rollout_fraction": fraction, "topology": topology},
-            "overrides": {"rollout_fraction": fraction, "topology": topology},
-            "metrics": {"cross_group_ratio": ratio},
-            "series": {},
-            "provenance": {},
-        }
-
-    doc = {
-        "scenario": "coexistence", "grid": {}, "base": {}, "seed": 1,
-        "cells": [
-            mix_cell("dumbbell", 0.25, 1.2),
-            mix_cell("dumbbell", 0.5, 1.0),
-            mix_cell("fattree", 0.25, 1.5),
-            mix_cell("fattree", 0.5, 1.1),
-        ],
-    }
-    path = tmp_path / "coexistence_sweep.json"
-    path.write_text(json.dumps(doc))
-    rs = ResultSet.load(str(path))
-    rows, cols, table = rs.view("rollout")
-    assert rows == [0.25, 0.5]
-    assert cols == ["dumbbell", "fattree"]
-    assert table == [[1.2, 1.5], [1.0, 1.1]]
-    lines = rs.format_view("rollout")
-    assert lines[0].startswith("cross_group_ratio")
-    with pytest.raises(ValueError, match="coexistence"):
-        ResultSet([]).view("rollout")
-
-
 def test_cell_param_falls_back_to_provenance_config():
     """Config fields left at their defaults appear only in the provenance
     config record; param()/filter()/pivot() must still see them."""

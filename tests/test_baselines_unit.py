@@ -1,5 +1,5 @@
-"""Unit tests for the baseline CC algorithms (HPCC, DCQCN, TIMELY, Swift,
-DCTCP) against a stub sender."""
+"""Unit tests for the baseline CC algorithms (HPCC, DCQCN, TIMELY, DCTCP)
+against a stub sender."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.cc.base import AckFeedback
 from repro.cc.dcqcn import Dcqcn
 from repro.cc.dctcp import Dctcp
 from repro.cc.hpcc import Hpcc
-from repro.cc.swift import Swift
 from repro.cc.timely import Timely
 from repro.sim.engine import Simulator
 from repro.sim.packet import HopRecord
@@ -196,38 +195,6 @@ def test_timely_rate_floor():
     cc.on_start(sender)
     run_timely_acks(cc, sender, [int(100 * TAU)] * 50)
     assert cc.rate_bps >= 0.001 * HOST_BW
-
-
-# ----------------------------------------------------------------------
-# Swift
-# ----------------------------------------------------------------------
-def test_swift_increases_below_target():
-    cc, sender = Swift(), StubSender()
-    cc.on_start(sender)
-    sender.cwnd = BDP / 2
-    w0 = sender.cwnd
-    cc.on_ack(sender, plain_ack(rtt=TAU))
-    assert sender.cwnd > w0
-
-
-def test_swift_decreases_above_target_once_per_rtt():
-    cc, sender = Swift(), StubSender()
-    cc.on_start(sender)
-    w0 = sender.cwnd
-    cc.on_ack(sender, plain_ack(seq=1, rtt=4 * TAU, sent_high=100_000))
-    w1 = sender.cwnd
-    assert w1 < w0
-    # Second over-target ACK in the same RTT: no further decrease.
-    cc.on_ack(sender, plain_ack(seq=2, rtt=4 * TAU, sent_high=100_000))
-    assert sender.cwnd == w1
-
-
-def test_swift_max_mdf_bounds_decrease():
-    cc, sender = Swift(max_mdf=0.5), StubSender()
-    cc.on_start(sender)
-    w0 = sender.cwnd
-    cc.on_ack(sender, plain_ack(seq=1, rtt=1000 * TAU))  # absurd delay
-    assert sender.cwnd >= 0.5 * w0 - 1
 
 
 # ----------------------------------------------------------------------

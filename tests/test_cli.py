@@ -168,22 +168,22 @@ def test_sweep_force_keeps_unrelated_cached_cells(tmp_path, capsys):
     assert sorted(c["params"]["fanout"] for c in doc["cells"]) == [2, 3]
 
 
-def test_coexistence_sweep_roundtrip(tmp_path, capsys):
+def test_forced_sweep_rerun_reproduces_metrics(tmp_path, capsys):
     import json
 
-    out_path = tmp_path / "coexistence.json"
+    out_path = tmp_path / "fairness.json"
     args = [
-        "sweep", "coexistence", "--tiny",
-        "--grid", "algorithm_b=dcqcn,timely", "--out", str(out_path),
+        "sweep", "fairness", "--tiny",
+        "--algorithms", "powertcp,dcqcn", "--out", str(out_path),
     ]
     assert main(args) == 0
     doc = json.loads(out_path.read_text())
     assert len(doc["cells"]) == 2
-    first = {c["params"]["algorithm_b"]: c["metrics"] for c in doc["cells"]}
+    first = {c["params"]["algorithm"]: c["metrics"] for c in doc["cells"]}
     # Deterministic per-cell results: a re-run reproduces the metrics.
     assert main(args + ["--force"]) == 0
     doc2 = json.loads(out_path.read_text())
-    second = {c["params"]["algorithm_b"]: c["metrics"] for c in doc2["cells"]}
+    second = {c["params"]["algorithm"]: c["metrics"] for c in doc2["cells"]}
     assert first == second
 
 

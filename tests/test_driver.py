@@ -130,119 +130,26 @@ def test_unknown_cc_param_fails_at_driver_construction():
         FlowDriver(net, "powertcp", cc_params={"gama": 0.9})
 
 
-def test_cc_params_rejected_with_bound_spec_mapping_and_callable():
+def test_cc_params_rejected_with_bound_spec():
     from repro.cc.registry import make_algorithm
 
     sim, net = make_net()
-    spec = make_algorithm("powertcp")
-    for algorithm in (spec, {"*": "powertcp"}, lambda flow: "powertcp"):
-        with pytest.raises(ValueError, match="cc_params"):
-            FlowDriver(net, algorithm, cc_params={"gamma": 0.5})
+    with pytest.raises(ValueError, match="cc_params"):
+        FlowDriver(net, make_algorithm("powertcp"), cc_params={"gamma": 0.5})
 
 
-# ----------------------------------------------------------------------
-# Per-flow algorithm mixing
-# ----------------------------------------------------------------------
-def test_tag_mapping_assigns_per_flow_algorithms():
-    sim, net = make_net(left=4)
-    driver = FlowDriver(net, {"new": "powertcp", "old": "dcqcn"})
-    a = driver.start_flow(0, 4, 20_000, at_ns=0, tag="new")
-    b = driver.start_flow(1, 4, 20_000, at_ns=0, tag="old")
-    driver.run(until_ns=2 * MSEC)
-    assert (a.algorithm, b.algorithm) == ("powertcp", "dcqcn")
-    assert a.completed and b.completed
+def test_algorithm_is_one_name_or_spec_per_run():
+    sim, net = make_net()
+    for algorithm in ({"*": "powertcp"}, lambda flow: "powertcp"):
+        with pytest.raises(TypeError, match="name or an AlgorithmSpec"):
+            FlowDriver(net, algorithm)
 
 
-def test_mixed_requirements_union_enables_int_and_ecn():
-    sim, net = make_net(left=4)
-    driver = FlowDriver(net, {"new": "powertcp", "old": "dcqcn"})
-    a = driver.start_flow(0, 4, 20_000, at_ns=0, tag="new")
-    b = driver.start_flow(1, 4, 20_000, at_ns=0, tag="old")
-    driver.run(until_ns=0)  # launched; a finished flow's sender is retired
-    senders = dict(driver.senders)
-    driver.run(until_ns=2 * MSEC)
-    # Union: PowerTCP's INT stamping and DCQCN's ECN marking both active.
-    assert driver.requirements.int_stamping
-    assert driver.requirements.needs_ecn
+def test_int_law_switches_stamping_on_at_construction():
+    sim, net = make_net()
+    driver = FlowDriver(net, "powertcp")
+    assert driver.spec.name == "powertcp"
     for switch in net.switches:
         for port in switch.ports:
-            assert port.ecn is not None
             assert port.int_stamping
-    # Per-flow features stay per-flow: only the PowerTCP sender echoes INT.
-    assert senders[a.flow_id].int_enabled
-    assert not senders[b.flow_id].int_enabled
-    assert senders[b.flow_id].ecn_capable
-    assert not senders[a.flow_id].ecn_capable
-
-
-def test_unmatched_tag_raises_eagerly():
-    sim, net = make_net()
-    driver = FlowDriver(net, {"new": "powertcp"})
-    with pytest.raises(KeyError, match="stray"):
-        driver.start_flow(0, 2, 1000, at_ns=0, tag="stray")
-    assert driver.flows == []
-
-
-def test_mapping_fallback_group():
-    sim, net = make_net()
-    driver = FlowDriver(net, {"new": "powertcp", "*": "timely"})
-    flow = driver.start_flow(0, 2, 10_000, at_ns=0, tag="anything")
-    driver.run(until_ns=1 * MSEC)
-    assert flow.algorithm == "timely"
-
-
-def test_callable_assignment_resolves_eagerly_per_flow():
-    sim, net = make_net(left=4)
-    driver = FlowDriver(
-        net, lambda flow: "dcqcn" if flow.src % 2 else "powertcp"
-    )
-    assert driver.deployed == {}  # nothing resolved until flows exist
-    driver.start_flow(0, 4, 10_000, at_ns=0)
-    driver.start_flow(1, 4, 10_000, at_ns=0)
-    # Resolution happens at start_flow, not at launch time.
-    assert set(driver.deployed) == {"powertcp", "dcqcn"}
-    driver.run(until_ns=2 * MSEC)
-    assert net.port("bottleneck").ecn is not None
-
-
-def test_callable_assignment_typo_fails_at_start_flow():
-    sim, net = make_net()
-    driver = FlowDriver(net, lambda flow: "powrtcp")  # typo
-    with pytest.raises(KeyError, match="powrtcp"):
-        driver.start_flow(0, 2, 10_000, at_ns=500_000)
-    assert driver.flows == []  # nothing scheduled for mid-run failure
-
-
-def test_start_flow_algorithm_override():
-    sim, net = make_net(left=3)
-    driver = FlowDriver(net, "powertcp")
-    flow = driver.start_flow(0, 3, 10_000, at_ns=0, algorithm="swift")
-    other = driver.start_flow(1, 3, 10_000, at_ns=0)
-    driver.run(until_ns=2 * MSEC)
-    assert flow.algorithm == "swift"
-    assert set(driver.deployed) == {"powertcp", "swift"}
-    assert flow.completed and other.completed
-
-
-def test_conflicting_ecn_configs_raise():
-    sim, net = make_net(left=3)
-    driver = FlowDriver(net, "dcqcn")
-    with pytest.raises(ValueError, match="conflicting ECN"):
-        driver.start_flow(0, 3, 10_000, at_ns=0, algorithm="dctcp")
-    # The rejected deploy leaves no trace: a compatible mix still works.
-    assert set(driver.deployed) == {"dcqcn"}
-    flow = driver.start_flow(0, 3, 10_000, at_ns=0, algorithm="powertcp")
-    driver.run(until_ns=2 * MSEC)
-    assert flow.completed
-    assert set(driver.deployed) == {"dcqcn", "powertcp"}
-
-
-def test_homa_and_window_transports_can_mix():
-    sim, net = make_net(left=4)
-    driver = FlowDriver(net, {"rpc": "homa", "*": "powertcp"})
-    a = driver.start_flow(0, 4, 50_000, at_ns=0, tag="rpc")
-    b = driver.start_flow(1, 4, 50_000, at_ns=0)
-    driver.run(until_ns=2 * MSEC)
-    assert a.completed and b.completed
-    assert len(driver._homa_schedulers) == 1
-    assert (a.algorithm, b.algorithm) == ("homa", "powertcp")
+            assert port.ecn is None

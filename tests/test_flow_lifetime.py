@@ -54,16 +54,17 @@ def test_retired_sender_and_its_cc_die_by_reference_count(law, no_collector):
 def test_dcqcn_and_homa_endpoints_wait_for_close():
     # DCQCN reacts to a late CNP (two timers restart); HOMA's receiver,
     # sender and grant scheduler are retired together or not at all.
-    sim, net, driver = make_driver({"a": "dcqcn", "b": "homa"})
-    a = driver.start_flow(0, 2, 20_000, at_ns=0, tag="a")
-    b = driver.start_flow(1, 2, 20_000, at_ns=0, tag="b")
-    driver.run(until_ns=5_000_000)
-    assert a.completed and b.completed
-    assert set(driver.senders) == {a.flow_id, b.flow_id}
-    sink = net.host(2)
-    assert set(sink.endpoints) == {a.flow_id, b.flow_id}
-    sim.close()
-    assert driver.senders == {} and sink.endpoints == {}
+    for law in ("dcqcn", "homa"):
+        sim, net, driver = make_driver(law)
+        a = driver.start_flow(0, 2, 20_000, at_ns=0)
+        b = driver.start_flow(1, 2, 20_000, at_ns=0)
+        driver.run(until_ns=5_000_000)
+        assert a.completed and b.completed
+        assert set(driver.senders) == {a.flow_id, b.flow_id}
+        sink = net.host(2)
+        assert set(sink.endpoints) == {a.flow_id, b.flow_id}
+        sim.close()
+        assert driver.senders == {} and sink.endpoints == {}
 
 
 def test_receiver_that_saw_loss_is_kept():

@@ -8,7 +8,6 @@ from repro.cc.registry import (
     HOMA_TRANSPORT,
     PAPER_ALGORITHMS,
     AlgorithmSpec,
-    Requirements,
     algorithm_names,
     get_algorithm,
     make_algorithm,
@@ -25,7 +24,7 @@ def test_all_paper_algorithms_resolve():
 
 def test_registry_catalog_contains_extensions():
     names = algorithm_names()
-    for name in ("swift", "dctcp", "static", "newreno", "cubic", "retcp"):
+    for name in ("dctcp", "static", "newreno", "cubic", "retcp"):
         assert name in names
 
 
@@ -140,27 +139,6 @@ def test_register_rejects_duplicate_names_and_aliases():
     with pytest.raises(ValueError, match="already registered"):
         register_algorithm("homa")
     assert get_algorithm("homa") is homa
-
-
-def test_requirements_union_merges_features():
-    union = Requirements.union(
-        [
-            make_algorithm("powertcp").requirements,
-            make_algorithm("dcqcn").requirements,
-        ]
-    )
-    assert union.int_stamping
-    assert union.ecn_config is make_algorithm("dcqcn").requirements.ecn_config
-
-
-def test_requirements_union_rejects_conflicting_ecn():
-    with pytest.raises(ValueError, match="conflicting ECN"):
-        Requirements.union(
-            [
-                make_algorithm("dcqcn").requirements,
-                make_algorithm("dctcp").requirements,
-            ]
-        )
 
 
 def test_retcp_requires_rdcn_context():

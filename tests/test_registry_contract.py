@@ -174,7 +174,7 @@ def test_any_add_sequence_keeps_entries_and_aliases_consistent(calls):
         (["run", "incats", "--tiny"], "scenario"),
         (["run", "incast", "--tiny", "--algorithm", "bbr"],
          "congestion-control algorithm"),
-        (["run", "coexistence", "--tiny", "--set", "topology=nope"], "topology"),
+        (["fig", "nope"], "figure"),
         (["run", "lb_matrix", "--tiny", "--set", "routing=nope"],
          "routing policy"),
         (["sweep", "incast", "--tiny", "--algorithms", "bbr,cubic", "--jobs", "2",
@@ -220,7 +220,7 @@ def test_normalised_lookups_resolve_on_every_axis():
     assert get_scenario("LB_Matrix").name == "lb_matrix"
     assert get_scenario("multi-bottleneck").name == "multi_bottleneck"
     assert make_algorithm("theta powertcp").name == "theta-powertcp"
-    assert routing_registry.get_policy("Least Loaded").name == "least-loaded"
+    assert routing_registry.get_policy("Packet Spray").name == "spray"
     assert lint_registry.get_rule("Wall_Clock").id == "wall-clock"
 
 

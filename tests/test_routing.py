@@ -7,7 +7,7 @@ Covers the contracts the routing refactor introduced:
   series byte-identical, its equivalence to the registered ``ecmp``
   policy object, and ``set_policy(None)`` restoring it;
 * per-policy determinism (fixed seed => identical per-port bytes);
-* WRR / least-loaded assignment arithmetic and flow pinning;
+* spray rotation and seeded random picks;
 * spray + reorder-tolerant receiver end-to-end delivery (all bytes
   ACKed, zero retransmissions on an uncongested fabric);
 * the lb_matrix scenario separating the policies' fabric metrics;
@@ -27,9 +27,7 @@ from repro.routing import (
     policy_names,
 )
 from repro.routing.ecmp import EcmpPolicy
-from repro.routing.leastloaded import LeastLoadedPolicy
 from repro.routing.spray import SprayPolicy
-from repro.routing.wrr import WeightedRoundRobinPolicy
 from repro.sim.engine import Simulator
 from repro.sim.host import Host
 from repro.sim.packet import Packet
@@ -40,7 +38,7 @@ from repro.transport.flow import Flow
 from repro.transport.receiver import Receiver
 from repro.units import GBPS, MSEC
 
-ALL_POLICIES = ("ecmp", "wrr", "least-loaded", "spray")
+ALL_POLICIES = ("ecmp", "spray")
 
 
 def tiny_fattree(**overrides):
@@ -84,20 +82,15 @@ def test_unknown_policy_raises_with_catalog():
 
 def test_aliases_resolve():
     assert get_policy("packet-spray").name == "spray"
-    assert get_policy("wlc").name == "least-loaded"
     assert get_policy("hash").name == "ecmp"
 
 
 def test_unknown_param_raises_typeerror():
     with pytest.raises(TypeError, match="bogus"):
-        make_policy("wrr", bogus=1)
+        make_policy("spray", bogus=1)
 
 
 def test_bad_param_values_raise():
-    with pytest.raises(ValueError, match="weights"):
-        make_policy("wrr", weights=(0,)).create()
-    with pytest.raises(ValueError, match="metric"):
-        make_policy("least-loaded", metric="entropy").create()
     with pytest.raises(ValueError, match="mode"):
         make_policy("spray", mode="chaos").create()
 
@@ -114,7 +107,7 @@ def test_requirements_union():
 
 
 def test_spec_create_returns_fresh_instances():
-    spec = make_policy("wrr")
+    spec = make_policy("spray")
     a, b = spec.create(), spec.create()
     assert a is not b
 
@@ -231,48 +224,6 @@ def test_ecmp_salt_changes_mapping():
     assert picks != salted
 
 
-def test_wrr_weighted_deal_and_pinning():
-    policy = WeightedRoundRobinPolicy(weights=(3, 1))
-    options = ("up0", "up1")
-    picks = [
-        policy.select(Packet.data(flow, 0, 9, 0, 100), options)
-        for flow in range(1, 9)
-    ]
-    # deal order with credits 3/1: flows 1-3 -> up0, 4 -> up1, 5-7 -> up0, 8 -> up1
-    assert picks.count("up0") == 6
-    assert picks.count("up1") == 2
-    # pinned: a later packet of flow 4 keeps its port
-    assert policy.select(Packet.data(4, 0, 9, 1000, 100), options) == picks[3]
-
-
-class _StubPort:
-    _next = 0
-
-    def __init__(self, qlen=0):
-        _StubPort._next += 1
-        self.port_id = _StubPort._next
-        self.qlen_bytes = qlen
-
-
-def test_least_loaded_pins_to_emptiest_counter():
-    policy = LeastLoadedPolicy()
-    options = tuple(_StubPort() for _ in range(3))
-    picks = [
-        policy.select(Packet.data(flow, 0, 9, 0, 100), options)
-        for flow in range(5)
-    ]
-    counts = [picks.count(p) for p in options]
-    assert counts == [2, 2, 1]  # round-robin via the connections counter
-    assert policy.select(Packet.data(0, 0, 9, 1000, 100), options) is picks[0]
-
-
-def test_least_loaded_qlen_metric_avoids_hot_port():
-    policy = LeastLoadedPolicy(metric="qlen")
-    hot, cold = _StubPort(qlen=50_000), _StubPort(qlen=0)
-    pick = policy.select(Packet.data(1, 0, 9, 0, 100), (hot, cold))
-    assert pick is cold
-
-
 def test_spray_rotates_per_packet():
     policy = SprayPolicy()
     options = ("a", "b", "c")
@@ -377,7 +328,7 @@ def test_lb_matrix_separates_policies():
 
     scenario = get_scenario("lb_matrix")
     signatures = {}
-    for routing in ("ecmp", "least-loaded", "spray"):
+    for routing in ("ecmp", "spray"):
         result = scenario.run(
             **{**scenario.tiny_overrides(), "routing": routing}
         )
@@ -392,7 +343,7 @@ def test_lb_matrix_separates_policies():
             assert metrics["retransmissions"] == 0
         else:
             assert metrics["reorder_events"] == 0
-    assert len(set(signatures.values())) == 3
+    assert len(set(signatures.values())) == 2
 
 
 def test_lb_matrix_does_not_mutate_shared_params():

@@ -35,7 +35,7 @@ FCT_SCENARIOS = ("websearch", "bursty", "lb_matrix", "permutation")
 
 #: the scenarios whose tiny cell reaches its horizon with flows still
 #: running, so the census at ``collect()`` must see their endpoints
-STILL_SENDING = ("coexistence", "fairness", "incast", "multi_bottleneck", "rdcn")
+STILL_SENDING = ("fairness", "incast", "multi_bottleneck", "rdcn")
 
 
 @pytest.fixture

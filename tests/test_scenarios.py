@@ -25,7 +25,6 @@ from repro.scenarios.sweep import (
 
 ALL_SCENARIOS = [
     "bursty",
-    "coexistence",
     "fairness",
     "incast",
     "lb_matrix",
@@ -450,34 +449,6 @@ def test_cli_rejects_bad_shard():
 # ----------------------------------------------------------------------
 # the new scenarios
 # ----------------------------------------------------------------------
-def test_coexistence_mixed_deployment_reports_groups():
-    scenario = get_scenario("coexistence")
-    result = scenario.run(
-        algorithm_a="powertcp",
-        algorithm_b="dcqcn",
-        flows_per_group=1,
-        duration_ns=1_000_000,
-    )
-    metrics = result.metrics
-    assert 0.0 < metrics["group_a_share"] < 1.0
-    assert 0.0 < metrics["group_b_share"] < 1.0
-    assert metrics["cross_group_ratio"] is not None
-    assert result.provenance["algorithm"] == "powertcp+dcqcn"
-
-
-def test_coexistence_homogeneous_control_is_fair():
-    scenario = get_scenario("coexistence")
-    result = scenario.run(
-        algorithm_a="powertcp",
-        algorithm_b="powertcp",
-        flows_per_group=1,
-        duration_ns=2_000_000,
-    )
-    # Same scheme on both groups: shares should be close to equal.
-    ratio = result.metrics["cross_group_ratio"]
-    assert 0.7 < ratio < 1.4
-
-
 def test_permutation_uses_seeded_derangement():
     scenario = get_scenario("permutation")
     a = scenario.run(**dict(scenario.tiny_overrides(), seed=3))

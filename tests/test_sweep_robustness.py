@@ -200,6 +200,10 @@ class TestSweepFailures:
             {"behavior": "fail", "x": x} for x in grid["x"]
         ]
         assert {error["type"] for _params, error in failures} == {"InjectedFailure"}
+        # the error carries the cells that settled ok, in grid order
+        assert [cell.params for cell in excinfo.value.result.cells] == [
+            {"behavior": "ok", "x": x} for x in grid["x"]
+        ]
         assert (
             "behavior=fail x=2: InjectedFailure: injected failure for x=2"
             in str(excinfo.value)
@@ -228,17 +232,22 @@ class TestSweepFailures:
 
     def test_cli_names_the_failed_cells_without_a_traceback(self, tmp_path):
         for jobs in ("1", "2"):
+            state, out = tmp_path / jobs, tmp_path / f"s-{jobs}.json"
+            argv = ["sweep", "faulty", "--set", f"state_dir={state}",
+                    "--jobs", jobs, "--out", str(out)]
             with pytest.raises(SystemExit) as excinfo:
-                main(["sweep", "faulty", "--grid", "behavior=ok,fail",
-                      "--set", f"state_dir={tmp_path / jobs}", "--jobs", jobs,
-                      "--out", str(tmp_path / "s.json")])
+                main(argv + ["--grid", "behavior=ok,fail"])
             assert excinfo.value.code.splitlines() == [
                 "1 sweep cell(s) failed:",
                 "  behavior=fail: InjectedFailure: injected failure for x=0 "
                 "(attempt 1)",
             ]
-            assert attempt_count(str(tmp_path / jobs), 0, "ok") == 1
-        assert not os.path.exists(tmp_path / "s.json")
+            assert attempt_count(str(state), 0, "ok") == 1
+            # the ok cell is kept, and a re-run reuses it
+            cells = load_json_or_none(str(out))["cells"]
+            assert [c["params"] for c in cells] == [{"behavior": "ok"}]
+            assert main(argv + ["--grid", "behavior=ok"]) == 0
+            assert attempt_count(str(state), 0, "ok") == 1
 
 
 def test_inline_sweep_passes_overrides_as_given():

@@ -95,17 +95,14 @@ def test_registry_roundtrip_list_build_introspect(name):
         assert src in host_ids and dst in host_ids
     # The declared bottleneck (when any) resolves to a labeled port.
     if description["bottleneck_label"] is not None:
-        assert net.bottleneck_port() is net.port(description["bottleneck_label"])
-    else:
-        assert net.bottleneck_port() is None
+        assert description["bottleneck_label"] in description["labeled_ports"]
 
 
 def test_dumbbell_introspection_matches_builder_layout():
     net = build_topology(Simulator(), "dumbbell", left_hosts=3, right_hosts=2)
     assert net.senders() == [0, 1, 2]
     assert net.receivers() == [3, 4]
-    assert net.shared_bottleneck
-    assert net.bottleneck_port().rate_bps > 0
+    assert net.port(net.bottleneck_label).rate_bps > 0
     # Round-robin fallback pairing: distinct senders, no src == dst.
     assert net.flow_pairs(3, None) == [(0, 3), (1, 4), (2, 3)]
 
@@ -116,7 +113,6 @@ def test_parkinglot_bottleneck_is_tightest_segment():
         segment_bw_bps=[10e9, 5e9, 10e9],
     )
     assert net.bottleneck_label == "link1"
-    assert not net.shared_bottleneck
     # Cross pairs round-robin over segments.
     params = net.extras["params"]
     pairs = net.flow_pairs(4, None)
