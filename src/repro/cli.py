@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import ast
 import json
+import os
 import sys
 from typing import Dict, List
 
@@ -533,11 +534,17 @@ def main(argv=None) -> int:
             return cmd_lint(args)
         else:  # fig and its figN aliases
             cmd_fig(args)
+        sys.stdout.flush()  # a closed reader fails here, not at exit
     except UnknownNameError as exc:
         # A misspelt scenario, algorithm, topology, routing policy, figure
         # or lint rule is a usage error on any subcommand: the one-line catalog,
         # no traceback.  Never bare KeyError — that would mask real bugs.
         raise SystemExit(exc.args[0])
+    except BrokenPipeError:
+        # stdout's reader left early (`repro list | head`): not an error
+        # of the command.  Point stdout at devnull so the interpreter's
+        # exit flush does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

@@ -7,8 +7,10 @@ example script, and an integration test all execute the same code path.
 
 Every module also registers a :class:`repro.scenarios.base.Scenario`
 wrapper with the scenario registry (see :mod:`repro.scenarios`), which
-gives all experiments — the paper's figures plus the ``permutation``
-and ``lb_matrix`` fabric-stress scenarios — a uniform
+gives all six experiments — ``websearch`` (figs. 6-7, with or without
+incast queries), ``incast``, ``fairness``, ``rdcn``,
+``multi_bottleneck`` and the ``lb_matrix`` fabric stress (the host
+permutation at its default load) — a uniform
 ``configure -> build -> run -> collect`` lifecycle, a common
 :class:`ScenarioResult` record, and access to the parallel sweep runner
 (``python -m repro sweep <scenario> ...``).

@@ -11,7 +11,15 @@ a chosen congestion-control algorithm *and* a chosen routing policy
 * **hotspot peak queue** — the deepest queue any uplink built, the
   collision symptom congestion control then has to fight;
 * **FCT p99 slowdown, reordering, retransmissions, drops** — what the
-  imbalance costs transport.
+  imbalance costs transport;
+* **goodput** — per-flow goodputs, their Jain index and their sum as a
+  fraction of the all-hosts line-rate bound.
+
+At the default ``load=1.0`` under ECMP the cell is the classic host
+permutation stress: every host sends to exactly one other host and
+receives from exactly one (a seeded derangement,
+:func:`repro.workloads.permutation.permutation_pairs`), so no receiver
+NIC is oversubscribed and the contention lands on the 2:1 ToR uplinks.
 
 Sweeping ``algorithm`` × ``routing`` × ``load`` (see
 ``python -m repro sweep lb_matrix``) produces the matrix that
@@ -25,6 +33,7 @@ from dataclasses import dataclass, field
 from statistics import mean, pstdev
 from typing import TYPE_CHECKING, Dict, List, Optional
 
+from repro.analysis.fairness import jain_index
 from repro.analysis.fct import FctSummary, summarize_fct
 from repro.experiments.driver import FlowDriver
 from repro.experiments.websearch import ScaledFatTreeConfig
@@ -33,7 +42,7 @@ from repro.scenarios.base import Scenario
 from repro.sim.engine import Simulator
 from repro.topology.registry import build_topology, resolve_topology_params
 from repro.transport.flow import Flow
-from repro.units import MSEC
+from repro.units import BITS_PER_BYTE, MSEC, SEC
 
 if TYPE_CHECKING:  # params type only; built via the topology registry
     from repro.topology.fattree import FatTreeParams
@@ -112,6 +121,26 @@ class LbMatrixResult:
             ideal_fcts_ns=self.ideal_fcts_ns,
         )
 
+    def per_flow_goodput_bps(self) -> List[float]:
+        """Goodput of each completed flow (size / FCT)."""
+        return [
+            f.size_bytes * BITS_PER_BYTE * SEC / f.fct_ns
+            for f in self.flows
+            if f.completed and f.fct_ns > 0
+        ]
+
+    def goodput_jain(self) -> Optional[float]:
+        """Jain index across completed-flow goodputs."""
+        goodputs = self.per_flow_goodput_bps()
+        return jain_index(goodputs) if goodputs else None
+
+    def aggregate_goodput_fraction(self) -> float:
+        """Sum of flow goodputs over the all-hosts line-rate bound."""
+        if not self.flows or self.host_bw_bps <= 0:
+            return 0.0
+        bound = len(self.flows) * self.host_bw_bps
+        return sum(self.per_flow_goodput_bps()) / bound
+
 
 def run_lb_matrix(config: LbMatrixConfig) -> LbMatrixResult:
     """Run one cell: a seeded permutation under (algorithm, routing)."""
@@ -166,7 +195,7 @@ class LbMatrixScenario(Scenario):
     name = "lb_matrix"
     description = (
         "CC x routing-policy permutation on the fat-tree; "
-        "uplink imbalance + hotspot queue + FCT tails"
+        "uplink imbalance + hotspot queue + FCT tails + goodput"
     )
     config_cls = LbMatrixConfig
 
@@ -182,6 +211,8 @@ class LbMatrixScenario(Scenario):
             "completed": summary.completed,
             "total_flows": summary.total,
             "fct_p99_overall": summary.overall,
+            "goodput_jain": raw.goodput_jain(),
+            "aggregate_goodput_fraction": raw.aggregate_goodput_fraction(),
             "uplink_imbalance": raw.uplink_imbalance(),
             "uplink_cv": raw.uplink_cv(),
             "hotspot_peak_qlen_bytes": raw.hotspot_peak_qlen_bytes,
@@ -189,5 +220,8 @@ class LbMatrixScenario(Scenario):
             "retransmissions": raw.retransmissions,
             "drops": raw.drops,
         }
-        series = {"per_uplink_tx_bytes": list(raw.uplink_tx_bytes)}
+        series = {
+            "per_uplink_tx_bytes": list(raw.uplink_tx_bytes),
+            "per_flow_goodput_bps": raw.per_flow_goodput_bps(),
+        }
         return metrics, series

@@ -1,11 +1,17 @@
-"""Figs. 6, 7a, 7b, 7g: the web-search workload on the fat-tree.
+"""Figs. 6 and 7: the web-search workload on the fat-tree.
 
 Poisson arrivals of web-search-distributed flows between random inter-rack
-host pairs, offered at a target ToR-uplink load.  Reported:
+host pairs, offered at a target ToR-uplink load.  ``requests_per_duration``
+layers the synthetic distributed-file-system queries of §4.1 on top
+(:func:`repro.workloads.incast.incast_queries`; 0, the default, adds
+none).  Reported:
 
 * 99.9-percentile FCT slowdown per flow-size bin (Fig. 6, at 20 %/60 %),
 * short-flow and long-flow tail slowdown across loads (Fig. 7a/7b),
-* the CDF of switch buffer occupancy (Fig. 7g at 80 % load).
+* the same tails across query rates and sizes (Fig. 7c-f), with the
+  query flows' own tail,
+* the CDF of switch buffer occupancy (Fig. 7g at 80 % load, Fig. 7h with
+  queries).
 
 The scaled-down topology default is 2:1 ToR oversubscription (event-budget
 friendly); ``topology_params={"hosts_per_tor": 8}`` gives the paper's 4:1.
@@ -32,7 +38,8 @@ from repro.topology.registry import (
 from repro.transport.flow import Flow
 from repro.units import GBPS, MSEC, USEC
 from repro.workloads.arrivals import poisson_flows
-from repro.workloads.distributions import WEB_SEARCH, EmpiricalCdf
+from repro.workloads.distributions import WEB_SEARCH
+from repro.workloads.incast import incast_queries
 
 if TYPE_CHECKING:  # params type only; built via the topology registry
     from repro.topology.fattree import FatTreeParams
@@ -89,19 +96,27 @@ class ScaledFatTreeConfig:
 
 @dataclass
 class WebsearchConfig(ScaledFatTreeConfig):
-    """One (algorithm, load) cell of the Fig. 6/7 matrix."""
+    """One cell of the Fig. 6/7 matrix: an algorithm, a load and the
+    incast queries laid over it."""
 
     algorithm: str = "powertcp"
     load: float = 0.6
+    #: incast queries spread evenly over ``duration_ns`` (0 = none).  The
+    #: paper's 1-16 requests/s over seconds of simulated time would give
+    #: no query in a 20 ms window, so the rate here is per horizon.
+    requests_per_duration: int = 0
+    #: bytes per query, split evenly across its responders
+    request_size_bytes: int = 2_000_000
+    #: responders per query, drawn from racks other than the requester's
+    fanout: int = 8
     #: fat-tree fields laid over ``scaled_fattree()``
     topology_params: Optional[dict] = None
     duration_ns: int = 20 * MSEC
     drain_ns: int = 20 * MSEC
     seed: int = 1
-    distribution: EmpiricalCdf = WEB_SEARCH
-    #: shrink flow sizes by this factor (shape-preserving) so enough flows
-    #: complete within a pure-Python event budget; FCT class/bin
-    #: boundaries are rescaled symmetrically in the analysis.
+    #: shrink flow and query sizes by this factor (shape-preserving) so
+    #: enough flows complete within a pure-Python event budget; FCT
+    #: class/bin boundaries are rescaled symmetrically in the analysis.
     size_scale: float = 1.0
     buffer_probe_interval_ns: int = 100 * USEC
     mtu_payload: int = 1000
@@ -111,7 +126,8 @@ class WebsearchConfig(ScaledFatTreeConfig):
 
 @dataclass
 class WebsearchResult:
-    """Completed flows plus derived FCT/buffer statistics."""
+    """Flows (tagged 'websearch' / 'incast') plus derived FCT/buffer
+    statistics."""
 
     algorithm: str
     load: float
@@ -122,14 +138,15 @@ class WebsearchResult:
     buffer_samples_bytes: List[float] = field(default_factory=list)
     drops: int = 0
     events_processed: int = 0
+    incast_count: int = 0
     #: flow id -> exact per-path ideal FCT in ns
     ideal_fcts_ns: Optional[Dict[int, int]] = None
 
-    def fct_summary(self, pct: float = 99.9) -> FctSummary:
-        """Short/medium/long percentile slowdowns."""
+    def fct_summary(self, pct: float = 99.9, tag: Optional[str] = None) -> FctSummary:
+        """Short/medium/long percentile slowdowns (optionally one tag only)."""
         return summarize_fct(
             self.algorithm,
-            self.flows,
+            self.flows if tag is None else [f for f in self.flows if f.tag == tag],
             self.base_rtt_ns,
             self.host_bw_bps,
             pct,
@@ -150,7 +167,7 @@ class WebsearchResult:
 
 
 def run_websearch(config: WebsearchConfig) -> WebsearchResult:
-    """Run one load point of the web-search workload."""
+    """Run one cell: web-search flows, then the incast queries."""
     params = config.fabric()
     sim = Simulator()
     net = build_topology(sim, "fattree", params)
@@ -163,9 +180,9 @@ def run_websearch(config: WebsearchConfig) -> WebsearchResult:
 
     rng = random.Random(config.seed)
     distribution = (
-        config.distribution.scaled(config.size_scale)
+        WEB_SEARCH.scaled(config.size_scale)
         if config.size_scale != 1.0
-        else config.distribution
+        else WEB_SEARCH
     )
     requests = poisson_flows(
         rng,
@@ -177,8 +194,26 @@ def run_websearch(config: WebsearchConfig) -> WebsearchResult:
     )
     for request in requests:
         driver.start_flow(
-            request.src, request.dst, request.size_bytes, at_ns=request.start_ns
+            request.src, request.dst, request.size_bytes,
+            at_ns=request.start_ns, tag="websearch",
         )
+    queries = incast_queries(
+        rng,
+        num_hosts=params.num_hosts,
+        hosts_per_tor=params.hosts_per_tor,
+        count=config.requests_per_duration,
+        request_size_bytes=max(
+            1, int(config.request_size_bytes * config.size_scale)
+        ),
+        fanout=config.fanout,
+        duration_ns=config.duration_ns,
+    )
+    for query in queries:
+        for responder in query.responders:
+            driver.start_flow(
+                responder, query.requester, query.bytes_per_responder,
+                at_ns=query.start_ns, tag="incast",
+            )
 
     # Buffer occupancy across ToR switches (Fig. 7g samples the switches
     # the workload stresses).
@@ -206,6 +241,7 @@ def run_websearch(config: WebsearchConfig) -> WebsearchResult:
     result.flows = driver.flows
     result.drops = net.total_drops()
     result.events_processed = sim.events_processed
+    result.incast_count = len(queries)
     for probe in buffer_probes:
         result.buffer_samples_bytes.extend(probe.values)
     return result
@@ -213,10 +249,13 @@ def run_websearch(config: WebsearchConfig) -> WebsearchResult:
 
 @scenario_registry.register
 class WebsearchScenario(Scenario):
-    """Figs. 6/7a/7b/7g: web-search traffic on the fat-tree."""
+    """Figs. 6/7: web-search traffic, optionally with incast queries."""
 
     name = "websearch"
-    description = "Poisson web-search flows on a fat-tree; FCT slowdown tails"
+    description = (
+        "Poisson web-search flows (+ incast queries) on a fat-tree; "
+        "FCT slowdown tails"
+    )
     config_cls = WebsearchConfig
 
     def tiny_overrides(self) -> dict:
@@ -230,6 +269,7 @@ class WebsearchScenario(Scenario):
 
     def collect(self, config, raw: WebsearchResult):
         summary = raw.fct_summary(pct=99.0)
+        incast = raw.fct_summary(pct=99.0, tag="incast")
         metrics = {
             "fct_p99_short": summary.short,
             "fct_p99_medium": summary.medium,
@@ -237,6 +277,8 @@ class WebsearchScenario(Scenario):
             "fct_p99_overall": summary.overall,
             "completed": summary.completed,
             "total_flows": summary.total,
+            "incast_fct_p99": incast.overall,
+            "incast_events": raw.incast_count,
             "drops": raw.drops,
             "buffer_p50_bytes": percentile(raw.buffer_samples_bytes, 50.0)
             if raw.buffer_samples_bytes else None,

@@ -807,7 +807,7 @@ FIGURES: Tuple[Figure, ...] = (
                    >= _fs(m[(algo, 0.2)], pct=90.0).overall * 0.9))),
     Figure("fig7cd_request_rate", "fig7cd",
            "fig. 7c/7d: web-search + incast, request-rate sweep",
-           _grid("bursty", {"algorithm": WEB_ALGOS, "requests_per_duration": FIG7CD_RATES},
+           _grid("websearch", {"algorithm": WEB_ALGOS, "requests_per_duration": FIG7CD_RATES},
                  dict(BURSTY_BASE, request_size_bytes=2_000_000),
                  key=lambda params: (params["algorithm"], params["requests_per_duration"]),
                  persist="fig7cd_request_rate"),
@@ -821,7 +821,7 @@ FIGURES: Tuple[Figure, ...] = (
                        m[("powertcp", rate)]).long <= _fs(m[("hpcc", rate)]).long * 1.25))),
     Figure("fig7ef_request_size", "fig7ef",
            "fig. 7e/7f: web-search + incast, request-size sweep",
-           _grid("bursty", {"algorithm": WEB_ALGOS, "request_size_bytes": FIG7EF_SIZES},
+           _grid("websearch", {"algorithm": WEB_ALGOS, "request_size_bytes": FIG7EF_SIZES},
                  dict(BURSTY_BASE, requests_per_duration=4),
                  key=lambda params: (params["algorithm"], params["request_size_bytes"]),
                  persist="fig7ef_request_size"),
@@ -847,7 +847,7 @@ FIGURES: Tuple[Figure, ...] = (
                    <= _p99_buffer(r, "hpcc"))),
     Figure("fig7h_buffer_cdf_bursty", "fig7h",
            "fig. 7h: buffer occupancy CDF, web-search + incasts",
-           _grid("bursty", {"algorithm": WEB_ALGOS},
+           _grid("websearch", {"algorithm": WEB_ALGOS},
                  dict(BURSTY_BASE, requests_per_duration=16,
                       request_size_bytes=2_000_000, max_flows=400),
                  persist="fig7h_buffer_cdf_bursty"),

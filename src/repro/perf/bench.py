@@ -12,7 +12,8 @@ Three macro workloads cover the simulator's distinct hot-path mixes:
 * ``incast``        — dumbbell, synchronized burst, probe-tick heavy;
 * ``websearch_fct`` — fat-tree, Poisson arrivals, INT + ECMP heavy
   (the acceptance benchmark for hot-path PRs);
-* ``permutation``   — fat-tree, all hosts active, long-lived windows.
+* ``permutation``   — fat-tree, all hosts active, long-lived windows
+  (``lb_matrix`` at its default one-permutation load under ECMP).
 
 Engine-configuration variants rerun a workload under non-default engine
 settings (``PerfCase.engine`` → :func:`repro.sim.engine.engine_defaults`):
@@ -120,7 +121,7 @@ _BASE_CASES = (
     ),
     PerfCase(
         name="permutation",
-        scenario="permutation",
+        scenario="lb_matrix",
         overrides=dict(
             algorithm="powertcp",
             flow_bytes=1_000_000,
@@ -149,7 +150,9 @@ PERF_CASES: Dict[str, PerfCase] = {
         *(
             replace(
                 base,
-                name=f"{base.scenario}_compiled",
+                # incast / websearch_fct / permutation -> incast_compiled,
+                # websearch_compiled, permutation_compiled
+                name=f"{base.name.partition('_')[0]}_compiled",
                 engine={"scheduler": "compiled"},
             )
             for base in _BASE_CASES

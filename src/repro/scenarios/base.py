@@ -1,7 +1,7 @@
 """The Scenario protocol: one uniform lifecycle for every experiment.
 
 A *scenario* wraps one experiment module (web-search, incast, fairness,
-RDCN, bursty) behind a four-step protocol::
+RDCN, ...) behind a four-step protocol::
 
     configure(**overrides) -> config      # validated config dataclass
     build(config)          -> runnable    # zero-arg callable -> raw result

@@ -24,8 +24,6 @@ BUILTIN_CATALOG = {
     "repro.experiments.incast": ("incast",),
     "repro.experiments.fairness": ("fairness",),
     "repro.experiments.rdcn": ("rdcn",),
-    "repro.experiments.bursty": ("bursty",),
-    "repro.experiments.permutation": ("permutation",),
     "repro.experiments.multibottleneck": ("multi_bottleneck",),
     "repro.experiments.lbmatrix": ("lb_matrix",),
 }

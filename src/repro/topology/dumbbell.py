@@ -82,8 +82,5 @@ def build_dumbbell(sim: Simulator, params: Optional[DumbbellParams] = None) -> N
     net.install_routes()
     # Base RTT: any left-to-right pair crosses the bottleneck.
     net.base_rtt_ns = net.path_rtt_ns(0, p.left_hosts, p.mtu_payload)
-    net.sender_hosts = list(range(p.left_hosts))
-    net.receiver_hosts = list(range(p.left_hosts, p.left_hosts + p.right_hosts))
-    net.bottleneck_label = "bottleneck"
     net.extras["params"] = p
     return net

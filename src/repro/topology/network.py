@@ -100,20 +100,9 @@ class Network:
         self.routing_params: Dict[str, object] = {}
         #: builder-specific extras (circuit controller, schedule, ...).
         self.extras: Dict[str, object] = {}
-        # -- uniform introspection surface (set by builders) -----------
-        #: canonical traffic sources under the topology's pairing policy
-        #: (dumbbell: left hosts; parking lot: the e2e + cross sources);
-        #: empty means "every host".
-        self.sender_hosts: List[int] = []
-        #: canonical traffic sinks (empty means "every host").
-        self.receiver_hosts: List[int] = []
-        #: label of the port long flows contend on, when the topology has
-        #: a single well-defined one (dumbbell: "bottleneck"; parking
-        #: lot: the slowest segment link); None on multi-path fabrics.
-        self.bottleneck_label: Optional[str] = None
         #: pairing policy ``(count, rng) -> [(src, dst), ...]`` placing
         #: ``count`` long flows the way this topology is meant to be
-        #: loaded; None falls back to sender/receiver round-robin.
+        #: loaded (the fat-tree's seeded permutations); None: no pairing.
         self.pair_policy_fn: Optional[
             Callable[[int, random.Random], List[Tuple[int, int]]]
         ] = None
@@ -252,54 +241,20 @@ class Network:
         return len(self.hosts)
 
     # -- introspection / pairing policy --------------------------------
-    def senders(self) -> List[int]:
-        """Canonical source host ids (every host when unset)."""
-        return self.sender_hosts or [h.host_id for h in self.hosts]
-
-    def receivers(self) -> List[int]:
-        """Canonical sink host ids (every host when unset)."""
-        return self.receiver_hosts or [h.host_id for h in self.hosts]
-
     def flow_pairs(
         self, count: int, rng: Optional[random.Random] = None
     ) -> List[Tuple[int, int]]:
         """``count`` (src, dst) pairs under this topology's pairing policy.
 
-        Builders install topology-specific policies (seeded permutation
-        pairs on the fat-tree, per-segment cross paths on the parking
-        lot); the fallback walks senders round-robin against receivers,
-        skipping src == dst.  Deterministic for a given (count, rng
-        state).
+        Deterministic for a given (count, rng state).  Only the fat-tree
+        installs a policy (seeded permutation pairs); on any other
+        topology this is a ``ValueError``.
         """
         if count < 0:
             raise ValueError(f"flow count must be >= 0, got {count}")
-        if self.pair_policy_fn is not None:
-            pairs = self.pair_policy_fn(count, rng or random.Random(0))
-            if len(pairs) != count:
-                raise ValueError(
-                    f"{self.name}: pairing policy returned {len(pairs)} "
-                    f"pairs for count={count}"
-                )
-            return pairs
-        senders = self.senders()
-        receivers = self.receivers()
-        pairs: List[Tuple[int, int]] = []
-        shift = 0
-        for i in range(count):
-            src = senders[i % len(senders)]
-            dst = receivers[(i + shift) % len(receivers)]
-            for _ in range(len(receivers)):
-                if dst != src:
-                    break
-                shift += 1
-                dst = receivers[(i + shift) % len(receivers)]
-            if dst == src:
-                raise ValueError(
-                    f"{self.name}: cannot pair host {src} with a distinct "
-                    "receiver (single-host receiver set)"
-                )
-            pairs.append((src, dst))
-        return pairs
+        if self.pair_policy_fn is None:
+            raise ValueError(f"{self.name}: this topology has no flow pairing")
+        return self.pair_policy_fn(count, rng or random.Random(0))
 
     def describe(self) -> Dict[str, object]:
         """A JSON-able summary of the built network (catalog / tests)."""
@@ -309,9 +264,6 @@ class Network:
             "num_switches": len(self.switches),
             "host_bw_bps": self.host_bw_bps,
             "base_rtt_ns": self.base_rtt_ns,
-            "senders": self.senders(),
-            "receivers": self.receivers(),
-            "bottleneck_label": self.bottleneck_label,
             "labeled_ports": sorted(self.labeled_ports),
             "routing": self.routing_name,
             "routing_params": dict(self.routing_params),

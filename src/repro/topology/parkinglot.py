@@ -170,24 +170,6 @@ def build_parking_lot(
     net.install_routes()
     # Base RTT: the end-to-end path (the longest one).
     net.base_rtt_ns = net.path_rtt_ns(p.e2e_src, p.e2e_dst, p.mtu_payload)
-    net.sender_hosts = [p.e2e_src] + [p.cross_src(i) for i in range(p.segments)]
-    net.receiver_hosts = [p.e2e_dst] + [
-        p.cross_dst(i) for i in range(p.segments)
-    ]
-    # The slowest segment link is the contended port (first index on ties).
-    tightest = min(range(p.segments), key=lambda i: p.segment_bw_bps[i])
-    net.bottleneck_label = f"link{tightest}"
-
-    # Pairing policy: flows land on the segment cross paths round-robin,
-    # so every segment link carries an even mix of the requested flows —
-    # the multi-bottleneck stress.
-    def parking_lot_pairs(count, rng):
-        return [
-            (p.cross_src(i % p.segments), p.cross_dst(i % p.segments))
-            for i in range(count)
-        ]
-
-    net.pair_policy_fn = parking_lot_pairs
     net.extras["params"] = p
     net.extras["switches"] = switches
     return net

@@ -191,15 +191,6 @@ def build_rdcn(sim: Simulator, params: Optional[RdcnParams] = None) -> Network:
     controller = RotorController(sim, schedule, circuit_ports, tors)
     controller.start()
 
-    # Pairing policy: shift each source one ToR to the right, so every
-    # pair crosses the circuit/packet fabric (never stays rack-local).
-    def rdcn_pairs(count, rng):
-        total = p.num_tors * p.hosts_per_tor
-        return [
-            (i % total, (i + p.hosts_per_tor) % total) for i in range(count)
-        ]
-
-    net.pair_policy_fn = rdcn_pairs
     net.extras["params"] = p
     net.extras["schedule"] = schedule
     net.extras["controller"] = controller

@@ -9,7 +9,10 @@ result, each file request creates an incast scenario."
 An :class:`IncastEvent` is one such query: ``fanout`` responders each send
 ``request_size / fanout`` bytes to the requester simultaneously.  The
 paper sweeps the request *rate* (Fig. 7c/d — incast frequency) and the
-request *size* (Fig. 7e/f — congestion duration).
+request *size* (Fig. 7e/f — congestion duration).  A simulated horizon is
+milliseconds, not the paper's seconds, so :func:`incast_queries` takes a
+query *count* per horizon and spreads it evenly; the ``websearch``
+scenario layers these queries on its web-search flows.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from typing import List, Sequence
-
-from repro.units import SEC
 
 
 @dataclass
@@ -30,65 +31,37 @@ class IncastEvent:
     responders: Sequence[int]
     bytes_per_responder: int
 
-    @property
-    def total_bytes(self) -> int:
-        """Aggregate response size (the request size)."""
-        return self.bytes_per_responder * len(self.responders)
 
-
-def incast_events(
+def incast_queries(
     rng: random.Random,
     *,
     num_hosts: int,
     hosts_per_tor: int,
-    request_rate_per_sec: float,
+    count: int,
     request_size_bytes: int,
     fanout: int,
     duration_ns: int,
-    start_ns: int = 0,
 ) -> List[IncastEvent]:
-    """Poisson query arrivals at ``request_rate_per_sec`` over the cluster.
+    """``count`` queries, evenly spaced inside ``duration_ns``.
 
-    Responders are sampled uniformly from racks other than the
-    requester's, so every response crosses the oversubscribed fabric.
+    Query ``i`` starts at ``(i + 1) * duration_ns // (count + 1)``.  Its
+    requester is drawn uniformly, then its responders uniformly from the
+    racks other than the requester's, so every response crosses the
+    oversubscribed fabric; each sends an equal share of the request.
     """
     if fanout < 1:
         raise ValueError(f"fanout must be >= 1, got {fanout}")
-    if request_rate_per_sec <= 0:
-        raise ValueError("request rate must be positive")
+    gap = duration_ns // (count + 1)
     events: List[IncastEvent] = []
-    mean_gap_ns = SEC / request_rate_per_sec
-    bytes_per_responder = max(1, request_size_bytes // fanout)
-    t = float(start_ns)
-    end = start_ns + duration_ns
-    while True:
-        t += rng.expovariate(1.0) * mean_gap_ns
-        if t >= end:
-            break
+    for i in range(count):
         requester = rng.randrange(num_hosts)
         rack = requester // hosts_per_tor
         candidates = [
             h for h in range(num_hosts) if h // hosts_per_tor != rack
         ]
         responders = rng.sample(candidates, min(fanout, len(candidates)))
-        events.append(
-            IncastEvent(int(t), requester, responders, bytes_per_responder)
-        )
+        events.append(IncastEvent(
+            (i + 1) * gap, requester, responders,
+            max(1, request_size_bytes // len(responders)),
+        ))
     return events
-
-
-def synchronized_incast(
-    requester: int,
-    responders: Sequence[int],
-    total_bytes: int,
-    start_ns: int = 0,
-) -> IncastEvent:
-    """A single deterministic N:1 incast (the Fig. 4 microbenchmark)."""
-    if not responders:
-        raise ValueError("need at least one responder")
-    return IncastEvent(
-        start_ns,
-        requester,
-        list(responders),
-        max(1, total_bytes // len(responders)),
-    )

@@ -8,8 +8,9 @@ Two flavours:
 * :func:`permutation_pairs` — the classic host-level permutation
   stress: every host sends to exactly one other host and receives from
   exactly one other host (a seeded derangement), so no receiver is
-  oversubscribed and any unfairness is the CC scheme's own doing.  Used
-  by the registered ``permutation`` scenario.
+  oversubscribed and any unfairness is the CC scheme's own doing.  The
+  fat-tree's pairing policy (``Network.flow_pairs``) draws these, and
+  ``lb_matrix`` starts one flow per pair.
 """
 
 from __future__ import annotations

@@ -31,6 +31,13 @@ def test_jain_improves_to_near_one_by_last_epoch():
 
 
 def test_weighted_fairness_follows_beta():
+    """beta 500 : 1000 should share the bottleneck 1 : 2.
+
+    Measured over 5-20 ms the ratio is 1.542 (1.543 from t=0; 1 ms
+    windows run 1.45-1.70), so the test passes only through its +-35 %
+    tolerance.  The gap to the predicted 2.0 is open: ROADMAP item 1(b)'s
+    CC oracle is to explain it, and the tolerance is not to be widened.
+    """
     sim = Simulator()
     net = build_dumbbell(
         sim,
@@ -52,10 +59,11 @@ def test_weighted_fairness_follows_beta():
     )
     driver = FlowDriver(net, spec)
     flows = [driver.start_flow(i, 2, 10 ** 11, at_ns=0) for i in range(2)]
-    driver.run(until_ns=20 * MSEC)
-
     # Discard the first quarter (convergence), compare long-run goodput.
-    received = [f.bytes_received for f in flows]
+    driver.run(until_ns=5 * MSEC)
+    converged = [f.bytes_received for f in flows]
+    driver.run(until_ns=20 * MSEC)
+    received = [f.bytes_received - c for f, c in zip(flows, converged)]
     ratio = received[1] / received[0]
     assert ratio == pytest.approx(2.0, rel=0.35)
 

@@ -210,3 +210,32 @@ def test_campaign_zero_workers_is_a_usage_error(tmp_path):
     assert proc.stderr.strip() == "workers must be >= 1"
     assert "Traceback" not in proc.stdout + proc.stderr
     assert not os.path.exists(tmp_path / "out.json")
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_list_into_a_closed_pipe_exits_quietly(unbuffered):
+    """``repro list | head -n 1``: a reader that has gone is no error.
+
+    The pipe's read end is closed before the command writes, so its first
+    write (a print when unbuffered, the final flush when buffered) fails
+    with EPIPE every time.
+    """
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "list"], stdout=write_end,
+            stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == ""
+    assert proc.returncode == 0

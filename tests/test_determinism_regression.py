@@ -31,7 +31,7 @@ def _run_tiny(name, **extra):
         ("incast", {"algorithm": "powertcp"}),
         ("incast", {"algorithm": "dcqcn"}),  # timers + ECN RNG + CNPs
         ("websearch", {"algorithm": "hpcc", "seed": 7}),
-        ("permutation", {"algorithm": "powertcp", "seed": 3}),
+        ("lb_matrix", {"algorithm": "powertcp", "seed": 3}),
     ],
 )
 def test_same_seed_same_run(scenario, extra, scheduler):

@@ -3,7 +3,6 @@ result plumbing) — the paper-level claims live in tests/integration."""
 
 import pytest
 
-from repro.experiments.bursty import BurstyConfig, run_bursty
 from repro.experiments.fairness import FairnessConfig, FairnessResult, run_fairness
 from repro.experiments.incast import IncastConfig, IncastResult, run_incast
 from repro.experiments.rdcn import (
@@ -132,27 +131,30 @@ def test_websearch_seeded_reproducibility():
 
 
 # ----------------------------------------------------------------------
-# bursty plumbing
+# incast queries on web-search
 # ----------------------------------------------------------------------
-def test_bursty_tags_flows():
-    r = run_bursty(
-        BurstyConfig(
-            algorithm="powertcp",
-            load=0.4,
-            requests_per_duration=2,
-            request_size_bytes=1_000_000,
-            fanout=4,
-            duration_ns=4 * MSEC,
-            drain_ns=10 * MSEC,
-            size_scale=1 / 16,
-            max_flows=20,
-        )
+def test_websearch_tags_query_flows():
+    cfg = dict(
+        algorithm="powertcp",
+        load=0.4,
+        request_size_bytes=1_000_000,
+        fanout=4,
+        duration_ns=4 * MSEC,
+        drain_ns=10 * MSEC,
+        size_scale=1 / 16,
+        max_flows=20,
     )
+    r = run_websearch(WebsearchConfig(requests_per_duration=2, **cfg))
     tags = {f.tag for f in r.flows}
     assert tags == {"websearch", "incast"}
     assert r.incast_count == 2
     incast_only = r.fct_summary(pct=50, tag="incast")
     assert incast_only.completed == 8  # 2 events x fanout 4
+    # the default starts no query: only the web-search flows remain
+    plain = run_websearch(WebsearchConfig(**cfg))
+    assert plain.incast_count == 0
+    assert {f.tag for f in plain.flows} == {"websearch"}
+    assert len(plain.flows) == len(r.flows) - 8
 
 
 # ----------------------------------------------------------------------

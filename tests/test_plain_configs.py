@@ -23,12 +23,8 @@ SCENARIOS = sorted(
     {name for names in BUILTIN_CATALOG.values() for name in names} | {"faulty"}
 )
 
-#: config fields that are not plain data yet: the flow-size CDF is an
-#: object, recorded in provenance by its repr
-NOT_PLAIN = {"websearch": {"distribution"}, "bursty": {"distribution"}}
-
 #: the scenarios whose fabric is a scaled default plus ``topology_params``
-FABRIC_SCENARIOS = ["bursty", "lb_matrix", "permutation", "rdcn", "websearch"]
+FABRIC_SCENARIOS = ["lb_matrix", "rdcn", "websearch"]
 
 
 def _through_json(config):
@@ -40,13 +36,7 @@ def test_config_round_trips_through_json(name):
     scenario = get_scenario(name)
     for overrides in ({}, scenario.tiny_overrides()):
         config = scenario.configure(**overrides)
-        doc = _through_json(config)
-        opaque = NOT_PLAIN.get(name, set())
-        if opaque:  # the exemption stays exact: these do not round-trip
-            assert scenario.configure(**doc) != config
-        for field in opaque:
-            del doc[field]
-        assert scenario.configure(**doc) == config
+        assert scenario.configure(**_through_json(config)) == config
 
 
 @pytest.mark.parametrize("name", FABRIC_SCENARIOS)

@@ -31,7 +31,7 @@ RUN_TYPES = (
 
 #: the scenarios whose result used to pin the network alive through an
 #: ``ideal_fn`` closure
-FCT_SCENARIOS = ("websearch", "bursty", "lb_matrix", "permutation")
+FCT_SCENARIOS = ("websearch", "lb_matrix")
 
 #: the scenarios whose tiny cell reaches its horizon with flows still
 #: running, so the census at ``collect()`` must see their endpoints

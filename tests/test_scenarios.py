@@ -24,12 +24,10 @@ from repro.scenarios.sweep import (
 )
 
 ALL_SCENARIOS = [
-    "bursty",
     "fairness",
     "incast",
     "lb_matrix",
     "multi_bottleneck",
-    "permutation",
     "rdcn",
     "websearch",
 ]
@@ -447,14 +445,24 @@ def test_cli_rejects_bad_shard():
 
 
 # ----------------------------------------------------------------------
-# the new scenarios
+# the host permutation
 # ----------------------------------------------------------------------
-def test_permutation_uses_seeded_derangement():
-    scenario = get_scenario("permutation")
+def test_lb_matrix_full_load_starts_the_seeded_derangement():
+    import random
+
+    from repro.workloads.permutation import permutation_pairs
+
+    scenario = get_scenario("lb_matrix")
     a = scenario.run(**dict(scenario.tiny_overrides(), seed=3))
     b = scenario.run(**dict(scenario.tiny_overrides(), seed=3))
     c = scenario.run(**dict(scenario.tiny_overrides(), seed=4))
+    # default load=1.0 under ECMP: one flow per derangement pair
+    config = a.provenance["config"]
+    assert config["load"] == 1.0 and config["routing"] == "ecmp"
+    started = [(f.src, f.dst) for f in a.raw.flows]
+    assert started == permutation_pairs(random.Random(3), 16)
     assert a.metrics == b.metrics
-    assert a.metrics["completed"] == a.metrics["total_flows"]
+    assert a.metrics["completed"] == a.metrics["total_flows"] == 16
+    assert 0 < a.metrics["goodput_jain"] <= 1
     # A different seed permutes differently (goodputs differ).
-    assert a.series != c.series
+    assert a.series["per_flow_goodput_bps"] != c.series["per_flow_goodput_bps"]

@@ -251,11 +251,15 @@ class TestSweepFailures:
 
 
 def test_inline_sweep_passes_overrides_as_given():
-    # an override that is no JSON value reaches an inline cell untouched
-    from repro.workloads.distributions import WEB_SEARCH
-
-    sweep = run_sweep("websearch", {"load": [0.2]}, base=dict(TINY, distribution=WEB_SEARCH))
-    assert sweep.cells[0].result.raw is not None
+    # an inline cell runs the base overrides in the sweep's own process
+    # and keeps the experiment's native result
+    base = dict(TINY, topology_params={"hosts_per_tor": 2}, cc_params={"gamma": 0.8})
+    (cell,) = run_sweep("websearch", {"load": [0.2]}, base=base).cells
+    assert cell.result.raw is not None
+    config = cell.result.provenance["config"]
+    assert config["topology_params"] == {"hosts_per_tor": 2}
+    assert config["cc_params"] == {"gamma": 0.8}
+    assert config["load"] == 0.2
 
 
 def test_sweep_and_campaign_executors_agree_per_cell(tmp_path):

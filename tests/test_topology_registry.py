@@ -85,26 +85,29 @@ def test_registry_roundtrip_list_build_introspect(name):
     assert description["base_rtt_ns"] == net.base_rtt_ns > 0
     host_ids = [h.host_id for h in net.hosts]
     assert host_ids == sorted(set(host_ids))  # dense, unique
-    assert set(net.senders()) <= set(host_ids)
-    assert set(net.receivers()) <= set(host_ids)
+    for label in description["labeled_ports"]:
+        assert net.port(label).rate_bps > 0
+    if name != "fattree":  # only the fat-tree has a long-flow pairing
+        with pytest.raises(ValueError, match="no flow pairing"):
+            net.flow_pairs(5, random.Random(7))
+        return
     # The pairing policy yields the requested number of valid pairs.
     pairs = net.flow_pairs(5, random.Random(7))
     assert len(pairs) == 5
     for src, dst in pairs:
         assert src != dst
         assert src in host_ids and dst in host_ids
-    # The declared bottleneck (when any) resolves to a labeled port.
-    if description["bottleneck_label"] is not None:
-        assert description["bottleneck_label"] in description["labeled_ports"]
 
 
 def test_dumbbell_introspection_matches_builder_layout():
     net = build_topology(Simulator(), "dumbbell", left_hosts=3, right_hosts=2)
-    assert net.senders() == [0, 1, 2]
-    assert net.receivers() == [3, 4]
-    assert net.port(net.bottleneck_label).rate_bps > 0
-    # Round-robin fallback pairing: distinct senders, no src == dst.
-    assert net.flow_pairs(3, None) == [(0, 3), (1, 4), (2, 3)]
+    assert net.num_hosts == 5
+    bottleneck = net.port("bottleneck")
+    assert bottleneck.rate_bps > 0
+    # every left host reaches every right host across the bottleneck
+    for src in range(3):
+        for dst in (3, 4):
+            assert net.path_profile(src, dst)[0][1] == bottleneck.rate_bps
 
 
 def test_parkinglot_bottleneck_is_tightest_segment():
@@ -112,13 +115,12 @@ def test_parkinglot_bottleneck_is_tightest_segment():
         Simulator(), "parkinglot", segments=3,
         segment_bw_bps=[10e9, 5e9, 10e9],
     )
-    assert net.bottleneck_label == "link1"
-    # Cross pairs round-robin over segments.
+    rates = {f"link{i}": net.port(f"link{i}").rate_bps for i in range(3)}
+    assert min(rates, key=rates.get) == "link1"
+    # the end-to-end path crosses every segment, so link1 bounds it
     params = net.extras["params"]
-    pairs = net.flow_pairs(4, None)
-    assert pairs[0] == (params.cross_src(0), params.cross_dst(0))
-    assert pairs[1] == (params.cross_src(1), params.cross_dst(1))
-    assert pairs[3] == (params.cross_src(0), params.cross_dst(0))
+    hops = net.path_profile(params.e2e_src, params.e2e_dst)[0]
+    assert min(hops) == 5e9
 
 
 def test_fattree_pairs_are_seeded_derangements():
@@ -138,9 +140,10 @@ def test_fattree_pairs_are_seeded_derangements():
 
 
 def test_flow_pairs_validates_count():
-    net = build_topology(Simulator(), "dumbbell", left_hosts=2)
+    net = build_topology(Simulator(), "fattree", **TINY_PARAMS["fattree"])
     with pytest.raises(ValueError, match=">= 0"):
         net.flow_pairs(-1, None)
+    assert net.flow_pairs(0, None) == []
 
 
 def test_builders_remain_directly_callable():

@@ -8,7 +8,7 @@ from repro.topology.fattree import FatTreeParams
 from repro.units import GBPS, MSEC, SEC
 from repro.workloads.arrivals import inter_rack_pair, poisson_flows
 from repro.workloads.distributions import WEB_SEARCH, EmpiricalCdf
-from repro.workloads.incast import incast_events, synchronized_incast
+from repro.workloads.incast import incast_queries
 from repro.workloads.permutation import all_pairs_flows, pair_flows
 
 
@@ -112,44 +112,44 @@ def test_poisson_reproducible_with_seed():
 # ----------------------------------------------------------------------
 # Incast
 # ----------------------------------------------------------------------
-def test_incast_responders_are_remote():
-    rng = random.Random(5)
-    events = incast_events(
-        rng,
+def _queries(count=6, request_size_bytes=1_000_000, fanout=4, seed=5):
+    return incast_queries(
+        random.Random(seed),
         num_hosts=16,
         hosts_per_tor=4,
-        request_rate_per_sec=1e6,
-        request_size_bytes=1_000_000,
-        fanout=4,
-        duration_ns=100_000,
+        count=count,
+        request_size_bytes=request_size_bytes,
+        fanout=fanout,
+        duration_ns=700_000,
     )
-    assert events
+
+
+def test_incast_responders_are_remote():
+    events = _queries()
+    # evenly spread: duration // (count + 1) apart
+    assert [e.start_ns for e in events] == [100_000 * i for i in range(1, 7)]
     for event in events:
         rack = event.requester // 4
         assert all(r // 4 != rack for r in event.responders)
         assert len(set(event.responders)) == len(event.responders)
+    assert _queries() == events  # deterministic in the RNG state
+    assert _queries(seed=6) != events
 
 
 def test_incast_bytes_split_across_responders():
-    event = synchronized_incast(0, [4, 5, 6, 7], total_bytes=2_000_000)
+    (event,) = _queries(count=1, request_size_bytes=2_000_000)
+    assert len(event.responders) == 4
     assert event.bytes_per_responder == 500_000
-    assert event.total_bytes == 2_000_000
+    # fanout beyond the remote hosts: the share follows who answers
+    (wide,) = _queries(count=1, request_size_bytes=2_400_000, fanout=20)
+    assert len(wide.responders) == 12
+    assert wide.bytes_per_responder == 200_000
 
 
 def test_incast_validation():
-    rng = random.Random(5)
-    with pytest.raises(ValueError):
-        incast_events(
-            rng,
-            num_hosts=8,
-            hosts_per_tor=4,
-            request_rate_per_sec=0,
-            request_size_bytes=100,
-            fanout=2,
-            duration_ns=1000,
-        )
-    with pytest.raises(ValueError):
-        synchronized_incast(0, [], 1000)
+    assert _queries(count=0) == []
+    with pytest.raises(ValueError, match="fanout"):
+        _queries(fanout=0)
 
 
 # ----------------------------------------------------------------------
